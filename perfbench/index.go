@@ -60,23 +60,22 @@ func indexBuild(r *run) error {
 	if err != nil {
 		return err
 	}
-	// setup_s: ReadGraphs plus BuildShardedIndex, median of several.
+	// setup_s: ReadGraphs plus BuildShardedIndex, sampled in blocks
+	// across the untraced ops (setupSampler).
 	dbs := make([][]*skinnymine.Graph, indexCopies)
-	var setups []float64
-	for i := 0; i < 40; i++ {
+	setup, err := newSetupSampler(func(i int) error {
 		k := i % indexCopies
-		t0 := time.Now()
 		db, err := skinnymine.ReadGraphs(bytes.NewReader(texts[k]))
 		if err != nil {
 			return err
 		}
-		if _, err := skinnymine.BuildShardedIndex(db, indexSigma, indexShards); err != nil {
-			return err
-		}
-		setups = append(setups, time.Since(t0).Seconds())
 		dbs[k] = db
+		_, err = skinnymine.BuildShardedIndex(db, indexSigma, indexShards)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	r.setE2E("setup_s", median(setups), "s")
 
 	var lat, build, load, allocMB, snapMB []float64
 	measure := r.dur
@@ -84,7 +83,8 @@ func indexBuild(r *run) error {
 		measure = r.dur / 2
 	}
 	n := 0
-	runOps := func(parent int, d time.Duration) error {
+	// runOps runs ops for d; sample adds a set-up block after each.
+	runOps := func(parent int, d time.Duration, sample bool) error {
 		start := time.Now()
 		for i := 0; i < 2 || time.Since(start) < d; i++ {
 			k := n % indexCopies
@@ -100,14 +100,21 @@ func indexBuild(r *run) error {
 			allocMB = append(allocMB, op.allocMB)
 			snapMB = append(snapMB, op.snapshotMB)
 			os.RemoveAll(filepath.Dir(op.path))
+			if sample {
+				if err := setup.block(); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
+	spent0 := setup.spent
 	start := time.Now()
-	if err := runOps(0, measure); err != nil {
+	if err := runOps(0, measure, true); err != nil {
 		return err
 	}
-	elapsed := time.Since(start).Seconds()
+	elapsed := (time.Since(start) - (setup.spent - spent0)).Seconds()
+	r.setE2E("setup_s", setup.seconds(), "s")
 	untracedP50 := median(lat)
 	r.setE2E("p50_ms", untracedP50, "ms")
 	r.setE2E("p99_ms", quantile(lat, 0.99), "ms")
@@ -130,7 +137,7 @@ func indexBuild(r *run) error {
 	err = cpuProfile(prof, func() error {
 		root := r.spans.start(0, "index-build.traced")
 		defer r.spans.finish(root, nil)
-		return runOps(root, r.dur/2)
+		return runOps(root, r.dur/2, false)
 	})
 	if err != nil {
 		return err

@@ -1,77 +1,65 @@
 package main
 
-// perLayer lists every per-layer metric a traced run reports, with its
-// unit; BENCHMARK.json's per_layer list is the same set. A layer a
-// workload does not exercise reports 0 on that workload (README.md,
-// "Per-layer metrics", says which layer each workload drives).
-var perLayer = []struct{ name, unit string }{
-	{"graph.parse_s", "s"},
-	{"core.stage1_s", "s"},
-	{"core.stage1.concat_s", "s"},
-	{"core.stage1.merge_s", "s"},
-	{"core.stage1.paths", "count"},
-	{"core.stage1.alloc_mb", "MB"},
-	{"core.stage2_s", "s"},
-	{"core.stage2.extensions", "count"},
-	{"core.stage2.generated", "count"},
-	{"core.stage2.duplicates", "count"},
-	{"core.stage2.frequency_rejects", "count"},
-	{"core.stage2.useful_ratio", "ratio"},
-	{"core.stage2.patterns", "count"},
-	{"core.stage2.allocs", "count"},
-	{"core.stage2.alloc_mb", "MB"},
-	{"support.cpu_share", "ratio"},
-	{"support.set_add.cpu_share", "ratio"},
-	{"dfscode.cpu_share", "ratio"},
-	{"dfscode.mincode_us", "us"},
-	{"core.candidates.cpu_share", "ratio"},
-	{"shard.partition_s", "s"},
-	{"shard.cpu_share", "ratio"},
-	{"indexio.save_s", "s"},
-	{"indexio.load_s", "s"},
-	{"indexio.snapshot_mb", "MB"},
-	{"indexio.cpu_share", "ratio"},
-	{"encode.s", "s"},
-	{"encode.kb", "KB"},
-	{"encoding_json.cpu_share", "ratio"},
-	{"server.hit_frac", "ratio"},
-	{"server.miss_frac", "ratio"},
-	{"server.coalesced_frac", "ratio"},
-	{"server.morphed_frac", "ratio"},
-	{"server.family_shared_frac", "ratio"},
-	{"server.runs", "count"},
-	{"server.admission_wait_ms.p99", "ms"},
-	{"server.mine_ms.p50", "ms"},
-	{"server.mine_ms.p99", "ms"},
-	{"server.hit_ms.p50", "ms"},
-	{"server.miss_ms.p50", "ms"},
-	{"server.morphed_ms.p50", "ms"},
-	{"server.batch_ms.p50", "ms"},
-	{"server.cpu_share", "ratio"},
-	{"net_http.cpu_share", "ratio"},
-	{"runtime.gc_cpu_share", "ratio"},
-	{"gen.lag_ms.p99", "ms"},
-	{"gen.sent", "count"},
-	{"gen.ok", "count"},
-	{"trace.overhead_ms", "ms"},
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+)
+
+// perLayer reads the per-layer metrics, with their units, from the
+// per_layer list of BENCHMARK.json at the repository root: the one list
+// of what a traced run reports.
+func perLayer(root string) ([]struct{ Name, Unit string }, error) {
+	b, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		return nil, err
+	}
+	var spec struct {
+		PerLayer []struct{ Name, Unit string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &spec); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if len(spec.PerLayer) == 0 {
+		return nil, fmt.Errorf("BENCHMARK.json lists no per_layer metrics")
+	}
+	return spec.PerLayer, nil
 }
 
 // fillLayers reports 0 for every per-layer metric this workload does
-// not exercise. A metric listed as unmeasured (a *.cpu_share rule whose
-// function is gone) stays missing.
-func (r *run) fillLayers() {
+// not exercise (README.md, "Per-layer metrics", says which layer each
+// workload drives). A metric listed as unmeasured (a *.cpu_share rule
+// whose function is gone) stays missing. A metric measured but not
+// declared in BENCHMARK.json is an error: the two lists must agree.
+func (r *run) fillLayers() error {
+	declared, err := perLayer(r.root)
+	if err != nil {
+		return err
+	}
+	known := map[string]bool{}
 	var zero []string
-	for _, m := range perLayer {
-		if _, ok := r.layer[m.name]; ok {
+	for _, m := range declared {
+		known[m.Name] = true
+		if got, ok := r.layer[m.Name]; ok {
+			if got.Unit != m.Unit {
+				return fmt.Errorf("per-layer %s measured in %s, declared in %s", m.Name, got.Unit, m.Unit)
+			}
 			continue
 		}
-		if _, ok := r.unmeasured[m.name]; ok {
+		if _, ok := r.unmeasured[m.Name]; ok {
 			continue
 		}
-		r.layer[m.name] = metric{0, m.unit}
-		zero = append(zero, m.name)
+		r.layer[m.Name] = metric{0, m.Unit}
+		zero = append(zero, m.Name)
+	}
+	for name := range r.layer {
+		if !known[name] {
+			return fmt.Errorf("per-layer %s is measured but not declared in BENCHMARK.json", name)
+		}
 	}
 	if len(zero) > 0 {
 		r.note("not exercised by %s (reported as 0): %v", r.workload, zero)
 	}
+	return nil
 }

@@ -155,7 +155,9 @@ func (r *run) execute(fn func(*run) error) error {
 	}
 	metrics := r.e2e
 	if r.trace {
-		r.fillLayers()
+		if err := r.fillLayers(); err != nil {
+			return err
+		}
 		metrics = r.layer
 		if err := r.writeTrace(); err != nil {
 			return err

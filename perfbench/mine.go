@@ -86,22 +86,64 @@ func permutedTexts(seed int64, copies int, bases ...*graph.Graph) ([][]byte, err
 	return texts, nil
 }
 
-// parseSetup times ReadGraphs over the texts reps times in turn and
-// returns the median time and the parsed databases.
-func parseSetup(texts [][]byte, reps int) (float64, [][]*skinnymine.Graph, error) {
-	dbs := make([][]*skinnymine.Graph, len(texts))
-	var times []float64
-	for i := 0; i < reps; i++ {
-		k := i % len(texts)
-		t0 := time.Now()
-		db, err := skinnymine.ReadGraphs(bytes.NewReader(texts[k]))
-		times = append(times, time.Since(t0).Seconds())
-		if err != nil {
-			return 0, nil, err
+// setupSampler times the set-up of a library workload. Set-up is
+// sub-millisecond there, too short to time one call steadily, and the
+// host's speed drifts by ±20% over tens of milliseconds. So calls run
+// in blocks of setupReps, each block timed as one loop that starts from
+// a collected heap: setupFirst blocks before the workload starts (they
+// make its inputs) and one more after every measured op, outside the
+// op's timing, so the blocks sample the host over the whole run as the
+// op timings do. setup_s is the median block time per call.
+type setupSampler struct {
+	call   func(i int) error
+	n      int
+	blocks []float64
+	spent  time.Duration // wall time of all blocks, collection included
+}
+
+const (
+	setupFirst = 3
+	setupReps  = 40
+)
+
+func newSetupSampler(call func(i int) error) (*setupSampler, error) {
+	s := &setupSampler{call: call}
+	for b := 0; b < setupFirst; b++ {
+		if err := s.block(); err != nil {
+			return nil, err
 		}
-		dbs[k] = db
 	}
-	return median(times), dbs, nil
+	return s, nil
+}
+
+func (s *setupSampler) block() error {
+	start := time.Now()
+	runtime.GC()
+	t0 := time.Now()
+	for i := 0; i < setupReps; i++ {
+		if err := s.call(s.n); err != nil {
+			return err
+		}
+		s.n++
+	}
+	s.blocks = append(s.blocks, time.Since(t0).Seconds()/setupReps)
+	s.spent += time.Since(start)
+	return nil
+}
+
+func (s *setupSampler) seconds() float64 { return median(s.blocks) }
+
+// parseSetup samples ReadGraphs over the texts in turn (setupSampler);
+// dbs holds the parsed databases.
+func parseSetup(texts [][]byte) (setup *setupSampler, dbs [][]*skinnymine.Graph, err error) {
+	dbs = make([][]*skinnymine.Graph, len(texts))
+	setup, err = newSetupSampler(func(i int) error {
+		k := i % len(texts)
+		db, err := skinnymine.ReadGraphs(bytes.NewReader(texts[k]))
+		dbs[k] = db
+		return err
+	})
+	return setup, dbs, err
 }
 
 func mineGreedy(r *run) error {
@@ -109,11 +151,10 @@ func mineGreedy(r *run) error {
 	if err != nil {
 		return err
 	}
-	setup, dbs, err := parseSetup(texts, 200)
+	setup, dbs, err := parseSetup(texts)
 	if err != nil {
 		return err
 	}
-	r.setE2E("setup_s", setup, "s")
 
 	var lat, allocMB []float64
 	// mineOnce mines copy k once, checks its digest against the golden
@@ -163,13 +204,18 @@ func mineGreedy(r *run) error {
 		measure = r.dur / 2
 	}
 	ok0 := r.attempted - r.failed
+	spent0 := setup.spent
 	start := time.Now()
 	for i := 0; i < 3 || time.Since(start) < measure; i++ {
 		if _, err := mineOnce(i%mineCopies, 0, nil); err != nil {
 			return err
 		}
+		if err := setup.block(); err != nil {
+			return err
+		}
 	}
-	elapsed := time.Since(start).Seconds()
+	elapsed := (time.Since(start) - (setup.spent - spent0)).Seconds()
+	r.setE2E("setup_s", setup.seconds(), "s")
 	untracedP50 := median(lat)
 	r.setE2E("p50_ms", untracedP50, "ms")
 	r.setE2E("p99_ms", quantile(lat, 0.99), "ms")

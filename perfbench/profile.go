@@ -35,7 +35,11 @@ var shareRules = []shareRule{
 	{name: "dfscode.cpu_share", match: []string{"skinnymine/internal/dfscode."}, on: []string{"mine-greedy"}},
 	{name: "core.candidates.cpu_share", match: []string{"skinnymine/internal/core.(*miner).candidates"}, on: []string{"mine-greedy"}},
 	{name: "shard.cpu_share", match: []string{"skinnymine/internal/shard."}, on: []string{"index-build"}},
-	{name: "indexio.cpu_share", match: []string{"skinnymine/internal/indexio."}, on: []string{"index-build", "serve-mix"}},
+	// Only index-build profiles indexio code: serve-mix profiles the
+	// serving phase, long after the daemon loaded its snapshot, so its
+	// share there is about 0. The snapshot load is measured by serve-mix
+	// setup_s and indexio.load_s.
+	{name: "indexio.cpu_share", match: []string{"skinnymine/internal/indexio."}, on: []string{"index-build"}},
 	{name: "encoding_json.cpu_share", match: []string{"encoding/json."}, on: []string{"serve-mix"}},
 	{name: "server.cpu_share", match: []string{"skinnymine/internal/server."}, self: true, on: []string{"serve-mix"}},
 	{name: "net_http.cpu_share", match: []string{"net/http."}, self: true, on: []string{"serve-mix"}},
@@ -55,8 +59,30 @@ func (s shareRule) matches(fn string) bool {
 	return false
 }
 
+// servePaths splits the daemon's CPU profile by serving path. Each
+// sample goes to the first path with a matching frame: batch is the
+// /v1/batch handler and its unit goroutines; mine.run is a /v1/mine
+// miss's run in the handler goroutine (set-up and result encoding);
+// mine.morph answers a miss from a cached superset; mine.hit is the
+// rest of /v1/mine (decode, cache lookup, write). The miner's worker
+// goroutines carry no handler frame, so core.workers is the Stage I and
+// II work of /v1/mine misses and batch members together. Samples outside
+// all of these are net/http connection work, garbage collection or
+// other runtime work.
+var servePaths = []shareRule{
+	{name: "batch", match: []string{"skinnymine/internal/server.(*Server).handleBatch"}},
+	// mineProduce's closure is compiled inline into handleMine.
+	{name: "mine.run", match: []string{"skinnymine/internal/server.(*Server).handleMine.(*Server).mineProduce", "skinnymine/internal/server.(*Server).mineProduce"}},
+	{name: "mine.morph", match: []string{"skinnymine/internal/server.(*Server).tryMorph"}},
+	{name: "mine.hit", match: []string{"skinnymine/internal/server.(*Server).handleMine"}},
+	{name: "core.workers", match: []string{"skinnymine/internal/core."}},
+	{name: "gc", match: []string{"runtime.gcBgMarkWorker", "runtime.gcAssistAlloc", "runtime.bgsweep", "runtime.bgscavenge"}},
+	{name: "net_http", match: []string{"net/http."}},
+}
+
 // profileReport is the reduction a traced run writes out: the shares,
-// the rules that produced them, and the top self-time functions.
+// the rules that produced them, the top self-time functions and, for
+// the daemon, the CPU split by serving path.
 type profileReport struct {
 	Binary   string             `json:"binary"`
 	TotalS   float64            `json:"total_cpu_s"`
@@ -64,6 +90,36 @@ type profileReport struct {
 	Rules    map[string]string  `json:"rules"`
 	Missing  []string           `json:"missing,omitempty"`
 	TopSelfS map[string]float64 `json:"top_self_s"`
+	Paths    map[string]float64 `json:"cpu_share_by_path,omitempty"`
+
+	samples []stackSample
+	symbols []string // function symbols of the binary
+}
+
+// byPath splits the profile's samples among paths (first match wins;
+// the rest is "other") and returns each path's share of all samples,
+// and the paths no symbol of the binary matches (renamed or removed).
+func (p *profileReport) byPath(paths []shareRule) (map[string]float64, []string) {
+	var unlinked []string
+	shares := map[string]float64{"other": 0}
+	for _, path := range paths {
+		shares[path.name] = 0
+		if !slices.ContainsFunc(p.symbols, path.matches) {
+			unlinked = append(unlinked, path.name)
+		}
+	}
+	for _, s := range p.samples {
+		name := "other"
+		for _, path := range paths {
+			if slices.ContainsFunc(s.frames, path.matches) {
+				name = path.name
+				break
+			}
+		}
+		shares[name] += s.seconds / p.TotalS
+	}
+	p.Paths = shares
+	return shares, unlinked
 }
 
 type stackSample struct {
@@ -114,7 +170,7 @@ func (r *run) reduceProfile(binary, profile string) error {
 			names = append(names, strings.Join(f[2:], " "))
 		}
 	}
-	rep := &profileReport{Binary: binary, Shares: map[string]float64{}, Rules: map[string]string{}, TopSelfS: map[string]float64{}}
+	rep := &profileReport{Binary: binary, Shares: map[string]float64{}, Rules: map[string]string{}, TopSelfS: map[string]float64{}, samples: samples, symbols: names}
 	self := map[string]float64{}
 	for _, s := range samples {
 		rep.TotalS += s.seconds
