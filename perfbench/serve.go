@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"math/rand"
@@ -42,7 +43,7 @@ const (
 	// of it latency was queueing behind misses and varied by 0.8x its
 	// median from seed to seed.
 	serveRate   = 100.0
-	serveStarts = 21              // daemon cold starts per run; setup_s is their median
+	serveStarts = 41              // daemon cold starts per run; setup_s is their median
 	serveWarm   = 3 * time.Second // open-loop warm-up before the measured phase
 	// serveDeadline is goodput_rps's latency objective: a correct 200
 	// counts only if it arrives within this time of its due time. At
@@ -87,17 +88,49 @@ func (q mineReq) options() skinnymine.Options {
 //
 // No measured trace of this daemon's traffic exists, so the proportions
 // are assumptions (README.md, "The serve mix", gives the reason for
-// each). The kinds are dealt from a shuffled deck (mixDeck) and the cold
-// keys cycle through one shuffled list of all of them, so every stretch
-// of the schedule has the same composition and seeds differ in order,
-// not in proportions.
+// each). Every uniform choice is dealt from a deck: the kinds
+// (mixDeck), the enumeration key a morph variant is built on, a batch
+// family's key and size (one card per pair), the conjuncts of its
+// members, and the cold keys. So every stretch of the schedule has the
+// same composition and seeds differ in order, not in proportions. (The
+// morph variant's form is still drawn: morphs stay far from the tail.)
 type mix struct {
+	rng       *rand.Rand
+	hot       []mineReq
+	zipf      *rand.Zipf
+	kinds     *deck[string]
+	morphBase *deck[mineReq]
+	family    *deck[family]
+	batchConj *deck[string]
+	cold      *deck[mineReq]
+}
+
+// deck deals its cards in a shuffled order and reshuffles all of them
+// when it runs out, so over any stretch of deals every card comes up in
+// its share.
+type deck[T any] struct {
 	rng   *rand.Rand
-	hot   []mineReq
-	zipf  *rand.Zipf
-	deck  []string
-	cold  []mineReq
-	ncold int
+	cards []T
+	left  []T
+}
+
+func newDeck[T any](rng *rand.Rand, cards []T) *deck[T] { return &deck[T]{rng: rng, cards: cards} }
+
+func (d *deck[T]) deal() T {
+	if len(d.left) == 0 {
+		d.left = append(d.left, d.cards...)
+		d.rng.Shuffle(len(d.left), func(i, j int) { d.left[i], d.left[j] = d.left[j], d.left[i] })
+	}
+	c := d.left[len(d.left)-1]
+	d.left = d.left[:len(d.left)-1]
+	return c
+}
+
+// family is a batch family's enumeration key and its number of
+// filtered variants.
+type family struct {
+	base  mineReq
+	extra int
 }
 
 // mixDeck is one block of the schedule: 50% hot, 20% morph, 10% batch,
@@ -129,43 +162,41 @@ var hotKeys = []mineReq{{2, 1, false, ""}, {3, 0, false, ""}, {1, 1, false, ""},
 
 func newMix(seed int64) *mix {
 	rng := rand.New(rand.NewSource(seed))
-	m := &mix{rng: rng, hot: hotKeys, zipf: rand.NewZipf(rng, 1.2, 1, uint64(len(hotKeys)-1))}
+	// The hot keys that enumerate (not maximal-only): the bases of
+	// morph variants and batch families.
+	var enum []mineReq
+	for _, q := range hotKeys {
+		if !q.MaximalOnly {
+			enum = append(enum, q)
+		}
+	}
+	var families []family
+	for _, q := range enum {
+		for n := 1; n <= 3; n++ {
+			families = append(families, family{q, n})
+		}
+	}
+	var cold []mineReq
 	for l := 1; l <= 4; l++ {
 		for d := 0; d <= 1; d++ {
 			for _, c := range append([]string{""}, conjuncts...) {
-				m.cold = append(m.cold, mineReq{Length: l, Delta: d, MaximalOnly: true, Where: c})
+				cold = append(cold, mineReq{Length: l, Delta: d, MaximalOnly: true, Where: c})
 			}
 		}
 	}
-	rng.Shuffle(len(m.cold), func(i, j int) { m.cold[i], m.cold[j] = m.cold[j], m.cold[i] })
-	return m
-}
-
-// enumHot draws a hot key that enumerates (not maximal-only) uniformly:
-// the base of a morph variant or a batch family.
-func (m *mix) enumHot() mineReq {
-	for {
-		if q := m.hot[m.rng.Intn(len(m.hot))]; !q.MaximalOnly {
-			return q
-		}
+	return &mix{
+		rng: rng, hot: hotKeys, zipf: rand.NewZipf(rng, 1.2, 1, uint64(len(hotKeys)-1)),
+		kinds:     newDeck(rng, mixDeck),
+		morphBase: newDeck(rng, enum),
+		family:    newDeck(rng, families),
+		batchConj: newDeck(rng, conjuncts),
+		cold:      newDeck(rng, cold),
 	}
-}
-
-// kind deals the next request kind from the deck, reshuffling it when
-// it runs out.
-func (m *mix) kind() string {
-	if len(m.deck) == 0 {
-		m.deck = append(m.deck, mixDeck...)
-		m.rng.Shuffle(len(m.deck), func(i, j int) { m.deck[i], m.deck[j] = m.deck[j], m.deck[i] })
-	}
-	k := m.deck[len(m.deck)-1]
-	m.deck = m.deck[:len(m.deck)-1]
-	return k
 }
 
 // variant derives a morphable variant of an enumeration hot key.
 func (m *mix) variant() mineReq {
-	base := m.enumHot()
+	base := m.morphBase.deal()
 	switch p := m.rng.Float64(); {
 	case p < 0.15 && base.Delta == 1:
 		base.Delta = 0
@@ -180,7 +211,7 @@ func (m *mix) variant() mineReq {
 
 func (m *mix) next(due time.Duration) request {
 	var qs []mineReq
-	kind := m.kind()
+	kind := m.kinds.deal()
 	switch kind {
 	case "hot":
 		qs = []mineReq{m.hot[m.zipf.Uint64()]}
@@ -188,16 +219,15 @@ func (m *mix) next(due time.Duration) request {
 		qs = []mineReq{m.variant()}
 	case "batch":
 		// A family: a hot enumeration and 1-3 filtered variants of it.
-		base := m.enumHot()
-		qs = []mineReq{base}
-		for n := 1 + m.rng.Intn(3); n > 0; n-- {
-			v := base
-			v.Where = conjuncts[m.rng.Intn(len(conjuncts))]
+		f := m.family.deal()
+		qs = []mineReq{f.base}
+		for n := f.extra; n > 0; n-- {
+			v := f.base
+			v.Where = m.batchConj.deal()
 			qs = append(qs, v)
 		}
 	default:
-		qs = []mineReq{m.cold[m.ncold%len(m.cold)]}
-		m.ncold++
+		qs = []mineReq{m.cold.deal()}
 	}
 	req := request{due: due, kind: kind}
 	for _, q := range qs {
@@ -279,7 +309,9 @@ func startDaemon(bin, snap, logPath string) (*daemon, time.Duration, error) {
 		case err := <-d.done:
 			d.done <- err
 			return nil, 0, fmt.Errorf("skinnymined exited before serving (%v); log in %s", err, logPath)
-		case <-time.After(2 * time.Millisecond):
+		// A cold start takes ~7 ms, and a probe adds up to one
+		// interval to it, so the interval is kept well below that.
+		case <-time.After(250 * time.Microsecond):
 		}
 	}
 	d.stop()
@@ -399,7 +431,7 @@ type outcome struct {
 	lag     float64
 	ok      bool
 	problem string
-	memo    string // request and body digest: the verdict's key
+	memo    string // request, body length and body hash: the verdict's key
 	body    []byte // kept only by the first response with this memo
 	verdict
 }
@@ -420,6 +452,9 @@ type checker struct {
 	claimed  map[string]bool
 	verdicts map[string]verdict
 }
+
+// memoSeed keys the body hashes of one process's memos.
+var memoSeed = maphash.MakeSeed()
 
 func newChecker(oracle map[string]string) *checker {
 	return &checker{oracle: oracle, claimed: map[string]bool{}, verdicts: map[string]verdict{}}
@@ -551,6 +586,7 @@ func (g *generator) replay(ctx context.Context, t0 time.Time, reqs []request) ([
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf bytes.Buffer // this sender's body buffer, reused
 			free := time.Now()
 			for {
 				mu.Lock()
@@ -570,7 +606,7 @@ func (g *generator) replay(ctx context.Context, t0 time.Time, reqs []request) ([
 					ready = free
 				}
 				var done time.Time
-				out[i] = g.send(ctx, reqs[i], &done)
+				out[i] = g.send(ctx, reqs[i], &buf, &done)
 				free = time.Now()
 				mu.Lock()
 				if done.After(last) {
@@ -587,9 +623,12 @@ func (g *generator) replay(ctx context.Context, t0 time.Time, reqs []request) ([
 	return out, last.Sub(t0)
 }
 
-// send makes one request and reads its body; done is set when the last
-// byte arrived. Only the body's digest is taken on this path.
-func (g *generator) send(ctx context.Context, req request, done *time.Time) outcome {
+// send makes one request and reads its body into buf; done is set when
+// the last byte arrived. The generator shares the host's CPUs with the
+// daemon, so this path only hashes the body (maphash, not a
+// cryptographic digest) and copies it out of buf only when the response
+// is new and must be kept for verify.
+func (g *generator) send(ctx context.Context, req request, buf *bytes.Buffer, done *time.Time) outcome {
 	o := outcome{kind: req.kind}
 	id := g.spans.start(0, "http.POST "+req.path)
 	defer func() { g.spans.finish(id, map[string]any{"kind": req.kind, "source": o.source}) }()
@@ -608,21 +647,23 @@ func (g *generator) send(ctx context.Context, req request, done *time.Time) outc
 		o.problem = err.Error()
 		return o
 	}
-	body, err := io.ReadAll(resp.Body)
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
 	*done = time.Now()
 	resp.Body.Close()
 	if err != nil {
 		o.problem = err.Error()
 		return o
 	}
+	body := buf.Bytes()
 	o.source = resp.Header.Get("X-Result-Source")
 	if resp.StatusCode != http.StatusOK {
 		o.problem = fmt.Sprintf("%s %s: %s", req.path, resp.Status, bytes.TrimSpace(body))
 		return o
 	}
-	o.memo = string(req.body) + "|" + digest(body)
+	o.memo = string(req.body) + "|" + strconv.Itoa(len(body)) + "|" + strconv.FormatUint(maphash.Bytes(memoSeed, body), 16)
 	if g.check.claim(o.memo) {
-		o.body = body
+		o.body = bytes.Clone(body)
 	}
 	return o
 }
@@ -794,6 +835,11 @@ func serveMix(r *run) error {
 	if err != nil {
 		return err
 	}
+	if !r.trace {
+		// Only the traced run encodes them; the generator's collections
+		// should not mark them while it shares the CPUs with the daemon.
+		results = nil
+	}
 	r.note("mix: %d distinct keys, daemon -cache %d, offered %.0f req/s over %d connections",
 		len(oracle), serveCache, serveRate, runtime.NumCPU())
 
@@ -848,6 +894,7 @@ func serveMix(r *run) error {
 	if err != nil {
 		return err
 	}
+	runtime.GC()
 	t0 = time.Now()
 	out, took := g.replay(ctx, t0, timed)
 	mp := summarize("measured", timed, out, took)
