@@ -64,6 +64,35 @@ func BenchmarkMineConcurrency2(b *testing.B) { benchMineConcurrency(b, 2) }
 func BenchmarkMineConcurrency4(b *testing.B) { benchMineConcurrency(b, 4) }
 func BenchmarkMineConcurrency8(b *testing.B) { benchMineConcurrency(b, 8) }
 
+// BenchmarkMineGreedyText mines exactly the mine-greedy benchmark's
+// input: the concurrency workload written as text and read back with
+// ReadGraphs, then MaximalOnly with one worker. ReadGraphs interns
+// labels in first-seen order, so this copy mines different patterns
+// (2597 vs 2610) with different work than BenchmarkMineConcurrency1;
+// only this one reproduces the benchmark's per-mine numbers.
+func BenchmarkMineGreedyText(b *testing.B) {
+	var buf bytes.Buffer
+	if err := graph.WriteText(&buf, benchWorkloadGraph()); err != nil {
+		b.Fatal(err)
+	}
+	db, err := skinnymine.ReadGraphs(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := skinnymine.Options{Support: 2, Length: 4, Delta: 2, MaximalOnly: true, Concurrency: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	extensions := 0
+	for i := 0; i < b.N; i++ {
+		res, err := skinnymine.MineDB(db, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		extensions += res.Stats.ExtensionsTried
+	}
+	b.ReportMetric(float64(extensions)/float64(b.N), "extensions/op")
+}
+
 // Constrained-mining benchmark: the skewed-label workload (synth.Skew —
 // Zipf background labels, rare-label motifs) mined under a selective
 // Where constraint, once with pushdown pruning and once evaluating the

@@ -9,27 +9,19 @@ import (
 	"skinnymine/internal/testutil"
 )
 
-// newTestMiner mirrors mineWithDiamMiner's miner construction so budget
-// accounting can be probed at the growSeed/levelGrow granularity.
+// newTestMiner builds a request's miner the way mineWithDiamMiner does,
+// with an explicit budget, so budget accounting can be probed at the
+// growSeed/levelGrow granularity.
 func newTestMiner(graphs []*graph.Graph, opt Options, budget int64) *miner {
-	maxN := 0
-	for _, g := range graphs {
-		if g.N() > maxN {
-			maxN = g.N()
-		}
+	dm, err := NewDiamMiner(graphs, 1)
+	if err != nil {
+		panic(err)
 	}
-	m := &miner{
-		graphs: graphs,
-		opt:    opt,
-		stats:  &statCounters{},
-		codes:  newCodeSet(),
-		maxN:   maxN,
-	}
+	m := newMiner(dm, opt)
 	if budget > 0 {
 		m.budget = &atomic.Int64{}
 		m.budget.Store(budget)
 	}
-	m.check = checker{mode: opt.CheckMode, stats: m.stats}
 	return m
 }
 
@@ -170,7 +162,7 @@ func TestClosedOnlyEqualSupportChain(t *testing.T) {
 			for i := range m {
 				m[i] = base*10 + graph.V(i)
 			}
-			p.Embs.Add(support.Embedding{GID: 0, Map: m})
+			p.Embs.Insert(support.Embedding{GID: 0, Map: m})
 		}
 		return p
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "skinnymine/internal/graph"
+import (
+	"slices"
+
+	"skinnymine/internal/graph"
+)
 
 // Canonical-diameter maintenance (Section 3.3–3.4). Growing a pattern P
 // with canonical diameter L to P' must keep L the canonical diameter
@@ -54,11 +58,8 @@ type checker struct {
 func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V) rejectReason {
 	fast := func() rejectReason {
 		d := diamLen
-		if dh[u] > d || dt[u] > d {
-			return rejectI // Theorem 1
-		}
-		if dh[u]+dt[u] < d {
-			return rejectII // Theorem 2
+		if r := forwardBounds(d, dh[u], dt[u]); r != passed {
+			return r
 		}
 		// Theorem 3 trigger: max(D_H[v], D_T[v]) == D-1, i.e. the new
 		// vertex is at distance D from an endpoint and a new diameter
@@ -76,6 +77,19 @@ func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u,
 		return passed
 	}
 	return c.run(g, diamLen, fast)
+}
+
+// forwardBounds applies Theorems 1 and 2 to a new vertex with head and
+// tail distances dhu and dtu: neither may exceed the diameter length,
+// and together they may not undercut it.
+func forwardBounds(diamLen, dhu, dtu int32) rejectReason {
+	if dhu > diamLen || dtu > diamLen {
+		return rejectI // Theorem 1
+	}
+	if dhu+dtu < diamLen {
+		return rejectII // Theorem 2
+	}
+	return passed
 }
 
 // checkBackward validates adding an edge between existing vertices u, v.
@@ -123,44 +137,31 @@ func (c *checker) run(g *graph.Graph, diamLen int32, fast func() rejectReason) r
 // order, and any distinct path must use a vertex with a larger ID at its
 // first deviation, so L always wins the Definition-3 ID tie-break.
 func (c *checker) newDiamBeatsL(g *graph.Graph, diamLen int32, a, b graph.V) bool {
-	lseq := make([]graph.Label, diamLen+1)
-	for i := range lseq {
-		lseq[i] = g.Label(graph.V(i))
-	}
+	lseq := g.Labels()[:diamLen+1] // L occupies vertices 0..DiamLen
 	da := g.BFS(a)
 	db := g.BFS(b)
 	if da[b] != diamLen {
 		return false
 	}
-	for _, dir := range [2][2]graph.V{{a, b}, {b, a}} {
-		var ds, dt []int32
-		if dir[0] == a {
-			ds, dt = da, db
-		} else {
-			ds, dt = db, da
-		}
-		seq := minLabelSeqBetween(g, ds, dt, dir[0], dir[1], diamLen)
-		if seq != nil && graph.CompareLabelSeqs(seq, lseq) < 0 {
-			return true
-		}
-	}
-	return false
+	return minLabelPathBeats(g, da, db, a, b, lseq) || minLabelPathBeats(g, db, da, b, a, lseq)
 }
 
-// minLabelSeqBetween is the frontier sweep of graph.CanonicalDiameter
-// specialized to a fixed (s,t) pair with precomputed BFS distances.
-func minLabelSeqBetween(g *graph.Graph, ds, dt []int32, s, t graph.V, d int32) []graph.Label {
+// minLabelPathBeats reports whether the smallest label sequence over
+// the shortest s–t paths of length len(lseq)-1 is strictly smaller than
+// lseq, given BFS distances ds from s and dt from t. It is the frontier
+// sweep of graph.CanonicalDiameter specialized to a fixed (s,t) pair,
+// stopping at the first label that differs from lseq.
+func minLabelPathBeats(g *graph.Graph, ds, dt []int32, s, t graph.V, lseq []graph.Label) bool {
+	d := int32(len(lseq) - 1)
 	if ds[t] != d {
-		return nil
+		return false
 	}
-	seq := make([]graph.Label, d+1)
-	seq[0] = g.Label(s)
-	frontier := []graph.V{s}
-	var next []graph.V
-	inNext := make(map[graph.V]struct{})
+	if l := g.Label(s); l != lseq[0] {
+		return l < lseq[0]
+	}
+	var bufs [2][16]graph.V
+	frontier, next := append(bufs[0][:0], s), bufs[1][:0]
 	for i := int32(0); i < d; i++ {
-		next = next[:0]
-		clear(inNext)
 		var minL graph.Label
 		first := true
 		for _, v := range frontier {
@@ -175,23 +176,22 @@ func minLabelSeqBetween(g *graph.Graph, ds, dt []int32, s, t graph.V, d int32) [
 			}
 		}
 		if first {
-			return nil
+			return false
 		}
+		if minL != lseq[i+1] {
+			return minL < lseq[i+1]
+		}
+		next = next[:0]
 		for _, v := range frontier {
 			for _, w := range g.Neighbors(v) {
-				if ds[w] != i+1 || dt[w] != d-i-1 || g.Label(w) != minL {
-					continue
-				}
-				if _, ok := inNext[w]; !ok {
-					inNext[w] = struct{}{}
+				if ds[w] == i+1 && dt[w] == d-i-1 && g.Label(w) == minL && !slices.Contains(next, w) {
 					next = append(next, w)
 				}
 			}
 		}
-		seq[i+1] = minL
 		frontier, next = next, frontier
 	}
-	return seq
+	return false
 }
 
 // naive recomputes the canonical diameter of the child graph and demands

@@ -219,6 +219,36 @@ type DiamMiner struct {
 	// an index shared across requests with different constraints.
 	prune  func(seq []graph.Label) bool
 	pruned atomic.Int64 // join candidates cut by prune, folded into Stats
+
+	ranksOnce sync.Once
+	ranks     [][]int32 // per graph and vertex: the label's dense rank
+	numLabels int       // distinct labels across the graphs
+}
+
+// labelRanks returns, per graph and vertex, the vertex label's dense
+// rank among the database's distinct labels, and the number of distinct
+// labels. Stage II's candidate tables index by rank, so label values
+// may be sparse or negative. Computed on first use: Stage I never
+// needs it.
+func (m *DiamMiner) labelRanks() ([][]int32, int) {
+	m.ranksOnce.Do(func() {
+		idx := make(map[graph.Label]int32)
+		m.ranks = make([][]int32, len(m.graphs))
+		for gi, g := range m.graphs {
+			r := make([]int32, g.N())
+			for v, l := range g.Labels() {
+				k, ok := idx[l]
+				if !ok {
+					k = int32(len(idx))
+					idx[l] = k
+				}
+				r[v] = k
+			}
+			m.ranks[gi] = r
+		}
+		m.numLabels = len(idx)
+	})
+	return m.ranks, m.numLabels
 }
 
 // NewDiamMiner returns a miner over the given graphs with threshold σ.

@@ -24,128 +24,181 @@ import (
 // pattern only extends with descriptors >= its anchor (Panchor), so each
 // edge set is assembled in exactly one order within a cluster.
 
-// growScratch is the reusable per-worker state of Stage II growth: a
-// stamped inverse-map table sized by the largest data graph (replacing
-// the map[graph.V]int32 rebuilt per embedding in candidates), plus
-// descriptor and embedding-map buffers. One scratch belongs to exactly
-// one worker goroutine; nothing here is shared.
+// growScratch is the reusable per-worker state of Stage II growth. One
+// scratch belongs to exactly one worker goroutine; nothing here is
+// shared.
+//
+// candidates reads the stamped inverse-map table sized by the largest
+// data graph, and dedups descriptors in two dense epoch-stamped
+// tables: fwd over (pattern vertex × label rank) for forward edges and
+// bwd over (pattern vertex pair) for backward edges. A new epoch per
+// call empties both in O(1).
+//
+// extend builds each child in the remaining fields: graph, edge list,
+// D_H/D_T and embedding set. Once they have grown, a child that fails a
+// constraint or the frequency threshold allocates nothing; only a child
+// that passes is copied out, at its exact size.
 type growScratch struct {
 	inv      *stampTable
-	descSeen map[extDesc]struct{}
+	fwd, bwd []uint32
+	epoch    uint32
+	active   []int32
 	descBuf  []extDesc
 	mapBuf   []graph.V
+
+	g      *graph.Graph
+	set    *support.Set
+	edges  []graph.Edge
+	dh, dt []int32
+	queue  []graph.V
 }
 
 func (m *miner) newGrowScratch() *growScratch {
-	return &growScratch{
-		inv:      newStampTable(m.maxN),
-		descSeen: make(map[extDesc]struct{}, 32),
+	return &growScratch{inv: newStampTable(m.maxN), g: graph.New(0), set: &support.Set{}}
+}
+
+// stampTables starts a new epoch over descriptor tables of at least
+// nf forward and nb backward entries.
+func (sc *growScratch) stampTables(nf, nb int) {
+	if len(sc.fwd) < nf {
+		sc.fwd = make([]uint32, nf)
+	}
+	if len(sc.bwd) < nb {
+		sc.bwd = make([]uint32, nb)
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.fwd)
+		clear(sc.bwd)
+		sc.epoch = 1
 	}
 }
 
 // candidates collects the distinct valid extension descriptors of p at
 // the given level, sorted, using the stored embedding maps so only
-// data-supported extensions appear. The returned slice aliases
-// sc.descBuf and is valid until the next candidates call on the same
-// scratch.
+// data-supported extensions appear. Each descriptor's validity depends
+// only on the descriptor, so it is decided once, at its first sighting.
+// The returned slice aliases sc.descBuf and is valid until the next
+// candidates call on the same scratch.
 func (m *miner) candidates(p *Pattern, level int32, sc *growScratch) []extDesc {
-	clear(sc.descSeen)
 	n := int32(p.G.N())
+	nl := m.numLabels
+	sc.stampTables(int(n)*nl, int(n)*int(n))
+	epoch := sc.epoch
+	act := sc.active[:0]
+	for pi := int32(0); pi < n; pi++ {
+		if lv := p.Level[pi]; lv == level-1 || lv == level {
+			act = append(act, pi)
+		}
+	}
+	sc.active = act
+	out := sc.descBuf[:0]
 	for ei := 0; ei < p.Embs.Len(); ei++ {
 		e := p.Embs.At(ei)
 		g := m.graphs[e.GID]
+		ranks := m.ranks[e.GID]
 		sc.inv.reset()
 		for pi, dv := range e.Map {
 			sc.inv.set(dv, int32(pi))
 		}
-		for pi := int32(0); pi < n; pi++ {
-			lv := p.Level[pi]
-			if lv != level-1 && lv != level {
-				continue
-			}
-			dv := e.Map[pi]
-			for _, w := range g.Neighbors(dv) {
+		for _, pi := range act {
+			forward := p.Level[pi] == level-1
+			for _, w := range g.Neighbors(e.Map[pi]) {
 				if qj, mapped := sc.inv.get(w); mapped {
 					// Backward edge candidate between pattern vertices.
-					if p.G.HasEdge(graph.V(pi), graph.V(qj)) {
-						continue
-					}
-					lu, lw := lv, p.Level[qj]
-					if lu > lw {
-						lu, lw = lw, lu
-					}
-					if lw != level || lu < level-1 {
-						continue
-					}
 					a, b := pi, qj
 					if a > b {
 						a, b = b, a
 					}
-					sc.descSeen[extDesc{kind: 0, src: a, dst: b}] = struct{}{}
-				} else if lv == level-1 {
+					if k := int(a)*int(n) + int(b); sc.bwd[k] != epoch {
+						sc.bwd[k] = epoch
+						if backwardValid(p, a, b, level) {
+							out = append(out, extDesc{kind: 0, src: a, dst: b})
+						}
+					}
+				} else if forward {
 					// Forward edge candidate: new vertex at this level.
-					sc.descSeen[extDesc{kind: 1, src: pi, dst: -1, label: g.Label(w)}] = struct{}{}
+					if k := int(pi)*nl + int(ranks[w]); sc.fwd[k] != epoch {
+						sc.fwd[k] = epoch
+						out = append(out, extDesc{kind: 1, src: pi, dst: -1, label: g.Label(w)})
+					}
 				}
 			}
 		}
-	}
-	out := sc.descBuf[:0]
-	for d := range sc.descSeen {
-		out = append(out, d)
 	}
 	slices.SortFunc(out, compareDesc)
 	sc.descBuf = out
 	return out
 }
 
+// backwardValid reports whether the edge (a, b) between pattern
+// vertices is absent from p and joins levels {i-1, i} or {i, i}.
+func backwardValid(p *Pattern, a, b, level int32) bool {
+	if p.G.HasEdge(graph.V(a), graph.V(b)) {
+		return false
+	}
+	lu, lw := p.Level[a], p.Level[b]
+	if lu > lw {
+		lu, lw = lw, lu
+	}
+	return lw == level && lu >= level-1
+}
+
 // extend applies descriptor d to p at the given level, checks the three
 // constraints and the frequency threshold, and returns the child pattern
 // or nil with the reason.
 func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pattern, rejectReason) {
-	g := p.G.Clone()
-	child := &Pattern{
-		G:         g,
-		DiamLen:   p.DiamLen,
-		anchor:    d,
-		hasAnchor: true,
+	if d.kind == 1 && m.check.mode == CheckFast {
+		// Theorems 1–2 read only the new vertex's D_H and D_T, so the
+		// fast check decides them before any child state is built.
+		if r := forwardBounds(p.DiamLen, p.DH[d.src]+1, p.DT[d.src]+1); r != passed {
+			return nil, r
+		}
 	}
+	g := p.G.CloneInto(sc.g)
+	src := graph.V(d.src)
 	if d.kind == 1 {
 		u := g.AddVertex(d.label)
-		g.MustAddEdge(graph.V(d.src), u)
-		child.Level = append(append([]int32(nil), p.Level...), level)
-		child.DH = append(append([]int32(nil), p.DH...), p.DH[d.src]+1)
-		child.DT = append(append([]int32(nil), p.DT...), p.DT[d.src]+1)
-		if r := m.check.checkForward(g, p.DiamLen, child.DH, child.DT, u, graph.V(d.src)); r != passed {
+		g.MustAddEdge(src, u)
+		sc.dh = append(append(sc.dh[:0], p.DH...), p.DH[src]+1)
+		sc.dt = append(append(sc.dt[:0], p.DT...), p.DT[src]+1)
+		if r := m.check.checkForward(g, p.DiamLen, sc.dh, sc.dt, u, src); r != passed {
 			return nil, r
 		}
 	} else {
-		g.MustAddEdge(graph.V(d.src), graph.V(d.dst))
-		child.Level = append([]int32(nil), p.Level...)
+		g.MustAddEdge(src, graph.V(d.dst))
 		// Distances only shrink; refresh the two indices from scratch
 		// (the pattern is small). This is the paper's "local update" of
 		// D_H and D_T, as opposed to all-pairs recomputation.
-		child.DH = g.BFS(0)
-		child.DT = g.BFS(graph.V(p.DiamLen))
-		if r := m.check.checkBackward(g, p.DiamLen, child.DH, child.DT, graph.V(d.src), graph.V(d.dst)); r != passed {
+		sc.dh = sc.bfs(g, 0, sc.dh)
+		sc.dt = sc.bfs(g, graph.V(p.DiamLen), sc.dt)
+		if r := m.check.checkBackward(g, p.DiamLen, sc.dh, sc.dt, src, graph.V(d.dst)); r != passed {
 			return nil, r
 		}
 	}
 
 	// Frequency: derive the child's embeddings from the parent's maps.
-	// Extended maps are assembled in sc.mapBuf; Set.Add copies what it
-	// stores, so the buffer is reused across embeddings.
-	child.Embs = support.NewSet(g.Edges(), m.opt.MaxEmbeddings)
+	// Every derived map is distinct: a forward map appends a vertex
+	// inMap has just shown is absent, and a backward map is a distinct
+	// parent map that passed the new-edge filter. Each child hash is
+	// the parent's plus the new edge's term. Extended maps are
+	// assembled in sc.mapBuf; Set.Add copies what it stores.
+	set := sc.set
+	sc.edges = g.AppendEdges(sc.edges[:0])
+	set.Reset(sc.edges, m.opt.MaxEmbeddings)
 	for ei := 0; ei < p.Embs.Len(); ei++ {
 		e := p.Embs.At(ei)
+		h := p.Embs.Hash(ei)
 		dg := m.graphs[e.GID]
 		if d.kind == 0 {
-			if dg.HasEdge(e.Map[d.src], e.Map[d.dst]) {
-				child.Embs.Add(e) // same map, richer edge set
+			a, b := e.Map[d.src], e.Map[d.dst]
+			if dg.HasEdge(a, b) {
+				set.Add(e, h+support.EdgeTerm(e.GID, a, b)) // same map, richer edge set
 			}
 			continue
 		}
-		src := e.Map[d.src]
-		for _, w := range dg.Neighbors(src) {
+		a := e.Map[d.src]
+		for _, w := range dg.Neighbors(a) {
 			if dg.Label(w) != d.label {
 				continue
 			}
@@ -154,13 +207,37 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 			}
 			sc.mapBuf = append(sc.mapBuf[:0], e.Map...)
 			sc.mapBuf = append(sc.mapBuf, w)
-			child.Embs.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf})
+			set.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf}, h+support.EdgeTerm(e.GID, a, w))
 		}
 	}
-	if child.Embs.Count(m.opt.Measure) < m.opt.Support {
+	if set.Count(m.opt.Measure) < m.opt.Support {
 		return nil, passed // frequency reject, signalled by nil child
 	}
+	child := &Pattern{
+		G:         g.Clone(),
+		DiamLen:   p.DiamLen,
+		DH:        slices.Clone(sc.dh),
+		DT:        slices.Clone(sc.dt),
+		Embs:      set.Clone(),
+		anchor:    d,
+		hasAnchor: true,
+	}
+	if d.kind == 1 {
+		child.Level = append(append(make([]int32, 0, len(p.Level)+1), p.Level...), level)
+	} else {
+		child.Level = slices.Clone(p.Level)
+	}
 	return child, passed
+}
+
+// bfs fills dist (reusing its storage) with g's distances from src.
+func (sc *growScratch) bfs(g *graph.Graph, src graph.V, dist []int32) []int32 {
+	dist = slices.Grow(dist[:0], g.N())[:g.N()]
+	for i := range dist {
+		dist[i] = graph.Unreachable
+	}
+	sc.queue = g.BFSInto(src, dist, sc.queue)
+	return dist
 }
 
 func inMap(m []graph.V, w graph.V) bool {

@@ -97,7 +97,7 @@ func newPatternFromPath(pp *PathPattern, graphs []*graph.Graph, maxEmb int) *Pat
 	p.Embs = support.NewSet(g.Edges(), maxEmb)
 	for _, e := range pp.Embs {
 		if labelSeqMatches(graphs[e.GID], e.Seq, pp.Seq) {
-			p.Embs.Add(support.Embedding{GID: e.GID, Map: e.Seq})
+			p.Embs.Insert(support.Embedding{GID: e.GID, Map: e.Seq})
 		}
 	}
 	return p

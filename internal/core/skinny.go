@@ -176,6 +176,9 @@ type miner struct {
 	codes  *codeSet
 	maxN   int           // largest vertex count across graphs; sizes stamp tables
 	budget *atomic.Int64 // remaining MaxPatterns budget; nil = unlimited
+
+	ranks     [][]int32 // per graph and vertex: dense label rank (DiamMiner.labelRanks)
+	numLabels int
 }
 
 // consumeBudget reserves one output slot, reporting false when the
@@ -306,7 +309,7 @@ func MineDB(graphs []*graph.Graph, opt Options) (*Result, error) {
 	// and therefore prunes at seed selection instead (same result set,
 	// less Stage I work saved).
 	dm.prune = opt.PrunePath
-	return mineWithDiamMiner(dm, graphs, opt)
+	return mineWithDiamMiner(dm, opt)
 }
 
 // MineWithIndex runs Stage II against a pre-built DiamMiner, the direct
@@ -319,7 +322,7 @@ func MineWithIndex(dm *DiamMiner, opt Options) (*Result, error) {
 	if dm.support != opt.Support {
 		return nil, fmt.Errorf("core: index was built with support %d, request uses %d", dm.support, opt.Support)
 	}
-	return mineWithDiamMiner(dm, dm.graphs, opt)
+	return mineWithDiamMiner(dm, opt)
 }
 
 func validate(graphs []*graph.Graph, opt *Options) error {
@@ -364,19 +367,26 @@ func validate(graphs []*graph.Graph, opt *Options) error {
 	return nil
 }
 
-func mineWithDiamMiner(dm *DiamMiner, graphs []*graph.Graph, opt Options) (*Result, error) {
+// newMiner builds one request's Stage II miner over dm's graphs.
+func newMiner(dm *DiamMiner, opt Options) *miner {
 	m := &miner{
-		graphs: graphs,
+		graphs: dm.graphs,
 		opt:    opt,
 		stats:  &statCounters{},
 		codes:  newCodeSet(),
-		maxN:   dm.maxN, // graphs == dm.graphs for every caller
+		maxN:   dm.maxN,
 	}
+	m.ranks, m.numLabels = dm.labelRanks()
 	if opt.MaxPatterns > 0 {
 		m.budget = &atomic.Int64{}
 		m.budget.Store(int64(opt.MaxPatterns))
 	}
 	m.check = checker{mode: opt.CheckMode, stats: m.stats}
+	return m
+}
+
+func mineWithDiamMiner(dm *DiamMiner, opt Options) (*Result, error) {
+	m := newMiner(dm, opt)
 	stats := Stats{}
 
 	lo := opt.Length

@@ -151,14 +151,23 @@ func (t *traversal) isUsed(u, w graph.V) bool {
 	return t.used[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
+// clone copies t for one more step. vmap, vinv and rmp share one
+// allocation, with room in vmap and rmp for the vertex a forward step
+// appends; each is capped so no append reaches its neighbor.
 func (t *traversal) clone() *traversal {
-	return &traversal{
+	nv, ni, nr := len(t.vmap), len(t.vinv), len(t.rmp)
+	buf := make([]int32, nv+1+ni+nr+1)
+	c := &traversal{
 		cx:   t.cx,
-		vmap: append([]graph.V(nil), t.vmap...),
-		vinv: append([]int32(nil), t.vinv...),
-		rmp:  append([]int32(nil), t.rmp...),
+		vmap: buf[: nv : nv+1],
+		vinv: buf[nv+1 : nv+1+ni : nv+1+ni],
+		rmp:  buf[nv+1+ni : nv+1+ni+nr],
 		used: append([]uint64(nil), t.used...),
 	}
+	copy(c.vmap, t.vmap)
+	copy(c.vinv, t.vinv)
+	copy(c.rmp, t.rmp)
+	return c
 }
 
 // candidates reports every extension tuple this traversal can make:

@@ -11,7 +11,7 @@ func (g *Graph) BFS(src V) []int32 {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	g.BFSInto(src, dist, nil)
+	g.BFSInto(src, dist, make([]V, 0, g.N()))
 	return dist
 }
 

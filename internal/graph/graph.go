@@ -45,17 +45,40 @@ func New(n int) *Graph {
 	}
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. The adjacency lists share one
+// backing array, each capped at its length, so an insert into one
+// reallocates that list alone.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		labels: append([]Label(nil), g.labels...),
 		adj:    make([][]V, len(g.adj)),
 		m:      g.m,
 	}
+	flat := make([]V, 0, 2*g.m)
 	for i, nb := range g.adj {
-		c.adj[i] = append([]V(nil), nb...)
+		lo := len(flat)
+		flat = append(flat, nb...)
+		c.adj[i] = flat[lo:len(flat):len(flat)]
 	}
 	return c
+}
+
+// CloneInto makes dst a deep copy of g, reusing dst's storage where it
+// is large enough, and returns it.
+func (g *Graph) CloneInto(dst *Graph) *Graph {
+	dst.labels = append(dst.labels[:0], g.labels...)
+	if n := len(g.adj); cap(dst.adj) < n {
+		adj := make([][]V, n)
+		copy(adj, dst.adj[:cap(dst.adj)])
+		dst.adj = adj
+	} else {
+		dst.adj = dst.adj[:n]
+	}
+	for i, nb := range g.adj {
+		dst.adj[i] = append(dst.adj[i][:0], nb...)
+	}
+	dst.m = g.m
+	return dst
 }
 
 // N returns the number of vertices.
@@ -148,15 +171,19 @@ func (g *Graph) removeArc(u, w V) {
 
 // Edges returns all edges normalized (U <= W) in sorted order.
 func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.m)
+	return g.AppendEdges(make([]Edge, 0, g.m))
+}
+
+// AppendEdges appends the edges Edges returns to dst.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
 	for u := V(0); int(u) < g.N(); u++ {
 		for _, w := range g.adj[u] {
 			if u < w {
-				es = append(es, Edge{u, w})
+				dst = append(dst, Edge{u, w})
 			}
 		}
 	}
-	return es
+	return dst
 }
 
 // Connected reports whether g is connected (the empty graph is connected).

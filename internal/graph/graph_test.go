@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,45 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if c.N() != 4 || c.M() != 3 {
 		t.Errorf("clone wrong: N=%d M=%d", c.N(), c.M())
+	}
+}
+
+// TestCloneAdjacencyIsolated pins Clone's shared adjacency backing:
+// inserting or removing an edge at one vertex of the clone must leave
+// the other vertices' lists, and the original, untouched.
+func TestCloneAdjacencyIsolated(t *testing.T) {
+	g := buildPath(0, 1, 2, 3)
+	c := g.Clone()
+	c.MustAddEdge(0, 2)
+	c.RemoveEdge(2, 3)
+	if !slices.Equal(c.Neighbors(1), []V{0, 2}) || !slices.Equal(c.Neighbors(2), []V{0, 1}) {
+		t.Errorf("clone adjacency corrupted: 1:%v 2:%v", c.Neighbors(1), c.Neighbors(2))
+	}
+	if !slices.Equal(g.Edges(), []Edge{{0, 1}, {1, 2}, {2, 3}}) {
+		t.Errorf("clone mutated original: %v", g.Edges())
+	}
+}
+
+// TestCloneIntoReuse copies graphs of different sizes through one
+// destination: each copy equals its source, and neither later edits to
+// the copy nor the next copy into the same storage reach a source.
+func TestCloneIntoReuse(t *testing.T) {
+	big := buildPath(0, 1, 2, 3, 4)
+	small := buildPath(5, 6)
+	dst := New(0)
+	for _, src := range []*Graph{big, small, big} {
+		want := src.Edges()
+		c := src.CloneInto(dst)
+		if c.N() != src.N() || !slices.Equal(c.Edges(), want) || !slices.Equal(c.Labels(), src.Labels()) {
+			t.Fatalf("CloneInto: got N=%d %v, want N=%d %v", c.N(), c.Edges(), src.N(), want)
+		}
+		c.MustAddEdge(0, c.AddVertex(7))
+		if !slices.Equal(src.Edges(), want) || src.N() == c.N() {
+			t.Fatalf("edit to the copy reached the source: %v", src.Edges())
+		}
+	}
+	if got := big.AppendEdges([]Edge{{9, 9}}); !slices.Equal(got[1:], big.Edges()) || got[0] != (Edge{9, 9}) {
+		t.Errorf("AppendEdges = %v", got)
 	}
 }
 

@@ -243,13 +243,13 @@ func (s *searcher) supportOf(code dfscode.Code, embs []emb) int {
 		pg := code.Graph()
 		set := support.NewSet(pg.Edges(), 1) // store 1, count all
 		for _, e := range embs {
-			set.Add(support.Embedding{GID: e.gid, Map: e.vmap})
+			set.Insert(support.Embedding{GID: e.gid, Map: e.vmap})
 		}
 		if s.opt.Measure == support.MNICount {
 			// MNI needs stored maps; recount without cap.
 			full := support.NewSet(pg.Edges(), 0)
 			for _, e := range embs {
-				full.Add(support.Embedding{GID: e.gid, Map: e.vmap})
+				full.Insert(support.Embedding{GID: e.gid, Map: e.vmap})
 			}
 			return full.MNI()
 		}

@@ -168,7 +168,7 @@ type remoteRunner struct {
 // accounting surfaced by Engine.WorkerRPCStats.
 type remoteWorker struct {
 	addr     string
-	base     string  // normalized http://host:port
+	base     string // normalized http://host:port
 	shard    int
 	crc      string  // 8 hex digits, pinned in every request
 	toGlobal []int32 // shard-local index -> global GID

@@ -1,6 +1,7 @@
 package support
 
 import (
+	"maps"
 	"slices"
 
 	"skinnymine/internal/graph"
@@ -19,56 +20,75 @@ func (e Embedding) Clone() Embedding {
 	return Embedding{GID: e.GID, Map: append([]graph.V(nil), e.Map...)}
 }
 
-// SubgraphKey returns a canonical key identifying the subgraph an
-// embedding occupies: the sorted list of mapped data edges (prefixed by
-// the graph ID). Two embeddings with equal keys are the same subgraph.
-// Patterns with no edges key on the mapped vertex set instead. The Set
-// hot path builds the same bytes into a reused scratch buffer and never
-// materializes the string; this form exists for tests and external
-// callers.
-func SubgraphKey(patternEdges []graph.Edge, e Embedding) string {
-	b, _, _ := appendSubgraphKey(nil, nil, nil, patternEdges, e)
-	return string(b)
+// EdgeTerm returns the data edge (u, w) of graph gid's contribution to a
+// subgraph hash. A subgraph hashes to the sum of its edges' terms, which
+// depends neither on the order the edges are listed in nor on their
+// orientation, so an embedding grown by one edge hashes to its parent's
+// hash plus that edge's term.
+func EdgeTerm(gid int32, u, w graph.V) uint64 {
+	x := edgeKey(u, w) + (uint64(uint32(gid))+1)*0x9e3779b97f4a7c15
+	// splitmix64 finalizer: a bijection, so distinct inputs never share
+	// a term.
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
-// appendSubgraphKey appends the canonical subgraph key bytes of e to
-// dst, using (and returning) the caller's edge/vertex scratch slices so
-// repeated calls allocate nothing once the buffers have grown.
-func appendSubgraphKey(dst []byte, es []graph.Edge, vs []graph.V,
-	patternEdges []graph.Edge, e Embedding) ([]byte, []graph.Edge, []graph.V) {
+// SubgraphHash returns the hash of the subgraph e occupies: the sum of
+// EdgeTerm over the data edges e maps the pattern edges to. A pattern
+// without edges occupies a vertex set; each vertex v then contributes
+// the term of the self edge (v, v), which no data graph contains.
+func SubgraphHash(patternEdges []graph.Edge, e Embedding) uint64 {
+	var h uint64
 	if len(patternEdges) == 0 {
-		vs = append(vs[:0], e.Map...)
-		sortVertices(vs)
-		dst = appendInt32(dst, e.GID)
-		for _, v := range vs {
-			dst = appendInt32(dst, v)
+		for _, v := range e.Map {
+			h += EdgeTerm(e.GID, v, v)
 		}
-		return dst, es, vs
+		return h
 	}
-	es = es[:0]
 	for _, pe := range patternEdges {
-		es = append(es, graph.Edge{U: e.Map[pe.U], W: e.Map[pe.W]}.Norm())
+		h += EdgeTerm(e.GID, e.Map[pe.U], e.Map[pe.W])
 	}
-	sortEdges(es)
-	dst = appendInt32(dst, e.GID)
-	for _, de := range es {
-		dst = appendInt32(dst, de.U)
-		dst = appendInt32(dst, de.W)
-	}
-	return dst, es, vs
+	return h
 }
 
-func sortVertices(vs []graph.V) { slices.Sort(vs) }
-
-// sortEdges orders normalized edges by (U, W); slices.SortFunc is
-// allocation-free, keeping the key scratch path alloc-free too.
-func sortEdges(es []graph.Edge) {
-	slices.SortFunc(es, func(a, b graph.Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
+// sameImage reports whether maps a and b of one pattern occupy the same
+// subgraph: every data edge a maps a pattern edge to is also the image
+// of a pattern edge under b, whose images are packed into img first.
+// Maps are injective, so both images hold len(pes) distinct edges and
+// containment one way is equality. Nothing is sorted: automorphic maps
+// pair up on one subgraph, so this check runs on a large share of
+// inserts. Patterns without edges compare vertex images instead.
+func sameImage(pes []graph.Edge, a, b []graph.V, img []uint64) ([]uint64, bool) {
+	if len(pes) == 0 {
+		for _, v := range a {
+			if !slices.Contains(b, v) {
+				return img, false
+			}
 		}
-		return int(a.W) - int(b.W)
-	})
+		return img, true
+	}
+	img = img[:0]
+	for _, pe := range pes {
+		img = append(img, edgeKey(b[pe.U], b[pe.W]))
+	}
+	for _, pe := range pes {
+		if !slices.Contains(img, edgeKey(a[pe.U], a[pe.W])) {
+			return img, false
+		}
+	}
+	return img, true
+}
+
+// edgeKey packs the normalized data edge (u, w) into one word.
+func edgeKey(u, w graph.V) uint64 {
+	if u > w {
+		u, w = w, u
+	}
+	return uint64(uint32(u))<<32 | uint64(uint32(w))
 }
 
 func appendInt32(b []byte, v int32) []byte {
@@ -91,80 +111,253 @@ func appendMapKey(dst []byte, e Embedding) []byte {
 // grown on the "other side" of a symmetry lose embeddings.
 //
 // Storage is columnar: one flat []graph.V holding all stored maps back
-// to back with a fixed stride (the pattern's vertex count) plus a
-// parallel GID column, so a Set costs two slices rather than one heap
-// slice per embedding. Dedup keys (exact map keys and canonical
-// subgraph keys) live in hash-indexed byte arenas and are never
-// materialized as strings.
+// to back with a fixed stride (the pattern's vertex count) plus
+// parallel GID and subgraph-hash columns, so a Set costs a few slices
+// rather than one heap slice per embedding. Subgraph identity is the
+// caller-supplied 64-bit hash (see EdgeTerm) in an open-addressing
+// index of distinct subgraphs, verified exactly with sameImage only
+// when two hashes are equal.
 //
-// The zero value is not ready; use NewSet.
+// Use NewSet, or Reset a zero Set.
 type Set struct {
 	patternEdges []graph.Edge
-	stride       int       // vertices per stored map (fixed per pattern)
+	stride       int       // vertices per map (fixed per pattern)
 	n            int       // stored embedding count
 	gids         []int32   // per stored embedding
 	vals         []graph.V // flat columnar storage, n*stride values
-	keys         keyArena  // subgraph keys; Len() is the support
-	mapKeys      keyArena  // exact map keys (storage dedup)
-	gidSet       map[int32]struct{}
-	limit        int // 0 = unlimited
-	truncated    bool
+	hashes       []uint64  // per stored embedding: its subgraph hash
+	subs         []subSlot // index of distinct subgraphs, len 0 or a power of two
+	nsubs        int       // distinct subgraphs recorded: the support
+	// The first map of each subgraph first seen past the storage cap,
+	// kept so later maps of it still verify exactly.
+	overGIDs []int32
+	overVals []graph.V
+	gid0     int32              // GID of the first embedding
+	gidSet   map[int32]struct{} // nil until a second GID appears
+	limit    int                // 0 = unlimited
+	trunc    bool
 
-	scratchKey   []byte
-	scratchEdges []graph.Edge
-	scratchVs    []graph.V
+	mapKeys    keyArena // exact map keys; Insert only
+	scratchKey []byte
+	scratchImg []uint64
+}
+
+// subSlot is one entry of the subgraph index: a subgraph hash and a
+// reference to a map occupying that subgraph — stored embedding ref-1
+// when ref > 0, overflow map -ref-1 when ref < 0; 0 marks an empty
+// slot.
+type subSlot struct {
+	h   uint64
+	ref int32
 }
 
 // NewSet returns an embedding set for a pattern with the given edges.
 // limit caps the number of *stored* embeddings (0 = unlimited). The
-// Support and GraphSupport counts stay exact past the cap — their key
-// and GID sets are maintained on every Add — but extension and MNI then
-// work from the stored sample, which mirrors practical miners under
-// blow-up.
+// Support and GraphSupport counts stay exact past the cap — the
+// subgraph index and GID set are maintained on every Add — but
+// extension and MNI then work from the stored sample, which mirrors
+// practical miners under blow-up. The set keeps its own copy of the
+// edges.
 func NewSet(patternEdges []graph.Edge, limit int) *Set {
-	return &Set{patternEdges: patternEdges, limit: limit}
+	s := &Set{}
+	s.Reset(patternEdges, limit)
+	return s
 }
 
-// Add records an embedding map if it is new, copying it into the
-// columnar store, and reports whether the map was new. The subgraph it
-// occupies and the graph it lives in are counted toward Support and
-// GraphSupport whether or not the map itself was stored (storage may be
-// capped; counting never is). e.Map may alias a caller scratch buffer.
-func (s *Set) Add(e Embedding) bool {
+// Reset empties s for reuse as the set of a pattern with the given
+// edges and cap, keeping its edge, column and index buffers. An index
+// the last use filled to less than an eighth is dropped rather than
+// cleared, so one large set does not tax every small one after it.
+func (s *Set) Reset(patternEdges []graph.Edge, limit int) {
+	subs := s.subs
+	if len(subs) > 64 && 8*s.nsubs < len(subs) {
+		subs = nil
+	}
+	clear(subs)
+	*s = Set{
+		patternEdges: append(s.patternEdges[:0], patternEdges...),
+		gids:         s.gids[:0],
+		vals:         s.vals[:0],
+		hashes:       s.hashes[:0],
+		subs:         subs,
+		overGIDs:     s.overGIDs[:0],
+		overVals:     s.overVals[:0],
+		limit:        limit,
+		scratchImg:   s.scratchImg,
+	}
+}
+
+// Clone returns a copy of s with storage sized to its contents, for a
+// set built in a reused scratch Set that must outlive the next Reset.
+func (s *Set) Clone() *Set {
+	c := &Set{
+		patternEdges: slices.Clone(s.patternEdges),
+		stride:       s.stride,
+		n:            s.n,
+		gids:         slices.Clone(s.gids),
+		vals:         slices.Clone(s.vals),
+		hashes:       slices.Clone(s.hashes),
+		overGIDs:     slices.Clone(s.overGIDs),
+		overVals:     slices.Clone(s.overVals),
+		gid0:         s.gid0,
+		limit:        s.limit,
+		trunc:        s.trunc,
+		gidSet:       maps.Clone(s.gidSet),
+		mapKeys: keyArena{
+			buf:   slices.Clone(s.mapKeys.buf),
+			ends:  slices.Clone(s.mapKeys.ends),
+			heads: maps.Clone(s.mapKeys.heads),
+			next:  slices.Clone(s.mapKeys.next),
+		},
+	}
+	size := 8
+	for size < 2*s.nsubs {
+		size *= 2
+	}
+	c.subs = make([]subSlot, size)
+	for _, sl := range s.subs {
+		if sl.ref != 0 {
+			c.placeSlot(sl)
+		}
+	}
+	return c
+}
+
+// Add records an embedding whose map differs from every map already in
+// the set, with h the hash of the subgraph it occupies: SubgraphHash,
+// or the hash of the map it was grown from plus EdgeTerm of the new
+// edge. Extension derives distinct maps by construction, so Add keeps
+// no map index; maps that may repeat go through Insert. The map is
+// copied into the columnar store unless the cap is reached. Its
+// subgraph and graph count toward Support and GraphSupport either way
+// (storage may be capped; counting never is). e.Map may alias a caller
+// scratch buffer.
+func (s *Set) Add(e Embedding, h uint64) {
+	if s.nsubs == 0 {
+		s.stride = len(e.Map)
+		s.gid0 = e.GID
+	} else if len(e.Map) != s.stride {
+		panic("support: embedding map length differs within one Set")
+	}
+	stored := s.limit <= 0 || s.n < s.limit
+	ref := int32(s.n) + 1
+	if !stored {
+		ref = -int32(len(s.overGIDs)) - 1
+	}
+	if s.insertSubgraph(e, h, ref) && !stored {
+		s.overGIDs = append(s.overGIDs, e.GID)
+		s.overVals = append(s.overVals, e.Map...)
+	}
+	if s.gidSet != nil {
+		s.gidSet[e.GID] = struct{}{}
+	} else if e.GID != s.gid0 {
+		s.gidSet = map[int32]struct{}{s.gid0: {}, e.GID: {}}
+	}
+	if !stored {
+		s.trunc = true
+		return
+	}
+	s.gids = append(s.gids, e.GID)
+	s.vals = append(s.vals, e.Map...)
+	s.hashes = append(s.hashes, h)
+	s.n++
+}
+
+// Insert is Add for maps that may repeat, where a pattern's embeddings
+// are first built (seed paths, enumeration, baseline miners): it drops
+// a map the set already holds, reporting false, and computes the
+// subgraph hash itself. The exact-map index it keeps grows on every new
+// map, stored or not.
+func (s *Set) Insert(e Embedding) bool {
 	s.scratchKey = appendMapKey(s.scratchKey[:0], e)
 	if !s.mapKeys.insert(s.scratchKey) {
 		return false
 	}
-	s.scratchKey, s.scratchEdges, s.scratchVs = appendSubgraphKey(
-		s.scratchKey[:0], s.scratchEdges, s.scratchVs, s.patternEdges, e)
-	s.keys.insert(s.scratchKey)
-	if s.gidSet == nil {
-		s.gidSet = make(map[int32]struct{}, 4)
-	}
-	s.gidSet[e.GID] = struct{}{}
-	if s.limit > 0 && s.n >= s.limit {
-		s.truncated = true
-		return true
-	}
-	if s.n == 0 {
-		s.stride = len(e.Map)
-	} else if len(e.Map) != s.stride {
-		panic("support: embedding map length differs within one Set")
-	}
-	s.gids = append(s.gids, e.GID)
-	s.vals = append(s.vals, e.Map...)
-	s.n++
+	s.Add(e, SubgraphHash(s.patternEdges, e))
 	return true
+}
+
+// insertSubgraph records the subgraph e occupies under hash h, with ref
+// naming the map that will represent it, and reports whether it was
+// new. Equal hashes are verified exactly; unequal subgraphs whose
+// hashes collide simply occupy further slots of the probe sequence.
+func (s *Set) insertSubgraph(e Embedding, h uint64, ref int32) bool {
+	if 2*(s.nsubs+1) > len(s.subs) {
+		s.growIndex()
+	}
+	mask := uint64(len(s.subs) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := &s.subs[i]
+		if sl.ref == 0 {
+			*sl = subSlot{h: h, ref: ref}
+			s.nsubs++
+			return true
+		}
+		if sl.h == h {
+			gid, m := s.refMap(sl.ref)
+			if gid != e.GID {
+				continue
+			}
+			var same bool
+			s.scratchImg, same = sameImage(s.patternEdges, e.Map, m, s.scratchImg)
+			if same {
+				return false
+			}
+		}
+	}
+}
+
+// growIndex doubles the subgraph index (minimum 8 slots) and reinserts
+// every entry.
+func (s *Set) growIndex() {
+	old := s.subs
+	s.subs = make([]subSlot, max(2*len(old), 8))
+	s.nsubs = 0
+	for _, sl := range old {
+		if sl.ref != 0 {
+			s.placeSlot(sl)
+		}
+	}
+}
+
+// placeSlot inserts an index entry known to name a subgraph the index
+// does not hold yet, so nothing is verified.
+func (s *Set) placeSlot(sl subSlot) {
+	if 2*(s.nsubs+1) > len(s.subs) {
+		s.growIndex()
+	}
+	mask := uint64(len(s.subs) - 1)
+	i := sl.h & mask
+	for s.subs[i].ref != 0 {
+		i = (i + 1) & mask
+	}
+	s.subs[i] = sl
+	s.nsubs++
+}
+
+// refMap returns the GID and map a subgraph-index reference names.
+func (s *Set) refMap(ref int32) (int32, []graph.V) {
+	if ref > 0 {
+		i := int(ref - 1)
+		return s.gids[i], s.vals[i*s.stride : (i+1)*s.stride]
+	}
+	j := int(-ref - 1)
+	return s.overGIDs[j], s.overVals[j*s.stride : (j+1)*s.stride]
 }
 
 // Support returns the number of distinct subgraphs recorded (the paper's
 // |E[P]| in the single-graph setting). Exact even past the storage cap.
-func (s *Set) Support() int { return s.keys.Len() }
+func (s *Set) Support() int { return s.nsubs }
 
 // GraphSupport returns the number of distinct transaction graphs with at
 // least one embedding. Exact even past the storage cap: the GID set is
 // maintained at Add time regardless of whether the map was stored.
-func (s *Set) GraphSupport() int { return len(s.gidSet) }
+func (s *Set) GraphSupport() int {
+	if s.gidSet != nil {
+		return len(s.gidSet)
+	}
+	return min(s.nsubs, 1)
+}
 
 // MNI returns the minimum-image-based support (Bringmann & Nijssen): the
 // minimum over pattern vertices of the number of distinct data vertices
@@ -201,6 +394,10 @@ func (s *Set) At(i int) Embedding {
 	return Embedding{GID: s.gids[i], Map: s.vals[lo:hi:hi]}
 }
 
+// Hash returns the subgraph hash the i-th stored embedding was added
+// with, the base a child embedding's hash is derived from.
+func (s *Set) Hash(i int) uint64 { return s.hashes[i] }
+
 // Embeddings returns the stored embeddings as views into the columnar
 // store (see At). Callers must not modify the maps; hot paths should
 // iterate with Len/At instead, which allocates nothing.
@@ -213,7 +410,7 @@ func (s *Set) Embeddings() []Embedding {
 }
 
 // Truncated reports whether the storage cap dropped embeddings.
-func (s *Set) Truncated() bool { return s.truncated }
+func (s *Set) Truncated() bool { return s.trunc }
 
 // Measure selects how support is counted.
 type Measure int
@@ -247,7 +444,7 @@ func CountEmbeddings(p *graph.Graph, targets []*graph.Graph, limit int) *Set {
 	for gi, t := range targets {
 		gid := int32(gi)
 		graph.EnumerateEmbeddings(p, t, func(mapped []graph.V) bool {
-			set.Add(Embedding{GID: gid, Map: mapped})
+			set.Insert(Embedding{GID: gid, Map: mapped})
 			return true
 		})
 	}

@@ -41,18 +41,18 @@ func TestSubgraphKeyEdgeless(t *testing.T) {
 func TestSetDedupAndSupport(t *testing.T) {
 	p := testutil.PathGraph(0, 0)
 	s := NewSet(p.Edges(), 0)
-	if !s.Add(Embedding{Map: []graph.V{1, 2}}) {
+	if !s.Insert(Embedding{Map: []graph.V{1, 2}}) {
 		t.Error("first add should be new")
 	}
 	// The automorphic map is a distinct map on the same subgraph: stored
 	// (extension needs it) but not counted twice.
-	if !s.Add(Embedding{Map: []graph.V{2, 1}}) {
+	if !s.Insert(Embedding{Map: []graph.V{2, 1}}) {
 		t.Error("automorphic map should still be stored")
 	}
-	if s.Add(Embedding{Map: []graph.V{1, 2}}) {
+	if s.Insert(Embedding{Map: []graph.V{1, 2}}) {
 		t.Error("exact duplicate map should dedup")
 	}
-	s.Add(Embedding{Map: []graph.V{3, 4}})
+	s.Insert(Embedding{Map: []graph.V{3, 4}})
 	if s.Support() != 2 {
 		t.Errorf("Support = %d, want 2 (distinct subgraphs)", s.Support())
 	}
@@ -65,7 +65,7 @@ func TestSetLimit(t *testing.T) {
 	p := testutil.PathGraph(0, 0)
 	s := NewSet(p.Edges(), 2)
 	for i := graph.V(0); i < 10; i += 2 {
-		s.Add(Embedding{Map: []graph.V{i, i + 1}})
+		s.Insert(Embedding{Map: []graph.V{i, i + 1}})
 	}
 	if s.Support() != 5 {
 		t.Errorf("Support = %d, want 5 (count keeps going)", s.Support())
@@ -81,9 +81,9 @@ func TestSetLimit(t *testing.T) {
 func TestGraphSupportAndMeasures(t *testing.T) {
 	p := testutil.PathGraph(0, 0)
 	s := NewSet(p.Edges(), 0)
-	s.Add(Embedding{GID: 0, Map: []graph.V{0, 1}})
-	s.Add(Embedding{GID: 0, Map: []graph.V{1, 2}})
-	s.Add(Embedding{GID: 2, Map: []graph.V{0, 1}})
+	s.Insert(Embedding{GID: 0, Map: []graph.V{0, 1}})
+	s.Insert(Embedding{GID: 0, Map: []graph.V{1, 2}})
+	s.Insert(Embedding{GID: 2, Map: []graph.V{0, 1}})
 	if s.GraphSupport() != 2 {
 		t.Errorf("GraphSupport = %d, want 2", s.GraphSupport())
 	}
@@ -96,8 +96,8 @@ func TestMNI(t *testing.T) {
 	p := testutil.PathGraph(0, 1)
 	s := NewSet(p.Edges(), 0)
 	// Vertex 0 of the pattern maps to {0}, vertex 1 maps to {1,2}: MNI = 1.
-	s.Add(Embedding{Map: []graph.V{0, 1}})
-	s.Add(Embedding{Map: []graph.V{0, 2}})
+	s.Insert(Embedding{Map: []graph.V{0, 1}})
+	s.Insert(Embedding{Map: []graph.V{0, 2}})
 	if got := s.MNI(); got != 1 {
 		t.Errorf("MNI = %d, want 1", got)
 	}
@@ -143,7 +143,7 @@ func TestGraphSupportExactPastStorageCap(t *testing.T) {
 	p := testutil.PathGraph(0, 0)
 	s := NewSet(p.Edges(), 1) // store at most one embedding
 	for gid := int32(0); gid < 4; gid++ {
-		s.Add(Embedding{GID: gid, Map: []graph.V{0, 1}})
+		s.Insert(Embedding{GID: gid, Map: []graph.V{0, 1}})
 	}
 	if !s.Truncated() {
 		t.Fatal("cap of 1 with 4 adds should truncate")
@@ -167,17 +167,17 @@ func TestGraphSupportExactPastStorageCap(t *testing.T) {
 func TestMNISampleBasedPastStorageCap(t *testing.T) {
 	p := testutil.PathGraph(0, 1)
 	s := NewSet(p.Edges(), 2)
-	s.Add(Embedding{Map: []graph.V{0, 1}})
-	s.Add(Embedding{Map: []graph.V{0, 2}})
-	s.Add(Embedding{Map: []graph.V{0, 3}}) // counted, not stored
+	s.Insert(Embedding{Map: []graph.V{0, 1}})
+	s.Insert(Embedding{Map: []graph.V{0, 2}})
+	s.Insert(Embedding{Map: []graph.V{0, 3}}) // counted, not stored
 	if got := s.MNI(); got != 1 {
 		t.Errorf("MNI = %d, want 1 (vertex 0 maps only to {0})", got)
 	}
 	// The sample holds 2 of the 3 images of pattern vertex 1.
 	uncapped := NewSet(p.Edges(), 0)
-	uncapped.Add(Embedding{Map: []graph.V{0, 1}})
-	uncapped.Add(Embedding{Map: []graph.V{4, 1}})
-	uncapped.Add(Embedding{Map: []graph.V{5, 1}})
+	uncapped.Insert(Embedding{Map: []graph.V{0, 1}})
+	uncapped.Insert(Embedding{Map: []graph.V{4, 1}})
+	uncapped.Insert(Embedding{Map: []graph.V{5, 1}})
 	if got := uncapped.MNI(); got != 1 {
 		t.Errorf("uncapped MNI = %d, want 1", got)
 	}
@@ -188,8 +188,8 @@ func TestMNISampleBasedPastStorageCap(t *testing.T) {
 func TestColumnarAccessors(t *testing.T) {
 	p := testutil.PathGraph(0, 0)
 	s := NewSet(p.Edges(), 0)
-	s.Add(Embedding{GID: 1, Map: []graph.V{1, 2}})
-	s.Add(Embedding{GID: 2, Map: []graph.V{3, 4}})
+	s.Insert(Embedding{GID: 1, Map: []graph.V{1, 2}})
+	s.Insert(Embedding{GID: 2, Map: []graph.V{3, 4}})
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
@@ -203,7 +203,7 @@ func TestColumnarAccessors(t *testing.T) {
 	}
 	// Adds must copy: the caller may reuse its map buffer.
 	buf := []graph.V{5, 6}
-	s.Add(Embedding{GID: 3, Map: buf})
+	s.Insert(Embedding{GID: 3, Map: buf})
 	buf[0], buf[1] = 9, 9
 	if e := s.At(2); e.Map[0] != 5 || e.Map[1] != 6 {
 		t.Errorf("Add aliased the caller's buffer: stored %v", e.Map)
