@@ -9,6 +9,7 @@ package skinnymine_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -176,19 +177,7 @@ func benchMineSharded(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var (
-			res *core.Result
-			err error
-		)
-		if shards <= 1 {
-			res, err = core.MineDB(db, opt)
-		} else {
-			eng, engErr := shard.New(db, opt.Support, shards)
-			if engErr != nil {
-				b.Fatal(engErr)
-			}
-			res, err = eng.Mine(opt)
-		}
+		res, err := core.MineParts(context.Background(), db, shard.Partition(db, shards), opt)
 		if err != nil {
 			b.Fatal(err)
 		}

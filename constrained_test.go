@@ -164,7 +164,7 @@ func TestWherePushdownEquivalenceRandomized(t *testing.T) {
 }
 
 // TestWherePushdownEquivalenceIndexed runs the same equivalence through
-// a shared DirectIndex, where Stage I levels are cached unconstrained
+// a shared index, where Stage I levels are cached unconstrained
 // and pruning happens at seed selection: constrained requests must not
 // corrupt the index for the requests that follow.
 func TestWherePushdownEquivalenceIndexed(t *testing.T) {

@@ -14,9 +14,7 @@ import (
 	"strings"
 	"time"
 
-	"skinnymine/internal/core"
 	"skinnymine/internal/indexio"
-	"skinnymine/internal/obs"
 	"skinnymine/internal/shard"
 )
 
@@ -107,13 +105,13 @@ func LoadDistributedIndexFile(path string, cfg DistributedConfig) (*Index, error
 	if err != nil {
 		return nil, err
 	}
-	return &Index{back: eng, eng: eng, lt: parts.lt}, nil
+	return &Index{eng: eng, lt: parts.lt}, nil
 }
 
 // MineContext is Mine with a caller-supplied context. A distributed
 // index propagates the context's deadline and cancellation into every
-// worker RPC; the in-process engines consult it between shard steps at
-// most (an in-flight join is not interruptible). Mine is
+// worker RPC; the in-process joins consult it between level steps (an
+// in-flight join is not interruptible). Mine is
 // MineContext(context.Background(), opt).
 func (ix *Index) MineContext(ctx context.Context, opt Options) (*Result, error) {
 	if err := opt.stashWhere(); err != nil {
@@ -129,17 +127,7 @@ func (ix *Index) MineContext(ctx context.Context, opt Options) (*Result, error) 
 	// A trace installed on the context (the daemon's ?trace=1 path)
 	// applies when the request carries none of its own; Options.Trace
 	// wins when both are present.
-	if copt.Tracer == nil {
-		copt.Tracer = obs.FromContext(ctx)
-	}
-	var res *core.Result
-	if cm, ok := ix.back.(interface {
-		MineCtx(ctx context.Context, opt core.Options) (*core.Result, error)
-	}); ok {
-		res, err = cm.MineCtx(ctx, copt)
-	} else {
-		res, err = ix.back.Mine(copt)
-	}
+	res, err := ix.eng.Mine(ctx, copt)
 	if err != nil {
 		return nil, err
 	}
@@ -150,22 +138,14 @@ func (ix *Index) MineContext(ctx context.Context, opt Options) (*Result, error) 
 // probes and closes idle worker connections; every other kind is a
 // no-op. Cached levels stay servable after Close, but a distributed
 // index must not materialize new ones.
-func (ix *Index) Close() error {
-	if ix.eng != nil {
-		return ix.eng.Close()
-	}
-	return nil
-}
+func (ix *Index) Close() error { return ix.eng.Close() }
 
 // WorkerHealth returns each shard worker's last observed health,
 // ordered by shard, or nil for a non-distributed index. With
 // ProbeInterval set the view self-refreshes in the background;
 // otherwise it reflects the outcomes of real RPCs.
 func (ix *Index) WorkerHealth() []WorkerStatus {
-	if ix.eng == nil {
-		return nil
-	}
-	hs := ix.eng.WorkerHealth()
+	hs := shard.WorkerHealth(ix.eng)
 	if hs == nil {
 		return nil
 	}
@@ -179,9 +159,9 @@ func (ix *Index) WorkerHealth() []WorkerStatus {
 // ShardWorker serves Stage I candidate generation for ONE shard
 // snapshot file over HTTP — the worker half of a distributed index.
 // It answers GET /skinnymine/v1/info (identity and health — CRC, shard
-// index, uptime, build info; also aliased at /healthz and the legacy
-// /shard/v1/info) and POST /skinnymine/v1/candidates (the binary
-// level-set protocol of internal/shard). Workers are stateless across
+// index, uptime, build info; also aliased at /healthz) and POST
+// /skinnymine/v1/candidates (the binary level-set protocol of
+// internal/shard). Workers are stateless across
 // requests and safe for concurrent use, including a coordinator's
 // hedged duplicate requests.
 type ShardWorker struct {

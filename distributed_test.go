@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"skinnymine/internal/indexio"
 )
 
 // startShardWorkers serves every shard file of the manifest at path
@@ -213,5 +216,59 @@ func TestLoadDistributedIndexFileValidation(t *testing.T) {
 	}
 	if _, err := LoadDistributedIndexFile(path, fastDistConfig([]string{"localhost:1"})); err == nil {
 		t.Error("1 worker for 2 shards accepted")
+	}
+}
+
+// TestLoadOneShardManifest: earlier releases wrote a one-graph
+// database built with shards > 1 as a one-shard manifest. Such a
+// snapshot still loads in-process and distributed and serves the
+// unsharded bytes; the distributed load applies σ to its worker's
+// threshold-1 candidates even though there is only one shard.
+func TestLoadOneShardManifest(t *testing.T) {
+	db := randomPublicDB(t, 23, 1)
+	flat, err := BuildIndex(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.MinimalBackbones(2); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.idx")
+	ref, err := writeShardFile(dir, "db.idx", 0, flat.WriteSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.GIDs = []int32{0}
+	m := indexio.Manifest{Sigma: 2, NumGraphs: 1, Shards: []indexio.ShardRef{ref}}
+	if err := writeFileAtomic(path, func(w io.Writer) error { return indexio.SaveManifest(w, m) }); err != nil {
+		t.Fatal(err)
+	}
+
+	opt := Options{Support: 2, Length: 5, MinLength: 2, Delta: 1}
+	want, err := flat.Mine(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := LoadIndexFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := LoadDistributedIndexFile(path, fastDistConfig(startShardWorkers(t, path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dist.Close()
+	for name, ix := range map[string]*Index{"in-process": local, "distributed": dist} {
+		if ix.Shards() != 1 || fmt.Sprint(ix.MaterializedLevels()) != "[1 2]" {
+			t.Fatalf("%s: shards %d, levels %v", name, ix.Shards(), ix.MaterializedLevels())
+		}
+		got, err := ix.Mine(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(resultBytes(t, got), resultBytes(t, want)) {
+			t.Errorf("%s one-shard manifest serves a different result", name)
+		}
 	}
 }

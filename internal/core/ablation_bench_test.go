@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -56,11 +57,11 @@ func BenchmarkAblation_DiamMineDoubling(b *testing.B) {
 	g := ablationGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dm, err := NewDiamMiner([]*graph.Graph{g}, 2)
+		e, err := NewEngine([]*graph.Graph{g}, 2, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dm.Mine(7); err != nil { // non-power-of-two: exercises merge
+		if _, err := e.Level(context.Background(), 7); err != nil { // non-power-of-two: exercises merge
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 	"skinnymine/internal/testutil"
 )
 
-// newTestMiner builds a request's miner the way mineWithDiamMiner does,
+// newTestMiner builds a request's miner the way Engine.mine does,
 // with an explicit budget, so budget accounting can be probed at the
 // growSeed/levelGrow granularity.
 func newTestMiner(graphs []*graph.Graph, opt Options, budget int64) *miner {
-	dm, err := NewDiamMiner(graphs, 1)
+	dm, err := NewEngine(graphs, 1, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -30,11 +31,11 @@ func newTestMiner(graphs []*graph.Graph, opt Options, budget int64) *miner {
 // slot, or duplicate seeds silently shrink the usable budget.
 func TestBudgetNotLeakedOnDuplicateSeed(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2)
-	dm, err := NewDiamMiner([]*graph.Graph{g}, 1)
+	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := dm.Mine(1)
+	seeds, err := dm.Level(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestLevelGrowDropsChildThatFailedToReserve(t *testing.T) {
 	g.MustAddEdge(1, 3)
 	g.MustAddEdge(1, 4)
 
-	dm, err := NewDiamMiner([]*graph.Graph{g}, 1)
+	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := dm.Mine(2)
+	seeds, err := dm.Level(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

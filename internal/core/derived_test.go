@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
@@ -37,11 +38,11 @@ func internLikeReadGraphs(g *graph.Graph) *graph.Graph {
 // candidate along the way and hands each returned child to visit.
 func walkGreedyExtensions(t *testing.T, g *graph.Graph, opt Options, visit func(child *Pattern)) {
 	t.Helper()
-	dm, err := NewDiamMiner([]*graph.Graph{g}, opt.Support)
+	dm, err := NewEngine([]*graph.Graph{g}, opt.Support, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := dm.Mine(opt.Length)
+	seeds, err := dm.Level(context.Background(), opt.Length)
 	if err != nil {
 		t.Fatal(err)
 	}

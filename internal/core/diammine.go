@@ -11,6 +11,19 @@
 // diameter of everything grown from it, level by level while maintaining
 // Loop Invariant 1 through Constraints I–III.
 //
+// # One Stage I engine
+//
+// Engine is the only Stage I scheduler and level cache. It owns the one
+// doubling schedule and stores every level it materializes; Stage II
+// reads its seeds straight from that cache. The database may be split
+// into parts (internal/shard partitions it): each schedule step runs a
+// Runner once per part, and with more than one part the engine merges
+// the parts' threshold-1 candidates and applies σ in a cross-part
+// recount. The in-process Runner runs the joins of this package; the
+// HTTP Runner of internal/shard asks one worker per part. Mine and
+// MineDB build a request-private engine per call, which may prune
+// inside its joins; a shared engine (the serving index) never does.
+//
 // # Support measures and result budgets
 //
 // Pattern frequency is counted by one of three measures
@@ -29,15 +42,13 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
+	"context"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"skinnymine/internal/graph"
-	"skinnymine/internal/obs"
 )
 
 // PathEmb is one oriented embedding of a path pattern: the graph it lives
@@ -188,246 +199,72 @@ type joinScratch struct {
 	comb   graph.Path
 }
 
-func (m *DiamMiner) newJoinScratch() *joinScratch {
-	return &joinScratch{inA: newStampSet(m.maxN)}
+func (r *localRunner) newJoinScratch() *joinScratch {
+	return &joinScratch{inA: newStampSet(r.maxN)}
 }
 
-// DiamMiner mines frequent simple paths (Algorithm 2) over one or more
-// data graphs and caches the power-of-two levels so that repeated
-// requests for different lengths — the paper's direct mining usage
-// pattern (Figure 2) — reuse work.
-type DiamMiner struct {
-	graphs      []*graph.Graph
-	support     int
-	concurrency int
-	maxN        int // largest vertex count across graphs; sizes stamp sets
-
-	mu     sync.RWMutex           // guards levels; materialization runs under the write lock
-	levels map[int][]*PathPattern // key: length (powers of two and served l)
-
-	// materialized mirrors the level-cache keys under its own tiny
-	// lock, so liveness probes (MaterializedLengths) answer instantly
-	// instead of queueing behind an in-progress materialization
-	// holding mu for the full Stage I cost.
-	matMu        sync.Mutex
-	materialized map[int]struct{}
-
-	// prune is the optional Stage I constraint-pushdown hook
-	// (Options.PrunePath), applied to every candidate path inside the
-	// bucket joins. Only request-private miners may set it: pruned
-	// joins produce pruned cached levels, which must never happen at
-	// an index shared across requests with different constraints.
+// localRunner is the in-process Runner: DiamMine's path joins
+// (Algorithm 2) over the graphs of each part. Embeddings carry the
+// database's graph IDs throughout; a part only selects which graphs
+// its level-1 edges come from, since every later join combines
+// embeddings of one graph. collect applies minSup: σ when the runner's
+// output is the level itself (one in-process part), 1 when a recount
+// follows. prune is the Stage I pushdown hook (Options.PrunePath) of a
+// request-private engine. Every call owns its buckets and scratch, so
+// concurrent calls are safe.
+type localRunner struct {
+	graphs []*graph.Graph
+	parts  [][]int32
+	maxN   int // largest vertex count across graphs; sizes stamp sets
+	minSup int
 	prune  func(seq []graph.Label) bool
 	pruned atomic.Int64 // join candidates cut by prune, folded into Stats
-
-	ranksOnce sync.Once
-	ranks     [][]int32 // per graph and vertex: the label's dense rank
-	numLabels int       // distinct labels across the graphs
 }
 
-// labelRanks returns, per graph and vertex, the vertex label's dense
-// rank among the database's distinct labels, and the number of distinct
-// labels. Stage II's candidate tables index by rank, so label values
-// may be sparse or negative. Computed on first use: Stage I never
-// needs it.
-func (m *DiamMiner) labelRanks() ([][]int32, int) {
-	m.ranksOnce.Do(func() {
-		idx := make(map[graph.Label]int32)
-		m.ranks = make([][]int32, len(m.graphs))
-		for gi, g := range m.graphs {
-			r := make([]int32, g.N())
-			for v, l := range g.Labels() {
-				k, ok := idx[l]
-				if !ok {
-					k = int32(len(idx))
-					idx[l] = k
-				}
-				r[v] = k
-			}
-			m.ranks[gi] = r
-		}
-		m.numLabels = len(idx)
-	})
-	return m.ranks, m.numLabels
+func newLocalRunner(graphs []*graph.Graph, parts [][]int32, minSup int, prune func([]graph.Label) bool) *localRunner {
+	return &localRunner{graphs: graphs, parts: parts, maxN: maxVertices(graphs), minSup: minSup, prune: prune}
 }
 
-// NewDiamMiner returns a miner over the given graphs with threshold σ.
-func NewDiamMiner(graphs []*graph.Graph, support int) (*DiamMiner, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("core: DiamMiner needs at least one graph")
-	}
-	if support < 1 {
-		return nil, fmt.Errorf("core: support threshold must be >= 1, got %d", support)
-	}
-	maxN := 0
-	for _, g := range graphs {
-		if g.N() > maxN {
-			maxN = g.N()
-		}
-	}
-	return &DiamMiner{
-		graphs:       graphs,
-		support:      support,
-		concurrency:  1,
-		maxN:         maxN,
-		levels:       make(map[int][]*PathPattern),
-		materialized: make(map[int]struct{}),
-	}, nil
+// NewJoinRunner returns the in-process Runner over graphs as one part
+// at threshold 1: it reports every candidate its joins assemble, with
+// part-local supports, and leaves σ to the engine's cross-part
+// recount. A shard worker (internal/shard) serves it over HTTP.
+func NewJoinRunner(graphs []*graph.Graph) Runner {
+	return newLocalRunner(graphs, [][]int32{allGIDs(len(graphs))}, 1, nil)
 }
 
-// storeLevel records a freshly materialized (or restored) level.
-// Callers mutating a live miner hold mu.
-func (m *DiamMiner) storeLevel(l int, ps []*PathPattern) {
-	m.levels[l] = ps
-	m.matMu.Lock()
-	m.materialized[l] = struct{}{}
-	m.matMu.Unlock()
+// Edges implements Runner.
+func (r *localRunner) Edges(_ context.Context, part, _ int) ([]*PathPattern, error) {
+	return r.edgeCandidates(r.parts[part]), nil
 }
 
-// MaterializedLengths returns the path lengths whose level is cached,
-// ascending. It never blocks on materialization in progress.
-func (m *DiamMiner) MaterializedLengths() []int {
-	m.matMu.Lock()
-	defer m.matMu.Unlock()
-	out := make([]int, 0, len(m.materialized))
-	for l := range m.materialized {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
+// Concat implements Runner.
+func (r *localRunner) Concat(_ context.Context, _ int, prev []*PathPattern, workers int) ([]*PathPattern, error) {
+	return r.concat(prev, workers), nil
 }
 
-// SetConcurrency bounds the worker pool used by concat and merge joins
-// (<= 0 means one worker per available CPU, matching the Options
-// convention). Mined results are identical at every setting; only
-// wall-clock time changes. Call it before serving, not concurrently
-// with Mine.
-func (m *DiamMiner) SetConcurrency(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	m.concurrency = n
+// Merge implements Runner.
+func (r *localRunner) Merge(_ context.Context, _ int, pool []*PathPattern, l, m, workers int) ([]*PathPattern, error) {
+	return r.merge(pool, l, m, workers), nil
 }
 
-// Concurrency reports the current materialization worker budget, always
-// resolved to a positive count.
-func (m *DiamMiner) Concurrency() int { return m.concurrency }
+// Close implements Runner; the in-process joins hold no resources.
+func (r *localRunner) Close() error { return nil }
 
-// Mine returns all frequent simple paths of length exactly l, sorted by
-// canonical label sequence. Results are cached per length. Mine is safe
-// for concurrent callers: cache hits share a read lock, while a miss
-// materializes the level under the write lock (internally parallel
-// across the worker budget), so a long-running serving process can fan
-// requests for arbitrary lengths at one shared miner.
-func (m *DiamMiner) Mine(l int) ([]*PathPattern, error) {
-	return m.mine(l, m.concurrency, obs.Nop)
-}
-
-// mine is Mine with an explicit worker count — so one request can use
-// its own Options.Concurrency without writing shared miner state — and
-// a tracer recording per-level timings. Tracing changes visibility,
-// never bytes: tr only observes durations and candidate counts.
-func (m *DiamMiner) mine(l, workers int, tr obs.Tracer) ([]*PathPattern, error) {
-	if l < 1 {
-		return nil, fmt.Errorf("core: path length must be >= 1, got %d", l)
-	}
-	m.mu.RLock()
-	got, ok := m.levels[l]
-	m.mu.RUnlock()
-	if ok {
-		return got, nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if got, ok := m.levels[l]; ok { // lost the materialization race
-		return got, nil
-	}
-	// Powers of two up to l.
-	k := 1
-	for k*2 <= l {
-		k *= 2
-	}
-	if err := m.ensurePowers(k, workers, tr); err != nil {
-		return nil, err
-	}
-	if l == k {
-		return m.levels[l], nil
-	}
-	sp := tr.Start("stage1.merge").TagInt("level", int64(l)).TagInt("base", int64(k))
-	merged := m.merge(m.levels[k], l, k, workers)
-	sp.TagInt("patterns", int64(len(merged))).End()
-	m.storeLevel(l, merged)
-	return merged, nil
-}
-
-// MaxFrequentLength returns the largest l for which a frequent path
-// exists (scanning upward from 1); 0 if even single edges are infrequent.
-func (m *DiamMiner) MaxFrequentLength(limit int) (int, error) {
-	best := 0
-	for l := 1; l <= limit; l++ {
-		ps, err := m.Mine(l)
-		if err != nil {
-			return 0, err
-		}
-		if len(ps) == 0 {
-			break
-		}
-		best = l
-	}
-	return best, nil
-}
-
-// ensurePowers fills m.levels for lengths 1, 2, 4, ..., upto.
-func (m *DiamMiner) ensurePowers(upto, workers int, tr obs.Tracer) error {
-	if _, ok := m.levels[1]; !ok {
-		sp := tr.Start("stage1.edges").TagInt("level", 1)
-		edges := m.frequentEdges()
-		sp.TagInt("patterns", int64(len(edges))).End()
-		m.storeLevel(1, edges)
-	}
-	for l := 2; l <= upto; l *= 2 {
-		if _, ok := m.levels[l]; ok {
-			continue
-		}
-		sp := tr.Start("stage1.concat").TagInt("level", int64(l))
-		ps := m.concat(m.levels[l/2], workers)
-		sp.TagInt("patterns", int64(len(ps))).End()
-		m.storeLevel(l, ps)
-	}
-	return nil
-}
-
-// frequentEdges mines all frequent paths of length 1.
-func (m *DiamMiner) frequentEdges() []*PathPattern {
-	return m.edgeCandidates(nil)
-}
-
-// edgeCandidates buckets the length-1 paths of the given graphs (nil
-// means every graph) and applies the miner's threshold. The gid subset
-// form is the Stage I entry point of sharded mining (ShardStage1),
-// where each shard enumerates only its own graphs.
-func (m *DiamMiner) edgeCandidates(gids []int32) []*PathPattern {
+// edgeCandidates buckets the length-1 paths of the given graphs and
+// applies the runner's threshold.
+func (r *localRunner) edgeCandidates(gids []int32) []*PathPattern {
 	buckets := make(bucketMap)
-	sc := m.newJoinScratch()
-	emit := func(gid int32) {
-		g := m.graphs[gid]
-		for _, e := range g.Edges() {
+	sc := r.newJoinScratch()
+	for _, gid := range gids {
+		for _, e := range r.graphs[gid].Edges() {
 			for _, or := range [2][2]graph.V{{e.U, e.W}, {e.W, e.U}} {
 				sc.comb = append(sc.comb[:0], or[0], or[1])
-				m.bucketAdd(buckets, sc, PathEmb{GID: gid, Seq: sc.comb})
+				r.bucketAdd(buckets, sc, PathEmb{GID: gid, Seq: sc.comb})
 			}
 		}
 	}
-	if gids == nil {
-		for gi := range m.graphs {
-			emit(int32(gi))
-		}
-	} else {
-		for _, gid := range gids {
-			emit(gid)
-		}
-	}
-	return m.collect(buckets)
+	return r.collect(buckets)
 }
 
 // flattenEmbs gathers every oriented embedding of every pattern into one
@@ -449,11 +286,11 @@ func flattenEmbs(pool []*PathPattern) []PathEmb {
 // with two or more workers it flattens the embeddings into a shared
 // work list and fans chunks across parBuckets. join receives a
 // worker-private bucket map and that worker's reusable scratch state.
-func (m *DiamMiner) joinBuckets(pool []*PathPattern, workers int,
+func (r *localRunner) joinBuckets(pool []*PathPattern, workers int,
 	join func(a PathEmb, buckets bucketMap, sc *joinScratch)) bucketMap {
 	if workers < 2 {
 		buckets := make(bucketMap)
-		sc := m.newJoinScratch()
+		sc := r.newJoinScratch()
 		for _, p := range pool {
 			for _, a := range p.Embs {
 				join(a, buckets, sc)
@@ -462,7 +299,7 @@ func (m *DiamMiner) joinBuckets(pool []*PathPattern, workers int,
 		return buckets
 	}
 	as := flattenEmbs(pool)
-	return m.parBuckets(len(as), workers, func(lo, hi int, buckets bucketMap, sc *joinScratch) {
+	return r.parBuckets(len(as), workers, func(lo, hi int, buckets bucketMap, sc *joinScratch) {
 		for _, a := range as[lo:hi] {
 			join(a, buckets, sc)
 		}
@@ -476,14 +313,14 @@ func (m *DiamMiner) joinBuckets(pool []*PathPattern, workers int,
 // dedup, orientation-independent support sets) and collect sorts
 // everything it emits, so the merged result is identical to the
 // sequential one regardless of scheduling.
-func (m *DiamMiner) parBuckets(n, workers int, run func(lo, hi int, buckets bucketMap, sc *joinScratch)) bucketMap {
+func (r *localRunner) parBuckets(n, workers int, run func(lo, hi int, buckets bucketMap, sc *joinScratch)) bucketMap {
 	if workers > n {
 		workers = n
 	}
 	if workers < 2 {
 		buckets := make(bucketMap)
 		if n > 0 {
-			run(0, n, buckets, m.newJoinScratch())
+			run(0, n, buckets, r.newJoinScratch())
 		}
 		return buckets
 	}
@@ -500,7 +337,7 @@ func (m *DiamMiner) parBuckets(n, workers int, run func(lo, hi int, buckets buck
 			defer wg.Done()
 			buckets := make(bucketMap)
 			locals[w] = buckets
-			sc := m.newJoinScratch()
+			sc := r.newJoinScratch()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
@@ -548,7 +385,7 @@ func findBucket(chain []*pathBucket, seq []graph.Label) *pathBucket {
 // last-vertex index covers all of CheckConcat's cases. The index keys
 // (GID, vertex) pairs packed exactly into a uint64, so lookups need no
 // verification.
-func (m *DiamMiner) concat(prev []*PathPattern, workers int) []*PathPattern {
+func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
 	byFirst := make(map[uint64][]PathEmb)
 	for _, p := range prev {
 		for _, e := range p.Embs {
@@ -556,7 +393,7 @@ func (m *DiamMiner) concat(prev []*PathPattern, workers int) []*PathPattern {
 			byFirst[k] = append(byFirst[k], e)
 		}
 	}
-	buckets := m.joinBuckets(prev, workers, func(a PathEmb, buckets bucketMap, sc *joinScratch) {
+	buckets := r.joinBuckets(prev, workers, func(a PathEmb, buckets bucketMap, sc *joinScratch) {
 		cands := byFirst[gidVertexKey(a.GID, a.Seq[len(a.Seq)-1])]
 		if len(cands) == 0 {
 			return
@@ -571,10 +408,10 @@ func (m *DiamMiner) concat(prev []*PathPattern, workers int) []*PathPattern {
 			}
 			sc.comb = append(sc.comb[:0], a.Seq...)
 			sc.comb = append(sc.comb, b.Seq[1:]...)
-			m.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
+			r.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
 		}
 	})
-	return m.collect(buckets)
+	return r.collect(buckets)
 }
 
 // merge overlaps two length-m paths to form paths of length l with
@@ -583,7 +420,7 @@ func (m *DiamMiner) concat(prev []*PathPattern, workers int) []*PathPattern {
 // of every embedding are stored. The index is keyed by the 64-bit hash
 // of (GID, prefix); every candidate is verified against the exact
 // suffix before joining, so hash collisions never produce a bogus join.
-func (m *DiamMiner) merge(pool []*PathPattern, l, pm int, workers int) []*PathPattern {
+func (r *localRunner) merge(pool []*PathPattern, l, pm int, workers int) []*PathPattern {
 	o := 2*pm - l // overlap in edges, >= 1
 	byPrefix := make(map[uint64][]PathEmb)
 	for _, p := range pool {
@@ -592,7 +429,7 @@ func (m *DiamMiner) merge(pool []*PathPattern, l, pm int, workers int) []*PathPa
 			byPrefix[k] = append(byPrefix[k], e)
 		}
 	}
-	buckets := m.joinBuckets(pool, workers, func(a PathEmb, buckets bucketMap, sc *joinScratch) {
+	buckets := r.joinBuckets(pool, workers, func(a PathEmb, buckets bucketMap, sc *joinScratch) {
 		suffix := a.Seq[len(a.Seq)-o-1:]
 		cands := byPrefix[hashGidSeq(a.GID, suffix)]
 		if len(cands) == 0 {
@@ -611,10 +448,10 @@ func (m *DiamMiner) merge(pool []*PathPattern, l, pm int, workers int) []*PathPa
 			}
 			sc.comb = append(sc.comb[:0], a.Seq...)
 			sc.comb = append(sc.comb, b.Seq[o+1:]...)
-			m.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
+			r.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
 		}
 	})
-	return m.collect(buckets)
+	return r.collect(buckets)
 }
 
 // prefixMatches reports whether seq starts with the given prefix.
@@ -627,8 +464,8 @@ func prefixMatches(seq graph.Path, prefix graph.Path) bool {
 // are gathered into the worker's scratch buffer and hashed in canonical
 // direction; a fresh label slice is materialized only when a new bucket
 // is created.
-func (m *DiamMiner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
-	g := m.graphs[e.GID]
+func (r *localRunner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
+	g := r.graphs[e.GID]
 	sc.labels = sc.labels[:0]
 	for _, v := range e.Seq {
 		sc.labels = append(sc.labels, g.Label(v))
@@ -638,8 +475,8 @@ func (m *DiamMiner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
 	// paths later levels assemble from this candidate, so it is cut
 	// before it is even hashed. Sequences reach the hook in traversal
 	// order; the pushed-down predicates are orientation-invariant.
-	if m.prune != nil && m.prune(sc.labels) {
-		m.pruned.Add(1)
+	if r.prune != nil && r.prune(sc.labels) {
+		r.pruned.Add(1)
 		return
 	}
 	fwd := canonLabelsForward(sc.labels)
@@ -664,12 +501,13 @@ func (m *DiamMiner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
 	b.add(e, true)
 }
 
-// collect applies the frequency threshold and sorts patterns.
-func (m *DiamMiner) collect(buckets bucketMap) []*PathPattern {
+// collect applies the runner's threshold and sorts patterns, and each
+// pattern's embeddings by (graph ID, vertex sequence).
+func (r *localRunner) collect(buckets bucketMap) []*PathPattern {
 	var out []*PathPattern
 	for _, chain := range buckets {
 		for _, b := range chain {
-			if b.nsub < m.support {
+			if b.nsub < r.minSup {
 				continue
 			}
 			sort.Slice(b.embs, func(i, j int) bool {

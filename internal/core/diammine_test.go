@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,11 +55,11 @@ func bruteFrequentPaths(graphs []*graph.Graph, l, sigma int) map[string]int {
 
 func minePathsMap(t *testing.T, graphs []*graph.Graph, l, sigma int) map[string]int {
 	t.Helper()
-	dm, err := NewDiamMiner(graphs, sigma)
+	dm, err := NewEngine(graphs, sigma, nil)
 	if err != nil {
-		t.Fatalf("NewDiamMiner: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	ps, err := dm.Mine(l)
+	ps, err := dm.Level(context.Background(), l)
 	if err != nil {
 		t.Fatalf("Mine(%d): %v", l, err)
 	}
@@ -167,12 +168,12 @@ func TestDiamMineCycleSelfOverlapRejected(t *testing.T) {
 
 func TestDiamMineCaching(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 0, 1, 0)
-	dm, err := NewDiamMiner([]*graph.Graph{g}, 1)
+	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := dm.Mine(3)
-	b, _ := dm.Mine(3)
+	a, _ := dm.Level(context.Background(), 3)
+	b, _ := dm.Level(context.Background(), 3)
 	if len(a) != len(b) {
 		t.Error("cached result differs")
 	}
@@ -182,28 +183,36 @@ func TestDiamMineCaching(t *testing.T) {
 }
 
 func TestDiamMineErrors(t *testing.T) {
-	if _, err := NewDiamMiner(nil, 2); err == nil {
+	if _, err := NewEngine(nil, 2, nil); err == nil {
 		t.Error("no graphs should error")
 	}
 	g := testutil.PathGraph(0, 1)
-	if _, err := NewDiamMiner([]*graph.Graph{g}, 0); err == nil {
+	if _, err := NewEngine([]*graph.Graph{g}, 0, nil); err == nil {
 		t.Error("support 0 should error")
 	}
-	dm, _ := NewDiamMiner([]*graph.Graph{g}, 1)
-	if _, err := dm.Mine(0); err == nil {
+	dm, _ := NewEngine([]*graph.Graph{g}, 1, nil)
+	if _, err := dm.Level(context.Background(), 0); err == nil {
 		t.Error("length 0 should error")
 	}
 }
 
+// TestMaxFrequentLength: the longest frequent path of a 4-edge path
+// graph has length 4, and every longer level is empty.
 func TestMaxFrequentLength(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2, 3, 4)
-	dm, _ := NewDiamMiner([]*graph.Graph{g}, 1)
-	got, err := dm.MaxFrequentLength(10)
-	if err != nil {
-		t.Fatal(err)
+	dm, _ := NewEngine([]*graph.Graph{g}, 1, nil)
+	best := 0
+	for l := 1; l <= 10; l++ {
+		ps, err := dm.Level(context.Background(), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) > 0 {
+			best = l
+		}
 	}
-	if got != 4 {
-		t.Errorf("MaxFrequentLength = %d, want 4", got)
+	if best != 4 {
+		t.Errorf("longest frequent path = %d, want 4", best)
 	}
 }
 

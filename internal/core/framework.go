@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"skinnymine/internal/graph"
@@ -168,55 +167,4 @@ func CheckContinuous(c Constraint, universe []*graph.Graph) []*graph.Graph {
 		}
 	}
 	return violations
-}
-
-// DirectIndex is the pre-computed side of the framework (Figure 2): one
-// DiamMiner holding minimal-pattern results keyed by l, shared across
-// mining requests. Requests with different l or δ reuse the index.
-type DirectIndex struct {
-	dm *DiamMiner
-}
-
-// BuildIndex pre-computes the minimal-pattern index for the graphs at
-// threshold σ. The power-of-two path levels are materialized lazily on
-// first use and cached.
-func BuildIndex(graphs []*graph.Graph, sigma int) (*DirectIndex, error) {
-	dm, err := NewDiamMiner(graphs, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return &DirectIndex{dm: dm}, nil
-}
-
-// SetConcurrency bounds the worker pool for index materialization
-// triggered directly through MinimalPatterns, with the Options
-// convention: <= 0 means one worker per available CPU. Mine requests
-// use their own Options.Concurrency without touching this setting.
-func (ix *DirectIndex) SetConcurrency(n int) { ix.dm.SetConcurrency(n) }
-
-// Concurrency reports the current materialization worker budget, always
-// resolved to a positive count.
-func (ix *DirectIndex) Concurrency() int { return ix.dm.Concurrency() }
-
-// MinimalPatterns returns the minimal constraint-satisfying patterns for
-// diameter length l (the frequent paths of that length).
-func (ix *DirectIndex) MinimalPatterns(l int) ([]*PathPattern, error) {
-	return ix.MinimalPatternsCtx(context.Background(), l)
-}
-
-// MinimalPatternsCtx is MinimalPatterns honoring request cancellation:
-// an already-cancelled context returns before any materialization work
-// starts. Level materialization itself is an indivisible cached
-// computation — once begun its bytes are identical for every caller —
-// so cancellation is only observed at the boundary.
-func (ix *DirectIndex) MinimalPatternsCtx(ctx context.Context, l int) ([]*PathPattern, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return ix.dm.Mine(l)
-}
-
-// Mine serves one (l, δ) request from the index.
-func (ix *DirectIndex) Mine(opt Options) (*Result, error) {
-	return MineWithIndex(ix.dm, opt)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -155,19 +156,19 @@ func TestIsMinimalPattern(t *testing.T) {
 
 func TestDirectIndexServesManyRequests(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2, 3, 4, 5)
-	ix, err := BuildIndex([]*graph.Graph{g}, 1)
+	ix, err := NewEngine([]*graph.Graph{g}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := 2; l <= 5; l++ {
-		mp, err := ix.MinimalPatterns(l)
+		mp, err := ix.Level(context.Background(), l)
 		if err != nil {
 			t.Fatalf("MinimalPatterns(%d): %v", l, err)
 		}
 		if len(mp) != 6-l {
 			t.Errorf("l=%d: %d minimal patterns, want %d", l, len(mp), 6-l)
 		}
-		res, err := ix.Mine(DefaultOptions(1, l, 0))
+		res, err := ix.Mine(context.Background(), DefaultOptions(1, l, 0))
 		if err != nil {
 			t.Fatalf("Mine(l=%d): %v", l, err)
 		}
@@ -178,7 +179,7 @@ func TestDirectIndexServesManyRequests(t *testing.T) {
 }
 
 func TestBuildIndexErrors(t *testing.T) {
-	if _, err := BuildIndex(nil, 1); err == nil {
+	if _, err := NewEngine(nil, 1, nil); err == nil {
 		t.Error("empty graph list should error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -52,20 +53,20 @@ func TestDeterminismAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexRequests serves one warmed DirectIndex from
+// TestConcurrentIndexRequests serves one warmed shared Engine from
 // several goroutines at different Concurrency settings — the direct
 // mining deployment of Figure 2. Under -race this pins the promise
 // that requests never write shared miner state; all results must be
 // identical.
 func TestConcurrentIndexRequests(t *testing.T) {
 	g := testutil.SynthWorkload(42, 40)
-	ix, err := BuildIndex([]*graph.Graph{g}, 2)
+	ix, err := NewEngine([]*graph.Graph{g}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions(2, 4, 2)
 	opt.Concurrency = 1
-	want, err := ix.Mine(opt) // warms the path-level cache
+	want, err := ix.Mine(context.Background(), opt) // warms the path-level cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestConcurrentIndexRequests(t *testing.T) {
 			defer wg.Done()
 			req := opt
 			req.Concurrency = i + 1
-			results[i], errs[i] = ix.Mine(req)
+			results[i], errs[i] = ix.Mine(context.Background(), req)
 		}(i)
 	}
 	wg.Wait()
@@ -103,20 +104,21 @@ func TestConcurrentIndexRequests(t *testing.T) {
 func TestStageIDeterminismAcrossConcurrency(t *testing.T) {
 	g := testutil.SynthWorkload(7, 250)
 	for _, l := range []int{2, 3, 5, 7} {
-		seq, err := NewDiamMiner([]*graph.Graph{g}, 2)
+		seq, err := NewEngine([]*graph.Graph{g}, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewDiamMiner([]*graph.Graph{g}, 2)
+		par, err := NewEngine([]*graph.Graph{g}, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seq.SetConcurrency(1)
 		par.SetConcurrency(8)
-		ps, err := seq.Mine(l)
+		ps, err := seq.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pp, err := par.Mine(l)
+		pp, err := par.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}

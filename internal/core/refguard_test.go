@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -258,13 +259,14 @@ func TestHashBucketsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomConnectedGraph(rng, 24+rng.Intn(16), 12, 3)
 		for _, sigma := range []int{1, 2} {
-			dm, err := NewDiamMiner([]*graph.Graph{g}, sigma)
+			dm, err := NewEngine([]*graph.Graph{g}, sigma, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			dm.SetConcurrency(1)
 			ref := newRefMiner([]*graph.Graph{g}, sigma)
 			for l := 1; l <= 5; l++ { // l=3,5 exercise the merge join
-				got, err := dm.Mine(l)
+				got, err := dm.Level(context.Background(), l)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -284,13 +286,13 @@ func TestHashBucketsMatchReferenceTransaction(t *testing.T) {
 		testutil.RandomConnectedGraph(rng, 25, 10, 2),
 		testutil.RandomConnectedGraph(rng, 15, 6, 2),
 	}
-	dm, err := NewDiamMiner(db, 2)
+	dm, err := NewEngine(db, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := newRefMiner(db, 2)
 	for l := 1; l <= 4; l++ {
-		got, err := dm.Mine(l)
+		got, err := dm.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,14 +307,14 @@ func TestHashBucketsMatchReferenceTransaction(t *testing.T) {
 func TestHashBucketsMatchReferenceParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testutil.RandomConnectedGraph(rng, 40, 20, 3)
-	dm, err := NewDiamMiner([]*graph.Graph{g}, 2)
+	dm, err := NewEngine([]*graph.Graph{g}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dm.SetConcurrency(8)
 	ref := newRefMiner([]*graph.Graph{g}, 2)
 	for _, l := range []int{2, 3, 4, 5} {
-		got, err := dm.Mine(l)
+		got, err := dm.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}

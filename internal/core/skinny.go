@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -177,7 +178,7 @@ type miner struct {
 	maxN   int           // largest vertex count across graphs; sizes stamp tables
 	budget *atomic.Int64 // remaining MaxPatterns budget; nil = unlimited
 
-	ranks     [][]int32 // per graph and vertex: dense label rank (DiamMiner.labelRanks)
+	ranks     [][]int32 // per graph and vertex: dense label rank (Engine.labelRanks)
 	numLabels int
 }
 
@@ -296,36 +297,41 @@ func Mine(g *graph.Graph, opt Options) (*Result, error) {
 // this is the graph-transaction setting; with the default embedding
 // count, supports aggregate across graphs.
 func MineDB(graphs []*graph.Graph, opt Options) (*Result, error) {
-	if err := validate(graphs, &opt); err != nil {
+	//lint:allow ctxflow context-free library entry point; callers with a context use MineParts
+	return MineParts(context.Background(), graphs, nil, opt)
+}
+
+// MineParts is MineDB on a request-private engine whose Stage I runs
+// the database split into parts (nil means one part; see Engine). The
+// engine is private, so PrunePath prunes inside every part's joins
+// without corrupting a shared level cache. The result is
+// byte-identical at every part count.
+func MineParts(ctx context.Context, graphs []*graph.Graph, parts [][]int32, opt Options) (*Result, error) {
+	if err := validate(ctx, graphs, &opt); err != nil {
 		return nil, err
 	}
-	dm, err := NewDiamMiner(graphs, opt.Support)
+	e, err := newEngine(graphs, opt.Support, parts, nil, opt.PrunePath)
 	if err != nil {
 		return nil, err
 	}
-	// The miner is request-private, so the Stage I pushdown may prune
-	// inside the bucket joins themselves without corrupting a shared
-	// level cache. MineWithIndex serves many requests from one miner
-	// and therefore prunes at seed selection instead (same result set,
-	// less Stage I work saved).
-	dm.prune = opt.PrunePath
-	return mineWithDiamMiner(dm, opt)
+	return e.mine(ctx, opt)
 }
 
-// MineWithIndex runs Stage II against a pre-built DiamMiner, the direct
-// mining deployment of Figure 2: DiamMine results are computed once and
-// shared across many requests with different l.
-func MineWithIndex(dm *DiamMiner, opt Options) (*Result, error) {
-	if err := validate(dm.graphs, &opt); err != nil {
+// Mine serves one (l, δ) request from the engine, the direct mining
+// deployment of Figure 2: Stage I levels are computed once and shared
+// across requests with different l and δ. opt.Support must equal σ. A
+// tracer rides opt.Tracer or, when that is nil, ctx.
+func (e *Engine) Mine(ctx context.Context, opt Options) (*Result, error) {
+	if err := validate(ctx, e.graphs, &opt); err != nil {
 		return nil, err
 	}
-	if dm.support != opt.Support {
-		return nil, fmt.Errorf("core: index was built with support %d, request uses %d", dm.support, opt.Support)
+	if e.sigma != opt.Support {
+		return nil, fmt.Errorf("core: index was built with support %d, request uses %d", e.sigma, opt.Support)
 	}
-	return mineWithDiamMiner(dm, opt)
+	return e.mine(ctx, opt)
 }
 
-func validate(graphs []*graph.Graph, opt *Options) error {
+func validate(ctx context.Context, graphs []*graph.Graph, opt *Options) error {
 	if len(graphs) == 0 {
 		return fmt.Errorf("core: no input graphs")
 	}
@@ -363,20 +369,22 @@ func validate(graphs []*graph.Graph, opt *Options) error {
 	if opt.Concurrency <= 0 {
 		opt.Concurrency = runtime.GOMAXPROCS(0)
 	}
-	opt.Tracer = obs.Default(opt.Tracer)
+	if opt.Tracer == nil {
+		opt.Tracer = obs.FromContext(ctx)
+	}
 	return nil
 }
 
-// newMiner builds one request's Stage II miner over dm's graphs.
-func newMiner(dm *DiamMiner, opt Options) *miner {
+// newMiner builds one request's Stage II miner over e's graphs.
+func newMiner(e *Engine, opt Options) *miner {
 	m := &miner{
-		graphs: dm.graphs,
+		graphs: e.graphs,
 		opt:    opt,
 		stats:  &statCounters{},
 		codes:  newCodeSet(),
-		maxN:   dm.maxN,
+		maxN:   e.maxN,
 	}
-	m.ranks, m.numLabels = dm.labelRanks()
+	m.ranks, m.numLabels = e.labelRanks()
 	if opt.MaxPatterns > 0 {
 		m.budget = &atomic.Int64{}
 		m.budget.Store(int64(opt.MaxPatterns))
@@ -385,8 +393,10 @@ func newMiner(dm *DiamMiner, opt Options) *miner {
 	return m
 }
 
-func mineWithDiamMiner(dm *DiamMiner, opt Options) (*Result, error) {
-	m := newMiner(dm, opt)
+// mine runs one validated request: Stage I reads (or materializes) the
+// band's levels from the engine's cache, Stage II grows the seeds.
+func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
+	m := newMiner(e, opt)
 	stats := Stats{}
 
 	lo := opt.Length
@@ -403,27 +413,29 @@ func mineWithDiamMiner(dm *DiamMiner, opt Options) (*Result, error) {
 		}
 	}
 
-	// Stage I: mine canonical diameters, fanning bucket joins across
-	// this request's worker budget. The count is passed per call — not
-	// stored on the shared miner — so concurrent requests against a
-	// warmed index stay race-free.
-	tr := obs.Default(opt.Tracer)
+	// Stage I: materialize the missing levels with this request's worker
+	// budget, passed per call so concurrent requests never write shared
+	// engine state. The tracer rides ctx into the runner, so a remote
+	// runner's per-RPC spans land in the same trace.
+	tr := opt.Tracer
+	ctx = obs.NewContext(ctx, tr)
 	//lint:allow hotalloc stage-boundary timestamp, taken once per Mine call
 	t0 := time.Now()
 	sp1 := tr.Start("stage1")
+	levels, err := e.ensure(ctx, lengths, opt.Concurrency, tr)
+	if err != nil {
+		sp1.Tag("outcome", "error").End()
+		return nil, err
+	}
 	var seeds []*PathPattern
-	for _, l := range lengths {
-		ps, err := dm.mine(l, opt.Concurrency, tr)
-		if err != nil {
-			return nil, err
-		}
+	for _, ps := range levels {
 		if opt.PrunePath == nil {
 			seeds = append(seeds, ps...)
 			continue
 		}
-		// Seed-level Stage I pushdown. On a request-private miner the
+		// Seed-level Stage I pushdown. On a request-private engine the
 		// joins pruned these candidates already (this pass sees only
-		// survivors); on a shared index the levels are complete and
+		// survivors); on a shared engine the levels are complete and
 		// this is where forbidden seeds — and every pattern that would
 		// have grown from them — leave the search.
 		for _, pp := range ps {
@@ -434,8 +446,8 @@ func mineWithDiamMiner(dm *DiamMiner, opt Options) (*Result, error) {
 			seeds = append(seeds, pp)
 		}
 	}
-	if dm.prune != nil {
-		m.stats.pushdownRejects.Add(dm.pruned.Load())
+	if e.pruned != nil {
+		m.stats.pushdownRejects.Add(e.pruned.Load())
 	}
 	stats.DiamMineTime = time.Since(t0)
 	stats.PathsMined = len(seeds)
@@ -525,6 +537,14 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 		return nil
 	}
 	p0 := newPatternFromPath(pp, m.graphs, m.opt.MaxEmbeddings)
+	// Stage I keeps a path when its distinct subgraphs reach σ, the
+	// measure every request on a shared level shares. Under GraphCount
+	// the seed may still occur in fewer than σ graphs; then it, and
+	// everything grown from it, is infrequent.
+	if p0.Embs.Count(m.opt.Measure) < m.opt.Support {
+		m.stats.frequencyRejects.Add(1)
+		return nil
+	}
 	// Support-dependent pushdown conjuncts could not run at seed
 	// selection (path support measures differ from pattern support);
 	// they cut the seed — and its whole cluster — here instead.

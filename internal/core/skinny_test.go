@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,69 +9,8 @@ import (
 	"skinnymine/internal/graph"
 	"skinnymine/internal/support"
 	"skinnymine/internal/testutil"
+	"skinnymine/internal/testutil/oracle"
 )
-
-// groundTruth enumerates every connected edge-subset of g (feasible for
-// tiny graphs), keeps those forming an l-long δ-skinny pattern for some
-// l in [lo, hi], and aggregates distinct subgraphs per canonical code.
-func groundTruth(g *graph.Graph, sigma, lo, hi, delta int) map[string]int {
-	edges := g.Edges()
-	subsByCode := make(map[string]map[string]struct{})
-	n := len(edges)
-	for mask := 1; mask < 1<<n; mask++ {
-		var vs []graph.V
-		seen := make(map[graph.V]struct{})
-		var chosen []graph.Edge
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			chosen = append(chosen, edges[i])
-			for _, v := range []graph.V{edges[i].U, edges[i].W} {
-				if _, ok := seen[v]; !ok {
-					seen[v] = struct{}{}
-					vs = append(vs, v)
-				}
-			}
-		}
-		// Build the subgraph on the touched vertices with chosen edges.
-		idx := make(map[graph.V]graph.V, len(vs))
-		sub := graph.New(len(vs))
-		for i, v := range vs {
-			idx[v] = graph.V(i)
-			sub.AddVertex(g.Label(v))
-		}
-		for _, e := range chosen {
-			sub.MustAddEdge(idx[e.U], idx[e.W])
-		}
-		if !sub.Connected() {
-			continue
-		}
-		cd, diam := sub.CanonicalDiameter()
-		if diam == graph.Unreachable || int(diam) < lo || int(diam) > hi {
-			continue
-		}
-		if delta >= 0 && !sub.IsSkinny(cd, int32(delta)) {
-			continue
-		}
-		code := dfscode.MinCodeKey(sub)
-		if subsByCode[code] == nil {
-			subsByCode[code] = make(map[string]struct{})
-		}
-		ekey := ""
-		for _, e := range chosen {
-			ekey += string(rune(e.U)) + "," + string(rune(e.W)) + ";"
-		}
-		subsByCode[code][ekey] = struct{}{}
-	}
-	out := make(map[string]int)
-	for code, subs := range subsByCode {
-		if len(subs) >= sigma {
-			out[code] = len(subs)
-		}
-	}
-	return out
-}
 
 func resultCodes(r *Result) map[string]int {
 	out := make(map[string]int)
@@ -79,9 +19,6 @@ func resultCodes(r *Result) map[string]int {
 	}
 	return out
 }
-
-// isTreeCode reports whether the pattern is a tree (|E| = |V| - 1).
-func isTreeCode(p *Pattern) bool { return p.G.M() == p.G.N()-1 }
 
 // TestSkinnyMineMatchesGroundTruth anchors soundness and (tree-)
 // completeness against brute-force enumeration of connected subgraphs at
@@ -111,25 +48,17 @@ func TestSkinnyMineMatchesGroundTruth(t *testing.T) {
 						t.Fatalf("Mine: %v", err)
 					}
 					got := resultCodes(res)
-					want := groundTruth(g, 1, l, l, delta)
+					want := oracle.Patterns([]*graph.Graph{g}, support.EmbeddingCount, 1, l, l, delta)
 					for code, sup := range got {
-						if want[code] != sup {
+						if want[code].Support != sup {
 							t.Fatalf("trial %d mode=%d l=%d δ=%d: mined pattern has support %d, ground truth %d (soundness)",
-								trial, mode, l, delta, sup, want[code])
+								trial, mode, l, delta, sup, want[code].Support)
 						}
 					}
-					// Tree completeness: check via the mined patterns'
-					// structure — rebuild each ground-truth tree code's
-					// presence by asserting all tree patterns found.
-					gotTrees := make(map[string]struct{})
-					for _, p := range res.Patterns {
-						if isTreeCode(p) {
-							gotTrees[dfscode.MinCodeKey(p.G)] = struct{}{}
-						}
-					}
-					wantTrees := enumerateTreeCodes(g, l, delta)
-					for code := range wantTrees {
-						if _, ok := gotTrees[code]; !ok {
+					// Tree completeness: every tree-shaped ground-truth
+					// pattern is among the mined ones.
+					for code, p := range want {
+						if _, ok := got[code]; p.Tree && !ok {
 							t.Fatalf("trial %d mode=%d l=%d δ=%d: tree pattern missing (completeness)\nlabels=%v edges=%v",
 								trial, mode, l, delta, g.Labels(), g.Edges())
 						}
@@ -138,55 +67,6 @@ func TestSkinnyMineMatchesGroundTruth(t *testing.T) {
 			}
 		}
 	}
-}
-
-// enumerateTreeCodes lists canonical codes of all tree-shaped l-long
-// δ-skinny connected subgraphs of g.
-func enumerateTreeCodes(g *graph.Graph, l, delta int) map[string]struct{} {
-	edges := g.Edges()
-	out := make(map[string]struct{})
-	n := len(edges)
-	for mask := 1; mask < 1<<n; mask++ {
-		var chosen []graph.Edge
-		seen := make(map[graph.V]struct{})
-		var vs []graph.V
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			chosen = append(chosen, edges[i])
-			for _, v := range []graph.V{edges[i].U, edges[i].W} {
-				if _, ok := seen[v]; !ok {
-					seen[v] = struct{}{}
-					vs = append(vs, v)
-				}
-			}
-		}
-		if len(chosen) != len(vs)-1 {
-			continue // not a tree
-		}
-		idx := make(map[graph.V]graph.V, len(vs))
-		sub := graph.New(len(vs))
-		for i, v := range vs {
-			idx[v] = graph.V(i)
-			sub.AddVertex(g.Label(v))
-		}
-		for _, e := range chosen {
-			sub.MustAddEdge(idx[e.U], idx[e.W])
-		}
-		if !sub.Connected() {
-			continue
-		}
-		cd, diam := sub.CanonicalDiameter()
-		if int(diam) != l {
-			continue
-		}
-		if delta >= 0 && !sub.IsSkinny(cd, int32(delta)) {
-			continue
-		}
-		out[dfscode.MinCodeKey(sub)] = struct{}{}
-	}
-	return out
 }
 
 // TestGrowthParadigmGap documents a gap we found while reproducing the
@@ -533,13 +413,13 @@ func TestStatsPopulated(t *testing.T) {
 
 func TestMineWithIndexReuse(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2, 3, 4)
-	dm, err := NewDiamMiner([]*graph.Graph{g}, 1)
+	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := 2; l <= 4; l++ {
 		opt := DefaultOptions(1, l, 1)
-		res, err := MineWithIndex(dm, opt)
+		res, err := dm.Mine(context.Background(), opt)
 		if err != nil {
 			t.Fatalf("l=%d: %v", l, err)
 		}
@@ -550,7 +430,7 @@ func TestMineWithIndexReuse(t *testing.T) {
 		}
 	}
 	bad := DefaultOptions(2, 2, 1)
-	if _, err := MineWithIndex(dm, bad); err == nil {
+	if _, err := dm.Mine(context.Background(), bad); err == nil {
 		t.Error("support mismatch with index should error")
 	}
 }

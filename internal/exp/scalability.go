@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"time"
 
 	"skinnymine/internal/core"
@@ -167,11 +168,11 @@ func RunDiameterConstraint(cfg Config, maxL int) ([]ConstraintPoint, error) {
 	n := cfg.scaled(10000, 400)
 	rng := cfg.rng()
 	g := synth.ER(rng, n, 3, 10)
-	ix, err := core.BuildIndex([]*graph.Graph{g}, 2)
+	ix, err := core.NewEngine([]*graph.Graph{g}, 2, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The direct MinimalPatterns calls below materialize the path
+	// The direct Level calls below materialize the path
 	// levels, so the worker budget must be set on the index itself —
 	// by the time ix.Mine threads its own Concurrency, the cache is
 	// already populated.
@@ -179,7 +180,7 @@ func RunDiameterConstraint(cfg Config, maxL int) ([]ConstraintPoint, error) {
 	var out []ConstraintPoint
 	for l := 2; l <= maxL; l++ {
 		t0 := time.Now()
-		paths, err := ix.MinimalPatterns(l)
+		paths, err := ix.Level(context.Background(), l)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +189,7 @@ func RunDiameterConstraint(cfg Config, maxL int) ([]ConstraintPoint, error) {
 		opt.Concurrency = cfg.workers()
 		opt.MaxPatterns = 5000
 		opt.MaxEmbeddings = 500
-		res, err := ix.Mine(opt)
+		res, err := ix.Mine(context.Background(), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +233,7 @@ func RunSkinninessConstraint(cfg Config, maxDelta int) ([]DeltaPoint, error) {
 		})
 		synth.Inject(rng, g, p, 5, 0)
 	}
-	ix, err := core.BuildIndex([]*graph.Graph{g}, 2)
+	ix, err := core.NewEngine([]*graph.Graph{g}, 2, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +242,7 @@ func RunSkinninessConstraint(cfg Config, maxDelta int) ([]DeltaPoint, error) {
 		opt := core.DefaultOptions(2, l, d)
 		opt.Concurrency = cfg.workers()
 		opt.GreedyGrow = true
-		res, err := ix.Mine(opt)
+		res, err := ix.Mine(context.Background(), opt)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
-// Package indexio persists DirectIndex snapshots: the pre-computed side
-// of the paper's direct mining deployment (Figure 2), serialized so a
-// serving process can skip Stage I entirely on restart.
+// Package indexio persists Stage I index snapshots — the levels a
+// core.Engine materialized, the pre-computed side of the paper's direct
+// mining deployment (Figure 2) — so a serving process can skip Stage I
+// entirely on restart. A one-part index is one v1 stream; a sharded
+// index is one v1 stream per shard under a manifest (manifest.go).
 //
 // The format is a versioned binary stream:
 //

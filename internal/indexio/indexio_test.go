@@ -2,6 +2,7 @@ package indexio
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -28,16 +29,16 @@ func buildState(t *testing.T) (core.IndexState, *graph.LabelTable) {
 		g.MustAddEdge(0, 5)
 		return g
 	}
-	ix, err := core.BuildIndex([]*graph.Graph{mk(), mk()}, 2)
+	ix, err := core.NewEngine([]*graph.Graph{mk(), mk()}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range []int{2, 3} {
-		if _, err := ix.MinimalPatterns(l); err != nil {
+		if _, err := ix.Level(context.Background(), l); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return ix.State(), lt
+	return ix.PartStates()[0], lt
 }
 
 func snapshotBytes(t *testing.T, st core.IndexState, lt *graph.LabelTable) []byte {

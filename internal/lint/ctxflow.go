@@ -23,7 +23,7 @@ import (
 var CtxFlow = &Analyzer{
 	Name:     "ctxflow",
 	Doc:      "request paths must thread the caller's context",
-	Packages: []string{"internal/server", "internal/shard"},
+	Packages: []string{"internal/core", "internal/server", "internal/shard"},
 	Run:      runCtxFlow,
 }
 

@@ -149,7 +149,7 @@ func TestGating(t *testing.T) {
 		pkg  string
 		want []string
 	}{
-		{"skinnymine/internal/core", []string{"mapiter", "atomicfield", "hotalloc"}},
+		{"skinnymine/internal/core", []string{"mapiter", "ctxflow", "atomicfield", "hotalloc"}},
 		{"skinnymine/internal/indexio", []string{"trustedalloc", "atomicfield"}},
 		{"skinnymine/internal/server", []string{"ctxflow", "atomicfield"}},
 		{"skinnymine/internal/shard", []string{"mapiter", "ctxflow", "atomicfield"}},

@@ -121,11 +121,8 @@ type BatchMetrics struct {
 // same ledger since the trace store made cached serving possible for
 // them; only on a server with the store disabled do they fall back to
 // bypassing the cache, appearing in runs and latency but in none of
-// the cache counters.)
-//
-// latency_count, latency_avg_ms and latency_max_ms predate the
-// histogram and are derived from it, so existing dashboards keep
-// working; latency_ms carries the full distribution.
+// the cache counters.) latency_ms is the distribution of run wall
+// clocks.
 type MineMetrics struct {
 	CacheHits    int64                 `json:"cache_hits"`
 	CacheMisses  int64                 `json:"cache_misses"`
@@ -137,9 +134,6 @@ type MineMetrics struct {
 	Errors       int64                 `json:"errors"`
 	InFlight     int64                 `json:"in_flight"`
 	SlowQueries  int64                 `json:"slow_queries"`
-	LatencyCount int64                 `json:"latency_count"`
-	LatencyAvgMs float64               `json:"latency_avg_ms"`
-	LatencyMaxMs float64               `json:"latency_max_ms"`
 	LatencyMs    obs.HistogramSnapshot `json:"latency_ms"`
 }
 
@@ -150,11 +144,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	rate := 0.0
 	if denom := hits + misses + coalesced + morphed + familyShared; denom > 0 {
 		rate = float64(hits) / float64(denom)
-	}
-	lat := m.mine.latency.Snapshot()
-	avg := 0.0
-	if lat.Count > 0 {
-		avg = lat.SumMs / float64(lat.Count)
 	}
 	return MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
@@ -184,10 +173,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			Errors:       m.mine.errors.Load(),
 			InFlight:     m.mine.inFlight.Load(),
 			SlowQueries:  m.mine.slowQueries.Load(),
-			LatencyCount: lat.Count,
-			LatencyAvgMs: avg,
-			LatencyMaxMs: lat.MaxMs,
-			LatencyMs:    lat,
+			LatencyMs:    m.mine.latency.Snapshot(),
 		},
 		AdmissionWaitMs: m.admissionWait.Snapshot(),
 	}

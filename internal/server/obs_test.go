@@ -212,9 +212,9 @@ func TestTraceBypassWithStoreDisabled(t *testing.T) {
 	if m.Mine.CacheHits+m.Mine.CacheMisses+m.Mine.Coalesced != 0 {
 		t.Errorf("traced request touched the cache ledger: %+v", m.Mine)
 	}
-	if m.Mine.Runs != 1 || m.Mine.LatencyCount != 1 {
-		t.Errorf("traced request not counted as a run: runs=%d latency_count=%d",
-			m.Mine.Runs, m.Mine.LatencyCount)
+	if m.Mine.Runs != 1 || m.Mine.LatencyMs.Count != 1 {
+		t.Errorf("traced request not counted as a run: runs=%d latency_ms.count=%d",
+			m.Mine.Runs, m.Mine.LatencyMs.Count)
 	}
 
 	// A traced request must not have seeded the cache either: the next
@@ -251,26 +251,17 @@ func TestMetricsNotFound(t *testing.T) {
 }
 
 // TestMetricsHistograms: mining latency and admission wait land in the
-// fixed-boundary histograms, and the legacy latency_count/avg/max
-// fields are derived consistently from the distribution.
+// fixed-boundary histograms.
 func TestMetricsHistograms(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	postMine(t, ts, `{"length":4,"delta":1}`)
 	postMine(t, ts, `{"length":3,"delta":1}`)
 	m := s.metrics.snapshot()
-	if m.Mine.LatencyMs.Count != 2 || m.Mine.LatencyCount != 2 {
-		t.Fatalf("latency histogram count %d / legacy count %d, want 2/2",
-			m.Mine.LatencyMs.Count, m.Mine.LatencyCount)
+	if m.Mine.LatencyMs.Count != 2 {
+		t.Fatalf("latency histogram count %d, want 2", m.Mine.LatencyMs.Count)
 	}
 	if len(m.Mine.LatencyMs.Buckets) != len(obs.DefaultLatencyBuckets) {
 		t.Errorf("latency buckets %d, want %d", len(m.Mine.LatencyMs.Buckets), len(obs.DefaultLatencyBuckets))
-	}
-	if m.Mine.LatencyMaxMs != m.Mine.LatencyMs.MaxMs {
-		t.Errorf("legacy max %v != histogram max %v", m.Mine.LatencyMaxMs, m.Mine.LatencyMs.MaxMs)
-	}
-	wantAvg := m.Mine.LatencyMs.SumMs / 2
-	if m.Mine.LatencyAvgMs != wantAvg {
-		t.Errorf("legacy avg %v != derived avg %v", m.Mine.LatencyAvgMs, wantAvg)
 	}
 	// Both runs took an admission slot.
 	if m.AdmissionWaitMs.Count != 2 {

@@ -5,7 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -304,5 +308,109 @@ func TestErrStatusMapping(t *testing.T) {
 		if got := errStatus(tc.err); got != tc.want {
 			t.Errorf("errStatus(%v) = %d, want %d", tc.err, got, tc.want)
 		}
+	}
+}
+
+// TestHealthzDuringStalledMaterialization: /healthz is a liveness
+// probe, so it must never wait for Stage I. A distributed index holds a
+// level materialization inside a stalled worker RPC; while it does, the
+// index's MaterializedLevels and /healthz answer at once with the levels
+// cached before it.
+func TestHealthzDuringStalledMaterialization(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	corpus := skinnymine.NewCorpus()
+	graphs := []*skinnymine.Graph{
+		equivGraph(corpus, rng, 14, 4, 3),
+		equivGraph(corpus, rng, 12, 3, 3),
+	}
+	built, err := skinnymine.BuildShardedIndex(graphs, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := built.MinimalBackbones(2); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ix.snap")
+	if err := built.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every candidate RPC stalls until release; the first one to arrive
+	// closes stalled.
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for _, e := range entries { // ReadDir sorts; shard indexes are one digit
+		if !strings.HasPrefix(e.Name(), "ix.snap.shard") {
+			continue
+		}
+		w, err := skinnymine.LoadShardWorkerFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/candidates") {
+				once.Do(func() { close(stalled) })
+				<-release
+			}
+			w.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(ws.Close)
+		urls = append(urls, ws.URL)
+	}
+	ix, err := skinnymine.LoadDistributedIndexFile(path, skinnymine.DistributedConfig{Workers: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	_, ts := newTestServer(t, Config{Index: ix})
+
+	var releaseOnce sync.Once
+	unstall := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unstall()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ix.MinimalBackbones(4)
+		done <- err
+	}()
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no candidate RPC arrived")
+	}
+
+	levels := make(chan []int, 1)
+	go func() { levels <- ix.MaterializedLevels() }()
+	select {
+	case got := <-levels:
+		if fmt.Sprint(got) != "[1 2]" {
+			t.Errorf("MaterializedLevels during the stall = %v, want [1 2]", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("MaterializedLevels waited for the stalled materialization")
+	}
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Errorf("/healthz during the stall: %v", err)
+	} else {
+		h := decodeBody[HealthResponse](t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || fmt.Sprint(h.MaterializedLevels) != "[1 2]" {
+			t.Errorf("/healthz during the stall: HTTP %d, levels %v, want 200 and [1 2]", resp.StatusCode, h.MaterializedLevels)
+		}
+	}
+
+	unstall()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(ix.MaterializedLevels()); got != "[1 2 4]" {
+		t.Errorf("levels after the materialization = %s, want [1 2 4]", got)
 	}
 }

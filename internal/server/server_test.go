@@ -339,7 +339,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Requests["mine"] != 1 || m.Requests["metrics"] != 1 {
 		t.Errorf("requests_total %v", m.Requests)
 	}
-	if m.Mine.Runs != 1 || m.Mine.LatencyCount != 1 {
+	if m.Mine.Runs != 1 || m.Mine.LatencyMs.Count != 1 {
 		t.Errorf("mine metrics %+v", m.Mine)
 	}
 }

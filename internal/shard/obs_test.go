@@ -33,7 +33,7 @@ func TestRemoteRequestIDPropagation(t *testing.T) {
 	}
 	fx := newRemoteFixture(t, db, 2, 3, 3, nil, wrap)
 	ctx := obs.WithRequestID(context.Background(), "req-abc-123")
-	if _, err := fx.eng.MineCtx(ctx, core.DefaultOptions(2, 3, 1)); err != nil {
+	if _, err := fx.eng.Mine(ctx, core.DefaultOptions(2, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -57,14 +57,14 @@ func TestRemoteTraceRecordsWorkerRPCs(t *testing.T) {
 	opt := core.DefaultOptions(2, 3, 1)
 
 	fx := newRemoteFixture(t, db, 2, 3, 3, nil, nil)
-	want, err := fx.eng.Mine(opt)
+	want, err := fx.eng.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fx2 := newRemoteFixture(t, db, 2, 3, 3, nil, nil)
 	tr := obs.NewTrace()
-	got, err := fx2.eng.MineCtx(obs.NewContext(context.Background(), tr), opt)
+	got, err := fx2.eng.Mine(obs.NewContext(context.Background(), tr), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestWorkerRPCStatsRetries(t *testing.T) {
 		})
 	}
 	fx := newRemoteFixture(t, db, 2, 3, 3, func(cfg *RemoteConfig) { cfg.Retries = 2 }, wrap)
-	if _, err := fx.eng.Mine(core.DefaultOptions(2, 3, 1)); err != nil {
+	if _, err := fx.eng.Mine(context.Background(), core.DefaultOptions(2, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	stats := fx.eng.WorkerRPCStats()
+	stats := WorkerStats(fx.eng)
 	if len(stats) != 3 {
 		t.Fatalf("got %d worker stats, want 3", len(stats))
 	}
@@ -162,10 +162,10 @@ func TestWorkerRPCStatsHedges(t *testing.T) {
 		cfg.HedgeAfter = 50 * time.Millisecond
 		cfg.Timeout = 30 * time.Second
 	}, wrap)
-	if _, err := fx.eng.Mine(core.DefaultOptions(2, 3, 1)); err != nil {
+	if _, err := fx.eng.Mine(context.Background(), core.DefaultOptions(2, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := fx.eng.WorkerRPCStats()[0].Hedges; got < 1 {
+	if got := WorkerStats(fx.eng)[0].Hedges; got < 1 {
 		t.Errorf("hedges = %d, want >= 1", got)
 	}
 }
@@ -175,11 +175,11 @@ func TestWorkerRPCStatsHedges(t *testing.T) {
 func TestWorkerRPCStatsNilForLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	db := randomDB(rng, 4, 8, 12, 3)
-	eng, err := New(db, 2, 2)
+	eng, err := core.NewEngine(db, 2, Partition(db, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.WorkerRPCStats(); got != nil {
+	if got := WorkerStats(eng); got != nil {
 		t.Errorf("in-process WorkerRPCStats = %v, want nil", got)
 	}
 }

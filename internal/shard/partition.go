@@ -1,3 +1,33 @@
+// Package shard holds the sharded side of SkinnyMine's Stage I: it
+// partitions a transaction database into P shards (hash-by-gid with a
+// size-balancing pass, Partition), serves one shard's Stage I
+// candidates over HTTP (Worker and its wire protocol), and implements
+// the HTTP core.Runner a coordinator drives those workers with
+// (RestoreRemote). The engine itself — the doubling schedule, the level
+// cache, the cross-shard recount and Stage II — is core.Engine, the
+// same one that mines unsharded, so output is byte-identical at every
+// shard count and over every transport: sharding is an execution
+// strategy, never a semantics change.
+//
+// # Why the merge is exact
+//
+// Stage I joins only ever combine embeddings that live in the same data
+// graph, and each graph belongs to exactly one shard. Per level, each
+// shard therefore assembles exactly the unsharded candidate set
+// restricted to its own graphs (threshold 1), and the engine's
+// cross-shard recount — group by canonical label sequence, concatenate
+// the disjoint embedding lists, recount distinct subgraphs, apply the
+// global σ — reproduces the unsharded level byte for byte. The
+// surviving patterns are projected back per shard as the next level's
+// join input, so pruning power at the global threshold is never lost.
+//
+// # Concurrency and ownership
+//
+// A Worker is stateless across requests and safe for concurrent use,
+// including a coordinator's hedged duplicates. The HTTP runner is safe
+// for the engine's one call per shard per level step; its health and
+// RPC counters are read concurrently by WorkerHealth and
+// WorkerRPCStats.
 package shard
 
 import (
@@ -22,7 +52,7 @@ import (
 // exactly.
 func Partition(graphs []*graph.Graph, shards int) [][]int32 {
 	if len(graphs) == 0 {
-		return nil // New surfaces the empty-database error
+		return nil // core.NewEngine surfaces the empty-database error
 	}
 	p := shards
 	if p > len(graphs) {

@@ -69,7 +69,7 @@ func (cfg RemoteConfig) withDefaults() RemoteConfig {
 }
 
 // WorkerStatus is one worker's last observed health, as reported by
-// Engine.WorkerHealth.
+// WorkerHealth.
 type WorkerStatus struct {
 	Addr    string `json:"addr"`
 	Shard   int    `json:"shard"`
@@ -98,29 +98,30 @@ type WorkerRPCStats struct {
 }
 
 // RestoreRemote rebuilds an engine from a loaded sharded snapshot —
-// exactly like Restore, including every cached merged level — but
-// materializes NEW levels by scatter/gathering candidate generation
-// across the HTTP workers in cfg instead of running it in-process.
-// crcs[i] is shard i's snapshot-file checksum from the manifest (the
-// identity every RPC is pinned to) and numLabels the label-vocabulary
-// size (bounds wire decoding).
+// exactly like core.RestoreEngine, including every cached level — whose
+// NEW levels materialize by scatter/gathering candidate generation
+// across the HTTP workers in cfg instead of in-process. crcs[i] is
+// shard i's snapshot-file checksum from the manifest (the identity
+// every RPC is pinned to) and numLabels the label-vocabulary size
+// (bounds wire decoding).
 //
 // Workers are not contacted here: a coordinator starts (and serves
 // every already-cached level) with the whole fleet down. The first
 // materialization that needs a dead shard fails with ErrUnavailable
 // after the retry budget, leaving the caches untouched.
-func RestoreRemote(states []core.IndexState, assign [][]int32, sigma int, crcs []uint32, numLabels int, cfg RemoteConfig) (*Engine, error) {
+func RestoreRemote(states []core.IndexState, assign [][]int32, sigma int, crcs []uint32, numLabels int, cfg RemoteConfig) (*core.Engine, error) {
 	if len(cfg.Workers) != len(assign) {
 		return nil, fmt.Errorf("shard: %d workers for %d shards", len(cfg.Workers), len(assign))
 	}
 	if len(crcs) != len(assign) {
 		return nil, fmt.Errorf("shard: %d shard checksums for %d shards", len(crcs), len(assign))
 	}
-	e, err := Restore(states, assign, sigma)
+	r := newRemoteRunner(assign, crcs, numLabels, cfg.withDefaults())
+	e, err := core.RestoreEngine(states, assign, sigma, r)
 	if err != nil {
+		r.Close()
 		return nil, err
 	}
-	e.runner = newRemoteRunner(assign, crcs, numLabels, cfg.withDefaults())
 	return e, nil
 }
 
@@ -128,28 +129,26 @@ func RestoreRemote(states []core.IndexState, assign [][]int32, sigma int, crcs [
 // shard, or nil for an in-process engine. With probing enabled the
 // status self-refreshes; otherwise it reflects construction state and
 // real RPC outcomes.
-func (e *Engine) WorkerHealth() []WorkerStatus {
-	type healther interface{ health() []WorkerStatus }
-	if h, ok := e.runner.(healther); ok {
-		return h.health()
+func WorkerHealth(e *core.Engine) []WorkerStatus {
+	if r, ok := e.Runner().(*remoteRunner); ok {
+		return r.health()
 	}
 	return nil
 }
 
-// WorkerRPCStats returns each worker's cumulative RPC accounting —
+// WorkerStats returns each worker's cumulative RPC accounting —
 // requests, retries, hedges, permanent-status tallies, health flips and
 // the RPC latency histogram — ordered by shard, or nil for an
 // in-process engine. The serving daemon exposes it as the /metrics
 // workers section.
-func (e *Engine) WorkerRPCStats() []WorkerRPCStats {
-	type statser interface{ rpcStats() []WorkerRPCStats }
-	if s, ok := e.runner.(statser); ok {
-		return s.rpcStats()
+func WorkerStats(e *core.Engine) []WorkerRPCStats {
+	if r, ok := e.Runner().(*remoteRunner); ok {
+		return r.rpcStats()
 	}
 	return nil
 }
 
-// remoteRunner implements stage1Runner over one HTTP worker per shard.
+// remoteRunner implements core.Runner over one HTTP worker per shard.
 // The runner owns the global↔shard-local graph-ID remap at the wire
 // boundary: assignment GIDs ascend within each shard, so the remap is
 // monotone and embedding order — which the byte-identical merge
@@ -165,7 +164,7 @@ type remoteRunner struct {
 
 // remoteWorker is the per-shard client state: address, pinned CRC, the
 // GID remap tables, the advisory health flag, and the per-worker RPC
-// accounting surfaced by Engine.WorkerRPCStats.
+// accounting surfaced by WorkerStats.
 type remoteWorker struct {
 	addr     string
 	base     string // normalized http://host:port
@@ -322,22 +321,26 @@ func (r *remoteRunner) rpcStats() []WorkerRPCStats {
 	return out
 }
 
-func (r *remoteRunner) close() error {
+// Close stops the health probes and closes idle worker connections.
+func (r *remoteRunner) Close() error {
 	close(r.stop)
 	r.wg.Wait()
 	r.client.CloseIdleConnections()
 	return nil
 }
 
-func (r *remoteRunner) edges(ctx context.Context, s, workers int) ([]*core.PathPattern, error) {
+// Edges implements core.Runner.
+func (r *remoteRunner) Edges(ctx context.Context, s, workers int) ([]*core.PathPattern, error) {
 	return r.call(ctx, s, "edges", 0, 0, workers, nil)
 }
 
-func (r *remoteRunner) concat(ctx context.Context, s int, prev []*core.PathPattern, workers int) ([]*core.PathPattern, error) {
+// Concat implements core.Runner.
+func (r *remoteRunner) Concat(ctx context.Context, s int, prev []*core.PathPattern, workers int) ([]*core.PathPattern, error) {
 	return r.call(ctx, s, "concat", 0, 0, workers, prev)
 }
 
-func (r *remoteRunner) merge(ctx context.Context, s int, pool []*core.PathPattern, l, m, workers int) ([]*core.PathPattern, error) {
+// Merge implements core.Runner.
+func (r *remoteRunner) Merge(ctx context.Context, s int, pool []*core.PathPattern, l, m, workers int) ([]*core.PathPattern, error) {
 	return r.call(ctx, s, "merge", l, m, workers, pool)
 }
 

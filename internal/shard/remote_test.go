@@ -21,7 +21,7 @@ import (
 // remoteFixture is a distributed engine wired to one httptest worker
 // per shard of a freshly partitioned database.
 type remoteFixture struct {
-	eng     *Engine
+	eng     *core.Engine
 	servers []*httptest.Server
 }
 
@@ -32,11 +32,11 @@ type remoteFixture struct {
 // retries, 5ms backoff, no hedging, no probing) before RestoreRemote.
 func newRemoteFixture(t *testing.T, db []*graph.Graph, sigma, P, numLabels int, mod func(*RemoteConfig), wrap func(shard int, h http.Handler) http.Handler) *remoteFixture {
 	t.Helper()
-	eng0, err := New(db, sigma, P)
+	eng0, err := core.NewEngine(db, sigma, Partition(db, P))
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := eng0.ShardStates()
+	states := eng0.PartStates()
 	assign := eng0.Assignment()
 	crcs := make([]uint32, len(assign))
 	urls := make([]string, len(assign))
@@ -122,7 +122,7 @@ func TestRemoteMatchesInProcessRefguard(t *testing.T) {
 		wantS := renderPatterns(want.Patterns)
 		for _, p := range []int{1, 3, 8} {
 			fx := newRemoteFixture(t, db, v.opt.Support, p, 3, nil, nil)
-			got, err := fx.eng.Mine(v.opt)
+			got, err := fx.eng.Mine(context.Background(), v.opt)
 			if err != nil {
 				t.Fatalf("%s P=%d: distributed Mine: %v", v.name, p, err)
 			}
@@ -153,16 +153,16 @@ func TestRemoteConstrainedMatchesInProcess(t *testing.T) {
 	opt.PrunePattern = func(g *graph.Graph, _ int32, _ int) bool { return g.N() > 8 }
 	opt.OutputFilter = func(g *graph.Graph, _ int32, _ int) bool { return g.M() >= 3 }
 
-	ix, err := core.BuildIndex(db, opt.Support)
+	ix, err := core.NewEngine(db, opt.Support, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ix.Mine(opt)
+	want, err := ix.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx := newRemoteFixture(t, db, opt.Support, 3, 3, nil, nil)
-	got, err := fx.eng.Mine(opt)
+	got, err := fx.eng.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,22 +174,22 @@ func TestRemoteConstrainedMatchesInProcess(t *testing.T) {
 
 // TestRemoteMinimalPatternsMatchesDirect pins the merged Stage I levels
 // — including embeddings and their order — against the unsharded
-// DiamMiner's, through the full wire round trip. Length 5 forces a
+// one-part engine's, through the full wire round trip. Length 5 forces a
 // merge op (m=4 < 5 < 8) over the workers.
 func TestRemoteMinimalPatternsMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := randomDB(rng, 7, 12, 20, 3)
-	ix, err := core.BuildIndex(db, 2)
+	ix, err := core.NewEngine(db, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx := newRemoteFixture(t, db, 2, 3, 3, nil, nil)
 	for _, l := range []int{1, 2, 3, 5} {
-		want, err := ix.MinimalPatterns(l)
+		want, err := ix.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fx.eng.MinimalPatterns(l)
+		got, err := fx.eng.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,14 +214,14 @@ func TestRemoteWorkerDownAtStartup(t *testing.T) {
 		cfg.Retries = 1
 	}, nil)
 
-	_, err := fx.eng.Mine(core.DefaultOptions(2, 3, 1))
+	_, err := fx.eng.Mine(context.Background(), core.DefaultOptions(2, 3, 1))
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Mine with a dead worker: got %v, want ErrUnavailable", err)
 	}
 	if got := fx.eng.MaterializedLevels(); len(got) != 0 {
 		t.Errorf("failed materialization left levels %v cached", got)
 	}
-	health := fx.eng.WorkerHealth()
+	health := WorkerHealth(fx.eng)
 	if len(health) != 3 {
 		t.Fatalf("WorkerHealth reported %d workers, want 3", len(health))
 	}
@@ -267,7 +267,7 @@ func TestRemoteWorkerDiesMidLevel(t *testing.T) {
 	fx := newRemoteFixture(t, db, 2, 3, 3, func(cfg *RemoteConfig) { cfg.Retries = 1 }, wrap)
 
 	opt := core.DefaultOptions(2, 5, 1)
-	_, err := fx.eng.Mine(opt)
+	_, err := fx.eng.Mine(context.Background(), opt)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Mine with a dying worker: got %v, want ErrUnavailable", err)
 	}
@@ -276,7 +276,7 @@ func TestRemoteWorkerDiesMidLevel(t *testing.T) {
 	}
 
 	down.Store(false)
-	got, err := fx.eng.Mine(opt)
+	got, err := fx.eng.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatalf("Mine after worker recovery: %v", err)
 	}
@@ -318,7 +318,7 @@ func TestRemoteSlowWorkerHedged(t *testing.T) {
 
 	opt := core.DefaultOptions(2, 3, 1)
 	t0 := time.Now()
-	got, err := fx.eng.Mine(opt)
+	got, err := fx.eng.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatalf("hedged Mine: %v", err)
 	}
@@ -365,7 +365,7 @@ func TestRemoteRetriesTransientFailures(t *testing.T) {
 
 	// Two failures, two retries: the third attempt lands.
 	fx := newRemoteFixture(t, db, 2, 3, 3, func(cfg *RemoteConfig) { cfg.Retries = 2 }, flaky(2))
-	got, err := fx.eng.Mine(opt)
+	got, err := fx.eng.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatalf("Mine within retry budget: %v", err)
 	}
@@ -375,7 +375,7 @@ func TestRemoteRetriesTransientFailures(t *testing.T) {
 
 	// Same failure pattern, no retry budget: unavailable.
 	fx = newRemoteFixture(t, db, 2, 3, 3, nil, flaky(2))
-	if _, err := fx.eng.Mine(opt); !errors.Is(err, ErrUnavailable) {
+	if _, err := fx.eng.Mine(context.Background(), opt); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Mine without retry budget: got %v, want ErrUnavailable", err)
 	}
 }
@@ -387,11 +387,11 @@ func TestRemoteRetriesTransientFailures(t *testing.T) {
 func TestRemoteCRCMismatchIsPermanent(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	db := randomDB(rng, 6, 8, 12, 3)
-	eng0, err := New(db, 2, 2)
+	eng0, err := core.NewEngine(db, 2, Partition(db, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := eng0.ShardStates()
+	states := eng0.PartStates()
 	assign := eng0.Assignment()
 	var reqs atomic.Int64
 	urls := make([]string, len(assign))
@@ -421,7 +421,7 @@ func TestRemoteCRCMismatchIsPermanent(t *testing.T) {
 	}
 	t.Cleanup(func() { re.Close() })
 
-	_, err = re.Mine(core.DefaultOptions(2, 2, 1))
+	_, err = re.Mine(context.Background(), core.DefaultOptions(2, 2, 1))
 	if err == nil {
 		t.Fatal("miswired coordinator mined successfully")
 	}
@@ -460,7 +460,7 @@ func TestRemoteCancellationWinsOverUnavailable(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := fx.eng.MineCtx(ctx, core.DefaultOptions(2, 2, 1))
+	_, err := fx.eng.Mine(ctx, core.DefaultOptions(2, 2, 1))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled mine: got %v, want context.DeadlineExceeded", err)
 	}
@@ -482,7 +482,7 @@ func TestRemoteProbeRefreshesHealth(t *testing.T) {
 	}, nil)
 
 	allHealthy := func() bool {
-		for _, ws := range fx.eng.WorkerHealth() {
+		for _, ws := range WorkerHealth(fx.eng) {
 			if !ws.Healthy {
 				return false
 			}
@@ -494,14 +494,14 @@ func TestRemoteProbeRefreshesHealth(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !allHealthy() {
-		t.Fatalf("probes never marked the fleet healthy: %+v", fx.eng.WorkerHealth())
+		t.Fatalf("probes never marked the fleet healthy: %+v", WorkerHealth(fx.eng))
 	}
 
 	fx.servers[1].Close()
-	for fx.eng.WorkerHealth()[1].Healthy && time.Now().Before(deadline) {
+	for WorkerHealth(fx.eng)[1].Healthy && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if h := fx.eng.WorkerHealth()[1]; h.Healthy {
+	if h := WorkerHealth(fx.eng)[1]; h.Healthy {
 		t.Fatalf("probe never noticed the dead worker: %+v", h)
 	}
 }
@@ -511,11 +511,11 @@ func TestRemoteProbeRefreshesHealth(t *testing.T) {
 func TestRestoreRemoteValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	db := randomDB(rng, 4, 8, 12, 3)
-	eng0, err := New(db, 2, 2)
+	eng0, err := core.NewEngine(db, 2, Partition(db, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := eng0.ShardStates()
+	states := eng0.PartStates()
 	assign := eng0.Assignment()
 	cfg := RemoteConfig{Workers: []string{"localhost:1"}}
 	if _, err := RestoreRemote(states, assign, 2, []uint32{1, 2}, 3, cfg); err == nil {

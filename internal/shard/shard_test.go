@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -92,11 +93,11 @@ func TestShardedMatchesUnshardedRefguard(t *testing.T) {
 			}
 			wantS := renderPatterns(want.Patterns)
 			for _, p := range []int{1, 3, 8} {
-				eng, err := New(db, opt.Support, p)
+				eng, err := core.NewEngine(db, opt.Support, Partition(db, p))
 				if err != nil {
 					t.Fatalf("trial %d %s P=%d: New: %v", trial, v.name, p, err)
 				}
-				got, err := eng.Mine(opt)
+				got, err := eng.Mine(context.Background(), opt)
 				if err != nil {
 					t.Fatalf("trial %d %s P=%d: Mine: %v", trial, v.name, p, err)
 				}
@@ -132,19 +133,19 @@ func TestShardedConstrainedMatchesUnsharded(t *testing.T) {
 	opt.PrunePattern = func(g *graph.Graph, _ int32, _ int) bool { return g.N() > 8 }
 	opt.OutputFilter = func(g *graph.Graph, _ int32, _ int) bool { return g.M() >= 3 }
 
-	ix, err := core.BuildIndex(db, opt.Support)
+	ix, err := core.NewEngine(db, opt.Support, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ix.Mine(opt)
+	want, err := ix.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(db, opt.Support, 3)
+	eng, err := core.NewEngine(db, opt.Support, Partition(db, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Mine(opt)
+	got, err := eng.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,24 +156,25 @@ func TestShardedConstrainedMatchesUnsharded(t *testing.T) {
 }
 
 // TestMinimalPatternsMatchesDiamMiner pins the merged Stage I levels —
-// including embeddings — against the unsharded DiamMiner's.
+// including embeddings — against the one-part engine's, whose joins
+// apply σ themselves.
 func TestMinimalPatternsMatchesDiamMiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := randomDB(rng, 7, 12, 20, 3)
-	ix, err := core.BuildIndex(db, 2)
+	ix, err := core.NewEngine(db, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(db, 2, 3)
+	eng, err := core.NewEngine(db, 2, Partition(db, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range []int{1, 2, 3, 5} {
-		want, err := ix.MinimalPatterns(l)
+		want, err := ix.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.MinimalPatterns(l)
+		got, err := eng.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,28 +263,36 @@ func TestPartitionClampsToFormatLimit(t *testing.T) {
 }
 
 // TestRunShardsHonorsWorkerBudget: at most `workers` shards execute
-// concurrently — Concurrency=1 must stay fully sequential.
+// a level step concurrently — Concurrency=1 must stay fully
+// sequential. The shards are HTTP workers, so the count is taken where
+// the calls land.
 func TestRunShardsHonorsWorkerBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db := randomDB(rng, 8, 6, 10, 3)
-	eng, err := New(db, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 3} {
 		var inFlight, peak atomic.Int64
-		eng.runShards(context.Background(), workers, func(_ context.Context, s, w int) ([]*core.PathPattern, error) {
-			cur := inFlight.Add(1)
-			defer inFlight.Add(-1)
-			for {
-				old := peak.Load()
-				if cur <= old || peak.CompareAndSwap(old, cur) {
-					break
+		wrap := func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if isCandidates(r) {
+					cur := inFlight.Add(1)
+					defer inFlight.Add(-1)
+					for {
+						old := peak.Load()
+						if cur <= old || peak.CompareAndSwap(old, cur) {
+							break
+						}
+					}
+					time.Sleep(time.Millisecond)
 				}
-			}
-			time.Sleep(time.Millisecond)
-			return nil, nil
-		})
+				h.ServeHTTP(w, r)
+			})
+		}
+		fx := newRemoteFixture(t, db, 2, 8, 3, nil, wrap)
+		opt := core.DefaultOptions(2, 3, 1)
+		opt.Concurrency = workers
+		if _, err := fx.eng.Mine(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
 		if peak.Load() > int64(workers) {
 			t.Errorf("workers=%d: %d shards ran concurrently", workers, peak.Load())
 		}
@@ -290,7 +300,7 @@ func TestRunShardsHonorsWorkerBudget(t *testing.T) {
 }
 
 func TestNewRejectsEmptyDatabase(t *testing.T) {
-	if _, err := New(nil, 2, 3); err == nil {
+	if _, err := core.NewEngine(nil, 2, Partition(nil, 3)); err == nil {
 		t.Fatal("empty database accepted")
 	}
 	if got := Partition(nil, 3); got != nil {
@@ -302,16 +312,16 @@ func TestEngineRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomDB(rng, 6, 12, 20, 3)
 	opt := core.DefaultOptions(2, 3, 1)
-	eng, err := New(db, 2, 3)
+	eng, err := core.NewEngine(db, 2, Partition(db, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Mine(opt)
+	want, err := eng.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := Restore(eng.ShardStates(), eng.Assignment(), eng.Sigma())
+	re, err := core.RestoreEngine(eng.PartStates(), eng.Assignment(), eng.Sigma(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,13 +329,13 @@ func TestEngineRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored levels %v, want %v", re.MaterializedLevels(), eng.MaterializedLevels())
 	}
 	for _, l := range eng.MaterializedLevels() {
-		a, _ := eng.MinimalPatterns(l)
-		b, _ := re.MinimalPatterns(l)
+		a, _ := eng.Level(context.Background(), l)
+		b, _ := re.Level(context.Background(), l)
 		if renderPaths(a) != renderPaths(b) {
 			t.Errorf("restored level %d diverges", l)
 		}
 	}
-	got, err := re.Mine(opt)
+	got, err := re.Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,25 +347,25 @@ func TestEngineRestoreRoundTrip(t *testing.T) {
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := randomDB(rng, 4, 10, 14, 3)
-	eng, err := New(db, 2, 2)
+	eng, err := core.NewEngine(db, 2, Partition(db, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Mine(core.DefaultOptions(2, 2, 1)); err != nil {
+	if _, err := eng.Mine(context.Background(), core.DefaultOptions(2, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	states := eng.ShardStates()
+	states := eng.PartStates()
 	assign := eng.Assignment()
 
-	if _, err := Restore(states[:1], assign, 2); err == nil {
+	if _, err := core.RestoreEngine(states[:1], assign, 2, nil); err == nil {
 		t.Error("state/assignment count mismatch accepted")
 	}
-	if _, err := Restore(states, assign, 3); err == nil {
+	if _, err := core.RestoreEngine(states, assign, 3, nil); err == nil {
 		t.Error("sigma mismatch accepted")
 	}
 	bad := eng.Assignment()
 	bad[0][0] = bad[1][0] // duplicate gid
-	if _, err := Restore(states, bad, 2); err == nil {
+	if _, err := core.RestoreEngine(states, bad, 2, nil); err == nil {
 		t.Error("duplicate graph assignment accepted")
 	}
 
@@ -366,12 +376,12 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		if len(ps) == 0 || len(ps[0].Embs) == 0 {
 			continue
 		}
-		tampered := eng.ShardStates()
+		tampered := eng.PartStates()
 		e0 := tampered[0].Levels[l][0].Embs[0]
 		seq := append(graph.Path(nil), e0.Seq...)
 		seq[0] = 9999
 		tampered[0].Levels[l][0].Embs[0] = core.PathEmb{GID: e0.GID, Seq: seq}
-		if _, err := Restore(tampered, assign, 2); err == nil {
+		if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {
 			t.Errorf("level %d: out-of-range embedding vertex accepted", l)
 		}
 		break

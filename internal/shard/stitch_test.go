@@ -25,7 +25,7 @@ func TestStitchedWorkerSpans(t *testing.T) {
 
 	tr := obs.NewTrace()
 	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := fx.eng.MineCtx(ctx, opt); err != nil {
+	if _, err := fx.eng.Mine(ctx, opt); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Snapshot()
@@ -109,7 +109,7 @@ func TestStitchTracingPreservesBytes(t *testing.T) {
 	opt := core.DefaultOptions(2, 3, 1)
 	for _, p := range []int{1, 3, 8} {
 		fx := newRemoteFixture(t, db, opt.Support, p, 3, nil, nil)
-		plain, err := fx.eng.Mine(opt)
+		plain, err := fx.eng.Mine(context.Background(), opt)
 		if err != nil {
 			t.Fatalf("P=%d untraced: %v", p, err)
 		}
@@ -117,7 +117,7 @@ func TestStitchTracingPreservesBytes(t *testing.T) {
 		// would reuse them and skip worker RPCs.
 		fx2 := newRemoteFixture(t, db, opt.Support, p, 3, nil, nil)
 		ctx := obs.NewContext(context.Background(), obs.NewTrace())
-		traced, err := fx2.eng.MineCtx(ctx, opt)
+		traced, err := fx2.eng.Mine(ctx, opt)
 		if err != nil {
 			t.Fatalf("P=%d traced: %v", p, err)
 		}
@@ -153,7 +153,7 @@ func TestStitchHostileSkewClamped(t *testing.T) {
 	fx := newRemoteFixture(t, db, opt.Support, 2, 3, nil, wrap)
 	tr := obs.NewTrace()
 	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := fx.eng.MineCtx(ctx, opt); err != nil {
+	if _, err := fx.eng.Mine(ctx, opt); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -185,7 +185,7 @@ func TestWorkerInfoEnriched(t *testing.T) {
 	ts := httptest.NewServer(w)
 	defer ts.Close()
 
-	for _, path := range []string{WorkerInfoPath, legacyInfoPath} {
+	for _, path := range []string{WorkerInfoPath, "/healthz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -27,9 +27,6 @@ import (
 //	      op=merge&l=L&m=M              overlap the posted level (body)
 //	      workers=N                     join fan-out inside the shard
 //
-// (The pre-rename /shard/v1/* paths stay registered as aliases so an
-// old coordinator or probe keeps working against a new worker.)
-//
 // Candidate sets travel both ways as indexio level-set streams
 // (LevelMagic) with SHARD-LOCAL graph IDs — the coordinator owns the
 // global↔local remap, which preserves embedding order because each
@@ -40,10 +37,6 @@ import (
 const (
 	WorkerInfoPath       = "/skinnymine/v1/info"
 	WorkerCandidatesPath = "/skinnymine/v1/candidates"
-
-	// Legacy aliases from before the protocol rename.
-	legacyInfoPath       = "/shard/v1/info"
-	legacyCandidatesPath = "/shard/v1/candidates"
 
 	// ShardCRCHeader carries the CRC-32C (Castagnoli, 8 lowercase hex
 	// digits) of the shard snapshot file the coordinator believes this
@@ -65,13 +58,13 @@ const (
 )
 
 // Worker serves Stage I candidate generation for one shard's graphs
-// over HTTP. It is stateless across requests: each candidate request
-// builds a fresh core.ShardStage1 (cheap — no precomputation), so
-// concurrent requests, including a coordinator's hedged duplicates,
-// never share join scratch state.
+// over HTTP, through the in-process core.Runner over the whole shard.
+// It is stateless across requests: every join call owns its buckets and
+// scratch, so concurrent requests, including a coordinator's hedged
+// duplicates, share nothing mutable.
 type Worker struct {
 	graphs    []*graph.Graph
-	gids      []int32 // 0..len(graphs)-1: the worker IS its whole shard
+	joins     core.Runner
 	numLabels int
 	sigma     int
 	crc       uint32
@@ -106,7 +99,7 @@ func NewWorker(graphs []*graph.Graph, numLabels, sigma int, crc uint32) (*Worker
 	}
 	w := &Worker{
 		graphs:    graphs,
-		gids:      make([]int32, len(graphs)),
+		joins:     core.NewJoinRunner(graphs),
 		numLabels: numLabels,
 		sigma:     sigma,
 		crc:       crc,
@@ -115,13 +108,8 @@ func NewWorker(graphs []*graph.Graph, numLabels, sigma int, crc uint32) (*Worker
 		mux:       http.NewServeMux(),
 		log:       slog.Default(),
 	}
-	for i := range w.gids {
-		w.gids[i] = int32(i)
-	}
 	w.mux.HandleFunc(WorkerInfoPath, w.handleInfo)
 	w.mux.HandleFunc(WorkerCandidatesPath, w.handleCandidates)
-	w.mux.HandleFunc(legacyInfoPath, w.handleInfo)
-	w.mux.HandleFunc(legacyCandidatesPath, w.handleCandidates)
 	w.mux.HandleFunc("/healthz", w.handleInfo)
 	return w, nil
 }
@@ -224,11 +212,6 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "bad workers parameter: "+err.Error())
 		return
 	}
-	st, err := core.NewShardStage1(w.graphs, w.gids)
-	if err != nil {
-		fail(http.StatusInternalServerError, err.Error())
-		return
-	}
 	// readLevel under a decode span tagged with what came off the wire.
 	decode := func() ([]*core.PathPattern, error) {
 		sp := tracer.Start("worker.decode")
@@ -243,17 +226,18 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 	// Validation and decode settle the op's inputs first; the stage1
 	// span then times exactly the candidate generation, with decode and
 	// encode as siblings, not children.
-	var runOp func() []*core.PathPattern
+	ctx := r.Context()
+	var runOp func() ([]*core.PathPattern, error)
 	switch op {
 	case "edges":
-		runOp = st.EdgeCandidates
+		runOp = func() ([]*core.PathPattern, error) { return w.joins.Edges(ctx, 0, workers) }
 	case "concat":
 		prev, err := decode()
 		if err != nil {
 			fail(http.StatusBadRequest, err.Error())
 			return
 		}
-		runOp = func() []*core.PathPattern { return st.ConcatCandidates(prev, workers) }
+		runOp = func() ([]*core.PathPattern, error) { return w.joins.Concat(ctx, 0, prev, workers) }
 	case "merge":
 		l, err := queryInt(q.Get("l"), 0)
 		if err != nil {
@@ -274,13 +258,18 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, err.Error())
 			return
 		}
-		runOp = func() []*core.PathPattern { return st.MergeCandidates(pool, l, m, workers) }
+		runOp = func() ([]*core.PathPattern, error) { return w.joins.Merge(ctx, 0, pool, l, m, workers) }
 	default:
 		fail(http.StatusBadRequest, fmt.Sprintf("unknown op %q", op))
 		return
 	}
 	sp1 := tracer.Start("worker.stage1").Tag("op", op)
-	out := runOp()
+	out, err := runOp()
+	if err != nil {
+		sp1.Tag("outcome", "error").End()
+		fail(http.StatusInternalServerError, err.Error())
+		return
+	}
 	sp1.TagInt("candidates", int64(len(out))).TagInt("embeddings", countEmbeddings(out)).End()
 	var buf bytes.Buffer
 	spEnc := tracer.Start("worker.encode")
@@ -307,7 +296,7 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 // readLevel decodes the posted level set and range-checks every
 // embedding vertex against its graph — decoded patterns feed straight
 // into join scratch arrays, so a bad vertex must be a 400, never a
-// panic (the same guarantee Restore gives loaded projections).
+// panic (the same guarantee core.RestoreEngine gives loaded levels).
 func (w *Worker) readLevel(r *http.Request) ([]*core.PathPattern, error) {
 	ps, err := indexio.LoadLevel(r.Body, w.numLabels, len(w.graphs))
 	if err != nil {

@@ -216,9 +216,9 @@ rid=$(curl -sf -H 'X-Request-Id: smoke-echo-check' -o /dev/null -D - "$base/heal
 curl -s -o /dev/null "$base/no/such/path"
 curl -sf "$base/metrics" > "$workdir/metrics3.json"
 jq -e '.requests_total.not_found >= 1
-       and .mine.latency_ms.count == .mine.latency_count
+       and .mine.latency_ms.count >= 1
        and (.mine.latency_ms.buckets | length) > 0
-       and .admission_wait_ms.count >= .mine.latency_count
+       and .admission_wait_ms.count >= .mine.latency_ms.count
        and (.mine | has("slow_queries"))' "$workdir/metrics3.json" > /dev/null \
   || { echo "FAIL: observability metrics say $(cat "$workdir/metrics3.json")"; exit 1; }
 

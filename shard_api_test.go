@@ -2,15 +2,18 @@ package skinnymine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
 	"skinnymine/internal/graph"
+	"skinnymine/internal/obs"
 	"skinnymine/internal/testutil"
 )
 
@@ -455,4 +458,71 @@ func copyFileErr(src, dst string) error {
 		return err
 	}
 	return os.WriteFile(dst, data, 0o644)
+}
+
+// TestIndexDefaultConcurrency: every index kind — built, sharded, and
+// loaded from either snapshot kind — defaults to one materialization
+// worker per CPU, the Options.Concurrency convention.
+func TestIndexDefaultConcurrency(t *testing.T) {
+	db := randomPublicDB(t, 17, 4)
+	dir := t.TempDir()
+	want := runtime.GOMAXPROCS(0)
+	for _, shards := range []int{1, 3} {
+		ix, err := BuildShardedIndex(db, 2, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("p%d.idx", shards))
+		if err := ix.WriteSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadIndexFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, x := range map[string]*Index{"built": ix, "loaded": loaded} {
+			if x.Shards() != shards {
+				t.Fatalf("%s index: %d shards, want %d", name, x.Shards(), shards)
+			}
+			if got := x.Concurrency(); got != want {
+				t.Errorf("%s %d-shard index: default concurrency %d, want %d", name, shards, got, want)
+			}
+		}
+	}
+}
+
+// cancelOnSpan is a tracer that cancels a context when a span of the
+// given name starts — a hook into the middle of a materialization.
+type cancelOnSpan struct {
+	name   string
+	cancel context.CancelFunc
+}
+
+func (c cancelOnSpan) Start(name string) *obs.Span {
+	if name == c.name {
+		c.cancel()
+	}
+	return nil
+}
+
+// TestMinimalBackbonesCancelsBetweenSteps: cancellation is observed
+// between level steps at every shard count — a context canceled while
+// the edge level materializes stops before the concatenation, keeping
+// the finished level.
+func TestMinimalBackbonesCancelsBetweenSteps(t *testing.T) {
+	db := randomPublicDB(t, 19, 4)
+	for _, shards := range []int{1, 3} {
+		ix, err := BuildShardedIndex(db, 2, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		ctx = obs.NewContext(ctx, cancelOnSpan{name: "stage1.edges", cancel: cancel})
+		if _, err := ix.MinimalBackbonesContext(ctx, 4); !errors.Is(err, context.Canceled) {
+			t.Errorf("shards=%d: got %v, want context.Canceled", shards, err)
+		}
+		if got := fmt.Sprint(ix.MaterializedLevels()); got != "[1]" {
+			t.Errorf("shards=%d: levels %s after the cancel, want [1]", shards, got)
+		}
+	}
 }

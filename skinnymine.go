@@ -451,24 +451,12 @@ func MineDB(graphs []*Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	if opt.Shards > 1 {
-		// Request-private sharded engine. Stage I prunes at seed
-		// selection (the shard level caches stay complete, like a
-		// shared index); the pattern set is byte-identical either way.
-		eng, err := shard.New(raw, opt.Support, opt.Shards)
-		if err != nil {
-			return nil, err
-		}
-		res, err = eng.Mine(copt)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res, err = core.MineDB(raw, copt)
-		if err != nil {
-			return nil, err
-		}
+	// A request-private engine: Stage I runs shard-parallel when asked
+	// (Partition clamps to the graph count; 0 or 1 is one part) and
+	// PrunePath prunes inside every shard's joins.
+	res, err := core.MineParts(context.Background(), raw, shard.Partition(raw, opt.Shards), copt)
+	if err != nil {
+		return nil, err
 	}
 	return finishResult(res, lt, tk, opt), nil
 }
@@ -542,62 +530,35 @@ func (c *Corpus) NewGraph() *Graph {
 	return &Graph{g: graph.New(16), lt: c.lt}
 }
 
-// indexBackend is the engine behind an Index: the method set
-// core.DirectIndex and shard.Engine share. Everything but snapshot
-// writing and the shard count goes through it, so Index methods don't
-// branch per engine kind.
-type indexBackend interface {
-	Mine(opt core.Options) (*core.Result, error)
-	MinimalPatternsCtx(ctx context.Context, l int) ([]*core.PathPattern, error)
-	Sigma() int
-	NumGraphs() int
-	SetConcurrency(n int)
-	Concurrency() int
-	MaterializedLevels() []int
-}
-
 // Index is the pre-computed minimal-pattern index of the direct mining
 // framework (Figure 2): build once, serve many (l, δ) requests. A
 // sharded index (BuildShardedIndex) answers the same requests with the
 // same bytes, materializing Stage I shard-parallel.
 type Index struct {
-	back indexBackend
-	ix   *core.DirectIndex // set iff unsharded
-	eng  *shard.Engine     // set iff sharded
-	lt   *graph.LabelTable
+	eng *core.Engine
+	lt  *graph.LabelTable
 }
 
 // BuildIndex pre-computes the index over the graphs at threshold σ.
 func BuildIndex(graphs []*Graph, sigma int) (*Index, error) {
-	lt, raw, err := rawGraphs(graphs)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := core.BuildIndex(raw, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{back: ix, ix: ix, lt: lt}, nil
+	return BuildShardedIndex(graphs, sigma, 1)
 }
 
 // BuildShardedIndex pre-computes a sharded index: the database is
 // partitioned across the given shard count (clamped to the graph
 // count), Stage I levels materialize shard-parallel with an exact
 // cross-shard support merge, and every request mines byte-identically
-// to the unsharded index. shards <= 1 builds a plain index.
+// to the unsharded index. One shard is a plain index.
 func BuildShardedIndex(graphs []*Graph, sigma, shards int) (*Index, error) {
-	if shards <= 1 {
-		return BuildIndex(graphs, sigma)
-	}
 	lt, raw, err := rawGraphs(graphs)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := shard.New(raw, sigma, shards)
+	eng, err := core.NewEngine(raw, sigma, shard.Partition(raw, shards))
 	if err != nil {
 		return nil, err
 	}
-	return &Index{back: eng, eng: eng, lt: lt}, nil
+	return &Index{eng: eng, lt: lt}, nil
 }
 
 // rawGraphs unwraps a database sharing one label table.
@@ -622,21 +583,7 @@ func rawGraphs(graphs []*Graph) (*graph.LabelTable, []*graph.Graph, error) {
 // level cache stays complete (and correct for every other request), so
 // constrained and unconstrained requests coexist at one index.
 func (ix *Index) Mine(opt Options) (*Result, error) {
-	if err := opt.stashWhere(); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	copt, tk, err := opt.lower(ix.lt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ix.back.Mine(copt)
-	if err != nil {
-		return nil, err
-	}
-	return finishResult(res, ix.lt, tk, opt), nil
+	return ix.MineContext(context.Background(), opt)
 }
 
 // MinimalBackbones returns the label sequences of the frequent paths of
@@ -647,11 +594,11 @@ func (ix *Index) MinimalBackbones(l int) ([][]string, error) {
 }
 
 // MinimalBackbonesContext is MinimalBackbones honoring request
-// cancellation: a sharded index observes the context between shard
-// materialization steps (and propagates its deadline into remote worker
-// RPCs), an unsharded index checks it at the materialization boundary.
+// cancellation: the index observes the context before any work and
+// between level steps, and a distributed index propagates its deadline
+// into every worker RPC.
 func (ix *Index) MinimalBackbonesContext(ctx context.Context, l int) ([][]string, error) {
-	paths, err := ix.back.MinimalPatternsCtx(ctx, l)
+	paths, err := ix.eng.Level(ctx, l)
 	if err != nil {
 		return nil, err
 	}

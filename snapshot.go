@@ -13,7 +13,6 @@ import (
 	"skinnymine/internal/core"
 	"skinnymine/internal/graph"
 	"skinnymine/internal/indexio"
-	"skinnymine/internal/shard"
 )
 
 // WriteSnapshot serializes the index — label vocabulary, graph database,
@@ -33,10 +32,10 @@ import (
 // single stream; use WriteSnapshotFile, which writes the per-shard
 // snapshot files plus the manifest.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
-	if ix.eng != nil {
+	if ix.eng.Parts() > 1 {
 		return fmt.Errorf("skinnymine: a sharded index snapshots to per-shard files; use WriteSnapshotFile")
 	}
-	return indexio.Save(w, ix.ix.State(), ix.lt)
+	return indexio.Save(w, ix.eng.PartStates()[0], ix.lt)
 }
 
 // WriteSnapshotFile persists the snapshot to path atomically: every
@@ -56,7 +55,7 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 // identical names and bytes, so Save∘Load∘Save is byte-stable. Load
 // either kind with LoadIndexFile.
 func (ix *Index) WriteSnapshotFile(path string) error {
-	if ix.eng == nil {
+	if ix.eng.Parts() == 1 {
 		if err := writeFileAtomic(path, ix.WriteSnapshot); err != nil {
 			return err
 		}
@@ -66,7 +65,7 @@ func (ix *Index) WriteSnapshotFile(path string) error {
 		sweepShardFiles(filepath.Dir(path), filepath.Base(path), nil)
 		return nil
 	}
-	states := ix.eng.ShardStates()
+	states := ix.eng.PartStates()
 	assign := ix.eng.Assignment()
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	m := indexio.Manifest{
@@ -214,11 +213,11 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	cx, err := core.RestoreIndex(st)
+	eng, err := core.RestoreEngine([]core.IndexState{st}, nil, st.Sigma, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{back: cx, ix: cx, lt: lt}, nil
+	return &Index{eng: eng, lt: lt}, nil
 }
 
 // LoadIndexFile restores an index from a snapshot file of either kind,
@@ -256,11 +255,11 @@ func loadShardedIndex(r io.Reader, path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := shard.Restore(parts.states, parts.assign, parts.m.Sigma)
+	eng, err := core.RestoreEngine(parts.states, parts.assign, parts.m.Sigma, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{back: eng, eng: eng, lt: parts.lt}, nil
+	return &Index{eng: eng, lt: parts.lt}, nil
 }
 
 // shardParts is a fully verified sharded snapshot: the manifest plus
@@ -320,32 +319,27 @@ func loadShardParts(r io.Reader, path string) (*shardParts, error) {
 
 // Sigma returns the frequency threshold σ the index was built with;
 // Mine requests must use the same value.
-func (ix *Index) Sigma() int { return ix.back.Sigma() }
+func (ix *Index) Sigma() int { return ix.eng.Sigma() }
 
 // SetConcurrency bounds the worker pool used when MinimalBackbones
 // materializes a level (Mine requests carry their own
 // Options.Concurrency instead). 0 or negative means one worker per
 // available CPU. Call it before serving, not concurrently with
 // requests.
-func (ix *Index) SetConcurrency(n int) { ix.back.SetConcurrency(n) }
+func (ix *Index) SetConcurrency(n int) { ix.eng.SetConcurrency(n) }
 
 // Concurrency reports the worker budget SetConcurrency last established
 // (or the build-time default), always resolved to a positive count. It
 // exists so embedders — and the daemon's regression tests — can verify
 // that nothing reconfigured an index behind their back.
-func (ix *Index) Concurrency() int { return ix.back.Concurrency() }
+func (ix *Index) Concurrency() int { return ix.eng.Concurrency() }
 
 // NumGraphs returns the number of database graphs behind the index.
-func (ix *Index) NumGraphs() int { return ix.back.NumGraphs() }
+func (ix *Index) NumGraphs() int { return ix.eng.NumGraphs() }
 
 // Shards returns the index's shard count: 1 for an unsharded index.
-func (ix *Index) Shards() int {
-	if ix.eng != nil {
-		return ix.eng.Shards()
-	}
-	return 1
-}
+func (ix *Index) Shards() int { return ix.eng.Parts() }
 
 // MaterializedLevels returns the path lengths whose frequent-path level
 // is cached (and would be persisted by WriteSnapshotFile), ascending.
-func (ix *Index) MaterializedLevels() []int { return ix.back.MaterializedLevels() }
+func (ix *Index) MaterializedLevels() []int { return ix.eng.MaterializedLevels() }

@@ -2,6 +2,7 @@ package skinnymine
 
 import (
 	"skinnymine/internal/obs"
+	"skinnymine/internal/shard"
 )
 
 // Trace records the spans of one mining request: per-level Stage I
@@ -94,10 +95,7 @@ type WorkerRPCStats struct {
 // WorkerRPCStats returns per-worker RPC counters ordered by shard, or
 // nil for a non-distributed index. Counters are cumulative since load.
 func (ix *Index) WorkerRPCStats() []WorkerRPCStats {
-	if ix.eng == nil {
-		return nil
-	}
-	ss := ix.eng.WorkerRPCStats()
+	ss := shard.WorkerStats(ix.eng)
 	if ss == nil {
 		return nil
 	}

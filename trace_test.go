@@ -34,7 +34,7 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 }
 
 // TestTraceRecordsStages: a traced request records both mining stages,
-// and a sharded one additionally records per-level shard work.
+// and a sharded one additionally records the cross-shard recount.
 func TestTraceRecordsStages(t *testing.T) {
 	db := randomPublicDB(t, 92, 6)
 	tr := NewTrace()
@@ -45,16 +45,16 @@ func TestTraceRecordsStages(t *testing.T) {
 	for _, s := range tr.Spans() {
 		names[s.Name]++
 	}
-	for _, want := range []string{"stage1", "stage2", "stage1.shard.edges", "stage1.shard.recount"} {
+	for _, want := range []string{"stage1", "stage2", "stage1.edges", "stage1.recount"} {
 		if names[want] == 0 {
 			t.Errorf("no %q span recorded; got %v", want, names)
 		}
 	}
 	// Span attributes carry the per-level candidate counts.
 	for _, s := range tr.Spans() {
-		if s.Name == "stage1.shard.edges" {
+		if s.Name == "stage1.edges" {
 			if _, ok := s.Attrs["candidates"]; !ok {
-				t.Errorf("stage1.shard.edges span lacks a candidates attr: %v", s.Attrs)
+				t.Errorf("stage1.edges span lacks a candidates attr: %v", s.Attrs)
 			}
 		}
 	}
