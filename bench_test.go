@@ -4,8 +4,7 @@ package skinnymine_test
 // (Section 6); each wraps the corresponding internal/exp entry point at
 // a laptop-friendly scale. `go test -bench=. -benchmem` regenerates
 // every result; cmd/experiments prints the same data as tables and
-// supports -full for paper-scale parameters. EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// supports -full for paper-scale parameters.
 
 import (
 	"bytes"
@@ -47,7 +46,7 @@ func benchMineConcurrency(b *testing.B, workers int) {
 	opt := core.DefaultOptions(2, 4, 2)
 	opt.GreedyGrow = true
 	opt.Concurrency = workers
-	b.ReportAllocs() // allocs/op is a tracked metric (scripts/bench_baseline.sh)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Mine(g, opt)
@@ -100,8 +99,7 @@ func BenchmarkMineGreedyText(b *testing.B) {
 // same constraint at output only. Results are byte-identical (pinned by
 // the pushdown-equivalence refguard); compare the extensions/op metric
 // — candidate extensions examined by Stage II — and ns/op for what the
-// pushdown saves. scripts/bench_baseline.sh records both in the
-// per-PR bench JSON.
+// pushdown saves. TestConstrainedWorkPinned pins both extension counts.
 
 // constrainedWhere forbids the dominant background label and caps
 // growth: with Zipf labels most frequent backbones carry a '0', so the
@@ -110,7 +108,7 @@ const constrainedWhere = "!contains(label='0') && vertices<=9 && skinniness<=1"
 
 var constrainedDB []*skinnymine.Graph
 
-func constrainedWorkload(b *testing.B) []*skinnymine.Graph {
+func constrainedWorkload(tb testing.TB) []*skinnymine.Graph {
 	if constrainedDB == nil {
 		// Sized so the unconstrained enumeration stays tractable (the
 		// PostFilter variant pays it in full — that is the point).
@@ -118,23 +116,28 @@ func constrainedWorkload(b *testing.B) []*skinnymine.Graph {
 		g := synth.Skew(rng, synth.SkewOptions{N: 100, AvgDeg: 2.0, Labels: 10, Motifs: 3})
 		var buf bytes.Buffer
 		if err := graph.WriteText(&buf, g); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		db, err := skinnymine.ReadGraphs(&buf)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		constrainedDB = db
 	}
 	return constrainedDB
 }
 
-func benchMineConstrained(b *testing.B, noPushdown bool) {
-	db := constrainedWorkload(b)
-	opt := skinnymine.Options{
+// constrainedOptions is the constrained benchmark's request.
+func constrainedOptions(noPushdown bool) skinnymine.Options {
+	return skinnymine.Options{
 		Support: 3, Length: 4, Delta: 1, Concurrency: 1,
 		Where: constrainedWhere, NoPushdown: noPushdown,
 	}
+}
+
+func benchMineConstrained(b *testing.B, noPushdown bool) {
+	db := constrainedWorkload(b)
+	opt := constrainedOptions(noPushdown)
 	b.ReportAllocs()
 	b.ResetTimer()
 	extensions := 0
@@ -151,13 +154,36 @@ func benchMineConstrained(b *testing.B, noPushdown bool) {
 func BenchmarkMineConstrainedPushdown(b *testing.B)   { benchMineConstrained(b, false) }
 func BenchmarkMineConstrainedPostFilter(b *testing.B) { benchMineConstrained(b, true) }
 
+// TestConstrainedWorkPinned pins the Stage II work of the constrained
+// benchmark's mine: pushdown pruning examines 90 candidate extensions,
+// evaluating the constraint at output only examines 46,576. A change to
+// the pushdown classifier or to Stage II growth must account for any
+// drift (TestGreedyWorkloadStatsPinned pins the unconstrained counters).
+func TestConstrainedWorkPinned(t *testing.T) {
+	db := constrainedWorkload(t)
+	for _, tc := range []struct {
+		noPushdown bool
+		want       int
+	}{
+		{false, 90},
+		{true, 46576},
+	} {
+		res, err := skinnymine.MineDB(db, constrainedOptions(tc.noPushdown))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats.ExtensionsTried; got != tc.want {
+			t.Errorf("NoPushdown=%v: %d extensions tried, want %d", tc.noPushdown, got, tc.want)
+		}
+	}
+}
+
 // Sharded-mining benchmark: a six-graph transaction database mined end
 // to end (Stage I + Stage II, engine construction included — sharding
 // is a per-database cost) unsharded and at P ∈ {2, 4}. Output is
 // byte-identical at every setting (the sharding refguards), so the
 // variants do the same logical work; compare ns/op for what the
 // shard-parallel Stage I and the cross-shard merge cost or save.
-// scripts/bench_baseline.sh records the curve per PR.
 var shardBenchDB []*graph.Graph
 
 func benchShardDB() []*graph.Graph {

@@ -1,15 +1,14 @@
-// Command experiments regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index). Each figure prints as a text
-// table: histograms for the distribution figures, X/Y columns for the
-// runtime curves.
+// Command experiments regenerates the paper's tables and figures (the
+// internal/exp package doc maps each entry point to its figure). Each
+// figure prints as a text table: histograms for the distribution
+// figures, X/Y columns for the runtime curves.
 //
 //	experiments -exp all                 run everything (scaled down)
 //	experiments -exp fig13 -scale 0.2    one experiment, bigger inputs
 //	experiments -exp fig20 -full         paper-scale parameters
 //
 // Absolute times will differ from the paper's 2013 C++ testbed; the
-// shapes (who wins, where curves bend) are the reproduction target and
-// are recorded against the paper in EXPERIMENTS.md.
+// shapes (who wins, where curves bend) are the reproduction target.
 package main
 
 import (

@@ -84,11 +84,9 @@ func main() {
 		save     = flag.String("save", "", "write the index snapshot to this file after loading/building")
 		maxConc  = flag.Int("max-concurrent", 0, "mining runs admitted at once (0: 2× CPUs)")
 		maxLen   = flag.Int("max-length", 0, "largest diameter length a request may ask for (0: 64)")
-		maxBatch = flag.Int("max-batch", 0, "requests accepted per /v1/batch call (0: 64, negative: disable the endpoint)")
-		cache    = flag.Int("cache", 0, "result cache entries (0: 256, negative: disable)")
-		noMorph  = flag.Bool("no-morph", false, "disable morphing cache reuse (answering a miss by post-filtering a cached superset result)")
-		noFamily = flag.Bool("no-family", false, "disable shared-plan batch execution (mining a /v1/batch query family once and forking the members)")
-		ixConc   = flag.Int("index-concurrency", 0, "index worker pool for backbones materialization (>0: that many, <0: one per CPU, 0: leave the index as configured)")
+		maxBatch = flag.Int("max-batch", 0, "requests accepted per /v1/batch call (0: 64)")
+		cache    = flag.Int("cache", 0, "result cache entries (0: 256)")
+		ixConc   = flag.Int("index-concurrency", 0, "index worker pool for backbones materialization (0 or negative: one per CPU)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 
 		worker      = flag.String("worker", "", "serve Stage I for ONE shard snapshot file (worker mode; pairs with a coordinator's -workers)")
@@ -103,7 +101,7 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log encoding: text or json")
 		slowQuery = flag.Duration("slow-query", 0, "log mining runs at least this slow at warn level, with their stage spans (0: disabled)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (both daemon and worker mode)")
-		traceKeep = flag.Int("trace-store", 0, "completed request traces retained for /debug/traces (0: 256, negative: disable the store)")
+		traceKeep = flag.Int("trace-store", 0, "completed request traces retained for /debug/traces (0: 256)")
 	)
 	flag.Parse()
 
@@ -151,10 +149,10 @@ func main() {
 		slog.Info("snapshot saved", "path", *save)
 	}
 
+	ix.SetConcurrency(*ixConc)
 	srv, err := server.New(server.Config{
 		Index: ix, MaxConcurrent: *maxConc, MaxLength: *maxLen,
-		MaxBatch: *maxBatch, CacheSize: *cache, IndexConcurrency: *ixConc,
-		NoMorph: *noMorph, NoFamily: *noFamily,
+		MaxBatch: *maxBatch, CacheSize: *cache,
 		Logger: slog.Default(), SlowQuery: *slowQuery, Pprof: *pprofOn,
 		TraceStore: *traceKeep,
 	})

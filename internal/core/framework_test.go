@@ -70,7 +70,8 @@ func TestSkinnyReducibleAndContinuousOnTrees(t *testing.T) {
 		case w.M() >= w.N():
 			// Cyclic minimal patterns exist too (e.g. the labeled C4 of
 			// TestGrowthParadigmGap): Stage I's frequent paths are not
-			// the complete minimal-pattern set. See DESIGN.md §8.
+			// the complete minimal-pattern set. See ARCHITECTURE.md,
+			// "Known gap: cyclic patterns".
 		default:
 			t.Errorf("unexpected acyclic non-path minimal pattern %v (edges %v)", w.Labels(), w.Edges())
 		}

@@ -239,8 +239,7 @@ func TestScalabilityPoints(t *testing.T) {
 // signals: the index serves every l, DiamMine cost tracks the path
 // counts, and LevelGrow output covers its seeds (up to the harness
 // cap). The paper's decreasing-path-count regime needs the full
-// |V|/f ratio and is only visible near paper scale — see
-// EXPERIMENTS.md.
+// |V|/f ratio and is only visible near paper scale.
 func TestDiameterConstraintShape(t *testing.T) {
 	skipIfShort(t)
 	pts, err := RunDiameterConstraint(Config{Seed: 7, Scale: 0.05}, 5)

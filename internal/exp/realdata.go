@@ -13,8 +13,8 @@ import (
 )
 
 // This file reproduces the real-data experiments of Section 6.3 on the
-// simulated DBLP and Weibo corpora (see DESIGN.md §5 for the
-// substitution rationale).
+// simulated DBLP and Weibo corpora (synth.DBLP and synth.Weibo say why
+// each dataset is simulated and what the simulation keeps).
 
 // RealDataResult summarizes one real-data mining run.
 type RealDataResult struct {

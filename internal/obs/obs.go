@@ -193,8 +193,9 @@ func FromContext(ctx context.Context) Tracer {
 }
 
 // TraceFromContext returns the recording trace carried by ctx, or nil
-// when the context carries no tracer or only the no-op one. The
-// daemon's slow-query log uses this to dump spans after the fact.
+// when the context carries no tracer or only the no-op one. The shard
+// runner uses this to ask workers for their spans only when a request
+// is being traced, and to graft them into that trace.
 func TraceFromContext(ctx context.Context) *Trace {
 	tr, _ := ctx.Value(tracerKey).(*Trace)
 	return tr

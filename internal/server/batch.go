@@ -99,7 +99,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			invalid++
 			continue
 		}
-		key := cacheKey(&mr)
+		key := cacheKey(opt)
 		slots[i].key = key
 		if _, ok := units[key]; !ok {
 			units[key] = &unit{key: key, first: i, opt: opt}
@@ -114,7 +114,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// and fork from it; everything else runs the shared guard stack
 	// independently. Cache hits return immediately, misses queue at the
 	// admission gate together.
-	plans, owned := s.planFamilies(units, order)
+	plans, owned := planFamilies(units, order)
 	var wg sync.WaitGroup
 	for _, fp := range plans {
 		wg.Add(1)

@@ -6,12 +6,12 @@ package server
 // identical — on the patterns array — to what an independent fresh
 // mine of the same request returns. The harness builds randomized
 // query families (band, δ, constraint, and topk variations around a
-// common σ and measure), serves them through an optimized server
-// (morphing + family sharing on) and through a reference server with
-// both optimizers off and the cache disabled, and byte-compares each
-// answer, across client concurrency {1, 8} and index shards {1, 3}.
-// Stats are NOT compared: a morphed or forked body reports zero search
-// counters, which is the honest account of the work it did.
+// common σ and measure), serves them through the server and mines each
+// one fresh through the library (toOptions, Index.Mine, WriteJSON),
+// and byte-compares each answer, across client concurrency {1, 8} and
+// index shards {1, 3}. Stats are NOT compared: a morphed or forked body
+// reports zero search counters, which is the honest account of the
+// work it did.
 
 import (
 	"bytes"
@@ -167,15 +167,30 @@ func runEquivRound(t *testing.T, shards, conc int, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: both optimizers off AND no cache, so every answer is an
-	// independent fresh mine. The two servers share one index — its
-	// level cache memoizes work, never results.
-	_, refTS := newTestServer(t, Config{Index: ix, NoMorph: true, NoFamily: true, CacheSize: -1})
 	optS, optTS := newTestServer(t, Config{Index: ix})
 
 	bodies := equivFamily(rng)
 
-	// Ground truth, one fresh mine per distinct body.
+	// Ground truth, one fresh library mine per distinct body, lowered
+	// exactly as the server lowers it. The library and the server share
+	// one index — its level cache memoizes work, never results.
+	libraryMine := func(body string) ([]byte, error) {
+		var req MineRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			return nil, err
+		}
+		opt, err := optS.toOptions(&req)
+		if err != nil {
+			return nil, err
+		}
+		res, err := ix.Mine(opt)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err = res.WriteJSON(&buf)
+		return buf.Bytes(), err
+	}
 	var mu sync.Mutex
 	truth := make(map[string][]byte)
 	fresh := func(body string) []byte {
@@ -185,7 +200,12 @@ func runEquivRound(t *testing.T, shards, conc int, seed int64) {
 		if ok {
 			return got
 		}
-		got = patternsOf(t, mineBody(t, refTS, body))
+		raw, err := libraryMine(body)
+		if err != nil {
+			t.Errorf("library mine of %s: %v", body, err)
+			return nil
+		}
+		got = patternsOf(t, raw)
 		mu.Lock()
 		truth[body] = got
 		mu.Unlock()

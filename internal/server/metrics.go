@@ -117,12 +117,9 @@ type BatchMetrics struct {
 // search ran for it. runs can exceed cache_misses: a family's shared
 // mine with no member at exactly the family options runs as synthetic
 // work charged to no single request (it appears in runs and latency
-// but in none of the five cache counters). (?trace=1 requests ride the
-// same ledger since the trace store made cached serving possible for
-// them; only on a server with the store disabled do they fall back to
-// bypassing the cache, appearing in runs and latency but in none of
-// the cache counters.) latency_ms is the distribution of run wall
-// clocks.
+// but in none of the five cache counters). Traced (?trace=1) requests
+// ride the same ledger as untraced ones. latency_ms is the distribution
+// of run wall clocks.
 type MineMetrics struct {
 	CacheHits    int64                 `json:"cache_hits"`
 	CacheMisses  int64                 `json:"cache_misses"`
@@ -238,9 +235,9 @@ func writeProm(w io.Writer, snap MetricsSnapshot) error {
 	p("skinnymine_batch_unique_total %d\n", snap.Batch.Unique)
 	p("# TYPE skinnymine_batch_deduped_total counter\n")
 	p("skinnymine_batch_deduped_total %d\n", snap.Batch.Deduped)
-	promHistogram(p, "skinnymine_mine_latency_ms", "", histSnap(snap.Mine.LatencyMs))
-	promHistogram(p, "skinnymine_batch_latency_ms", "", histSnap(snap.Batch.LatencyMs))
-	promHistogram(p, "skinnymine_admission_wait_ms", "", histSnap(snap.AdmissionWaitMs))
+	promHistogram(p, "skinnymine_mine_latency_ms", "", snap.Mine.LatencyMs)
+	promHistogram(p, "skinnymine_batch_latency_ms", "", snap.Batch.LatencyMs)
+	promHistogram(p, "skinnymine_admission_wait_ms", "", snap.AdmissionWaitMs)
 	if len(snap.Workers) > 0 {
 		p("# TYPE skinnymine_worker_healthy gauge\n")
 		p("# TYPE skinnymine_worker_requests_total counter\n")
@@ -262,60 +259,32 @@ func writeProm(w io.Writer, snap MetricsSnapshot) error {
 			p("skinnymine_worker_health_transitions_total%s %d\n", lbl, ws.HealthTransitions)
 		}
 		for _, ws := range snap.Workers {
+			// The public snapshot has the internal one's shape; only
+			// the bucket type differs.
+			h := obs.HistogramSnapshot{Count: ws.Latency.Count, SumMs: ws.Latency.SumMs}
+			for _, b := range ws.Latency.Buckets {
+				h.Buckets = append(h.Buckets, obs.HistogramBucket(b))
+			}
 			promHistogram(p, "skinnymine_worker_rpc_latency_ms",
-				fmt.Sprintf("shard=%q,addr=%q", strconv.Itoa(ws.Shard), ws.Addr),
-				publicHistSnap(ws.Latency))
+				fmt.Sprintf("shard=%q,addr=%q", strconv.Itoa(ws.Shard), ws.Addr), h)
 		}
 	}
 	return err
 }
 
-// promHist is the format-neutral histogram view both snapshot types
-// lower onto for the Prometheus rendering.
-type promHist struct {
-	count   int64
-	sumMs   float64
-	buckets []struct {
-		le    float64
-		count int64
-	}
-}
-
-func histSnap(s obs.HistogramSnapshot) promHist {
-	h := promHist{count: s.Count, sumMs: s.SumMs}
-	for _, b := range s.Buckets {
-		h.buckets = append(h.buckets, struct {
-			le    float64
-			count int64
-		}{b.LeMs, b.Count})
-	}
-	return h
-}
-
-func publicHistSnap(s skinnymine.LatencySnapshot) promHist {
-	h := promHist{count: s.Count, sumMs: s.SumMs}
-	for _, b := range s.Buckets {
-		h.buckets = append(h.buckets, struct {
-			le    float64
-			count int64
-		}{b.LeMs, b.Count})
-	}
-	return h
-}
-
-func promHistogram(p func(string, ...any), name, labels string, h promHist) {
+func promHistogram(p func(string, ...any), name, labels string, h obs.HistogramSnapshot) {
 	sep, suffix := "", ""
 	if labels != "" {
 		sep = ","
 		suffix = "{" + labels + "}"
 	}
 	p("# TYPE %s histogram\n", name)
-	for _, b := range h.buckets {
-		p("%s_bucket{%sle=\"%g\"} %d\n", name, labels+sep, b.le, b.count)
+	for _, b := range h.Buckets {
+		p("%s_bucket{%sle=\"%g\"} %d\n", name, labels+sep, b.LeMs, b.Count)
 	}
-	p("%s_bucket{%sle=\"+Inf\"} %d\n", name, labels+sep, h.count)
-	p("%s_sum%s %g\n", name, suffix, h.sumMs)
-	p("%s_count%s %d\n", name, suffix, h.count)
+	p("%s_bucket{%sle=\"+Inf\"} %d\n", name, labels+sep, h.Count)
+	p("%s_sum%s %g\n", name, suffix, h.SumMs)
+	p("%s_count%s %d\n", name, suffix, h.Count)
 }
 
 // marshalIndented serializes v with a trailing newline, matching the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"skinnymine"
 	"skinnymine/internal/obs"
 )
 
@@ -189,42 +190,6 @@ func TestTraceServesCachedRun(t *testing.T) {
 	}
 }
 
-// TestTraceBypassWithStoreDisabled: with the trace store disabled the
-// legacy ?trace=1 contract holds — bypass the cache (there are no
-// stored spans a hit could show), run fresh, never touch the
-// hit/miss/coalesced ledger, and never seed the cache.
-func TestTraceBypassWithStoreDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{TraceStore: -1})
-	resp, err := http.Post(ts.URL+"/v1/mine?trace=1", "application/json",
-		strings.NewReader(`{"length":4,"delta":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("X-Result-Source"); got != "traced" {
-		t.Errorf("X-Result-Source %q, want traced", got)
-	}
-	tr := decodeBody[TraceResponse](t, resp.Body)
-	if tr.Source != "mined" || len(tr.Spans) == 0 {
-		t.Errorf("bypass trace source %q with %d spans, want mined with spans", tr.Source, len(tr.Spans))
-	}
-	m := s.metrics.snapshot()
-	if m.Mine.CacheHits+m.Mine.CacheMisses+m.Mine.Coalesced != 0 {
-		t.Errorf("traced request touched the cache ledger: %+v", m.Mine)
-	}
-	if m.Mine.Runs != 1 || m.Mine.LatencyMs.Count != 1 {
-		t.Errorf("traced request not counted as a run: runs=%d latency_ms.count=%d",
-			m.Mine.Runs, m.Mine.LatencyMs.Count)
-	}
-
-	// A traced request must not have seeded the cache either: the next
-	// plain request is a miss, not a hit.
-	postMine(t, ts, `{"length":4,"delta":1}`)
-	if m := s.metrics.snapshot(); m.Mine.CacheMisses != 1 || m.Mine.CacheHits != 0 {
-		t.Errorf("after traced + plain: hits=%d misses=%d, want 0/1", m.Mine.CacheHits, m.Mine.CacheMisses)
-	}
-}
-
 // TestMetricsNotFound: unroutable paths show up under
 // requests_total.not_found instead of vanishing.
 func TestMetricsNotFound(t *testing.T) {
@@ -302,6 +267,33 @@ func TestMetricsProm(t *testing.T) {
 	}
 }
 
+// TestMetricsPromWorkerHistogram: a distributed index's per-worker RPC
+// latency renders through the same histogram writer as the daemon's
+// own histograms, labeled by shard and address.
+func TestMetricsPromWorkerHistogram(t *testing.T) {
+	snap := MetricsSnapshot{Workers: []skinnymine.WorkerRPCStats{{
+		Addr: "w0:9001", Healthy: true,
+		Latency: skinnymine.LatencySnapshot{Count: 3, SumMs: 4.5, MaxMs: 4,
+			Buckets: []skinnymine.LatencyBucket{{LeMs: 1, Count: 1}, {LeMs: 5, Count: 3}}},
+	}}}
+	var buf bytes.Buffer
+	if err := writeProm(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE skinnymine_worker_rpc_latency_ms histogram",
+		`skinnymine_worker_rpc_latency_ms_bucket{shard="0",addr="w0:9001",le="1"} 1`,
+		`skinnymine_worker_rpc_latency_ms_bucket{shard="0",addr="w0:9001",le="5"} 3`,
+		`skinnymine_worker_rpc_latency_ms_bucket{shard="0",addr="w0:9001",le="+Inf"} 3`,
+		`skinnymine_worker_rpc_latency_ms_sum{shard="0",addr="w0:9001"} 4.5`,
+		`skinnymine_worker_rpc_latency_ms_count{shard="0",addr="w0:9001"} 3`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("prom exposition missing %q", want)
+		}
+	}
+}
+
 // syncWriter guards a buffer against the server goroutines still
 // logging while the test reads it.
 type syncWriter struct {
@@ -322,7 +314,8 @@ func (s *syncWriter) String() string {
 }
 
 // TestSlowQueryLog: with a zero-ish threshold every run is "slow"; the
-// warn line carries the duration, the request ID and the run's spans.
+// warn line carries the duration, the request ID, the link to the
+// run's stored trace and the run's spans.
 func TestSlowQueryLog(t *testing.T) {
 	buf := &syncWriter{}
 	logger := slog.New(slog.NewTextHandler(buf, nil))
@@ -340,6 +333,9 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if !strings.Contains(out, "slowq-test-id") {
 		t.Errorf("slow-query line lacks the request ID:\n%s", out)
+	}
+	if !strings.Contains(out, "/debug/traces?id=slowq-test-id") {
+		t.Errorf("slow-query line lacks the stored trace link:\n%s", out)
 	}
 	if !strings.Contains(out, "stage1") {
 		t.Errorf("slow-query line lacks spans:\n%s", out)

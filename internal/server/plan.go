@@ -12,8 +12,6 @@ package server
 // the bytes; equiv_test pins that against independent fresh mining.
 
 import (
-	"bytes"
-	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -47,29 +45,6 @@ type familyPlan struct {
 	carrier *unit
 }
 
-// familyKey renders a family's options in the exact format cacheKey
-// uses for wire requests — so a later /v1/mine for the same canonical
-// options hits the family's cached result — plus a seed-lengths suffix
-// when the family's band union has gaps: a length-restricted result
-// must never be served to a whole-band request.
-func familyKey(o skinnymine.Options) string {
-	measure := "embeddings"
-	if o.Measure == skinnymine.GraphCount {
-		measure = "graphs"
-	}
-	where := o.Where
-	if o.WhereExpr != nil {
-		where = o.WhereExpr.String()
-	}
-	key := fmt.Sprintf("s=%d l=%d ml=%d d=%d m=%s max=%v cl=%v mp=%d c=%d w=%q",
-		o.Support, o.Length, o.MinLength, o.Delta, measure,
-		false, false, 0, 0, where)
-	if len(o.SeedLengths) > 0 {
-		key += fmt.Sprintf(" sl=%v", o.SeedLengths)
-	}
-	return key
-}
-
 // planFamilies groups a batch's unique units into executable query
 // families. Units are eligible when their options are pure
 // enumerations (no greedy/closed/budget modes — the same requests
@@ -78,12 +53,8 @@ func familyKey(o skinnymine.Options) string {
 // FamilyOptions, and only members whose containment in that superset
 // is provable (CanMorph) fork from it — the rest run independently. A
 // family needs at least two forkable members to be worth a shared
-// mine. Returns the plans plus the set of unit keys they own; nil when
-// the server runs with NoFamily.
-func (s *Server) planFamilies(units map[string]*unit, order []string) ([]*familyPlan, map[string]bool) {
-	if s.noFamily {
-		return nil, nil
-	}
+// mine. Returns the plans plus the set of unit keys they own.
+func planFamilies(units map[string]*unit, order []string) ([]*familyPlan, map[string]bool) {
 	groups := make(map[string][]*unit)
 	for _, key := range order {
 		u := units[key]
@@ -116,7 +87,7 @@ func (s *Server) planFamilies(units map[string]*unit, order []string) ([]*family
 		if !ok {
 			continue
 		}
-		fp := &familyPlan{fam: fam, famKey: familyKey(fam)}
+		fp := &familyPlan{fam: fam, famKey: cacheKey(fam)}
 		for _, u := range group {
 			if !skinnymine.CanMorph(fam, u.opt) {
 				continue
@@ -141,11 +112,7 @@ func (s *Server) planFamilies(units map[string]*unit, order []string) ([]*family
 // morph scan, coalescing, admission — exactly as /v1/mine would.
 func (s *Server) runUnit(r *http.Request, u *unit) {
 	t0 := time.Now()
-	morphTo := &u.opt
-	if s.noMorph {
-		morphTo = nil
-	}
-	u.p, u.source, u.err = s.execute(r, u.key, true, morphTo, s.mineProduce("/v1/batch", u.opt))
+	u.p, u.source, u.err = s.execute(r, u.key, true, &u.opt, s.mineProduce("/v1/batch", u.opt))
 	u.dur = time.Since(t0)
 }
 
@@ -163,13 +130,11 @@ func (s *Server) runFamily(r *http.Request, fp *familyPlan) {
 	t0 := time.Now()
 	var pending []*unit
 	for _, u := range fp.members {
-		if s.cache != nil {
-			if hit, ok := s.cache.get(u.key); ok {
-				s.metrics.mine.cacheHits.Add(1)
-				s.recordServed(r, "hit", hit.traceID)
-				u.p, u.source, u.dur = hit, "hit", time.Since(t0)
-				continue
-			}
+		if hit, ok := s.cache.get(u.key); ok {
+			s.metrics.mine.cacheHits.Add(1)
+			s.recordServed(r, "hit", hit.traceID)
+			u.p, u.source, u.dur = hit, "hit", time.Since(t0)
+			continue
 		}
 		pending = append(pending, u)
 	}
@@ -186,9 +151,8 @@ func (s *Server) runFamily(r *http.Request, fp *familyPlan) {
 	// credited manually below so the family mine is charged to exactly
 	// one request when a member anchors it, and to none when synthetic.
 	famP, famSource, err := s.execute(r, fp.famKey, false, nil, s.mineProduce("/v1/batch", fp.fam))
-	if err != nil || famP.res == nil {
-		// Shared mine failed (or a cached family body arrived without
-		// its decoded result): every pending member falls back to the
+	if err != nil {
+		// Shared mine failed: every pending member falls back to the
 		// independent path, which does its own accounting.
 		for _, u := range pending {
 			s.runUnit(r, u)
@@ -210,19 +174,10 @@ func (s *Server) runFamily(r *http.Request, fp *familyPlan) {
 			u.p, u.source, u.dur = famP, famSource, time.Since(t0)
 			continue
 		}
-		res, merr := skinnymine.Morph(famP.res, famP.opts, u.opt)
-		if merr != nil {
+		up, ok := s.fork(famP, u.key, u.opt)
+		if !ok {
 			s.runUnit(r, u)
 			continue
-		}
-		var buf bytes.Buffer
-		if merr := res.WriteJSON(&buf); merr != nil {
-			s.runUnit(r, u)
-			continue
-		}
-		up := produced{body: buf.Bytes(), traceID: famP.traceID, res: res, opts: u.opt}
-		if s.cache != nil {
-			s.cache.put(u.key, up)
 		}
 		s.metrics.mine.familyShared.Add(1)
 		s.recordServed(r, "family_shared", famP.traceID)

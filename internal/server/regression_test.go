@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -264,10 +263,8 @@ func TestMetricsCountMissAtLeadershipOnly(t *testing.T) {
 	}
 }
 
-// TestIndexConcurrencyConfig pins the Config.IndexConcurrency contract:
-// zero leaves the embedder's setting untouched (New used to silently
-// reset it to one-per-CPU), positive sets exactly that budget, negative
-// asks for one worker per CPU.
+// TestIndexConcurrencyConfig: the index, and so its concurrency,
+// belongs to the embedder; New leaves it as configured.
 func TestIndexConcurrencyConfig(t *testing.T) {
 	ix := buildIndex(t)
 	ix.SetConcurrency(3)
@@ -276,19 +273,7 @@ func TestIndexConcurrencyConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := ix.Concurrency(); got != 3 {
-		t.Errorf("IndexConcurrency=0 reconfigured the index to %d workers, want the embedder's 3", got)
-	}
-	if _, err := New(Config{Index: ix, IndexConcurrency: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Concurrency(); got != 5 {
-		t.Errorf("IndexConcurrency=5 set %d workers", got)
-	}
-	if _, err := New(Config{Index: ix, IndexConcurrency: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Concurrency(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("IndexConcurrency=-1 set %d workers, want one per CPU (%d)", got, runtime.GOMAXPROCS(0))
+		t.Errorf("New reconfigured the index to %d workers, want the embedder's 3", got)
 	}
 }
 

@@ -25,9 +25,8 @@
 // run, no admission slot), and /v1/batch entries forming a query
 // family (skinnymine.FamilyOptions — one σ and measure, varying band,
 // δ, anti-monotone constraints) share one mine of the weakest superset
-// and fork per entry ("family_shared", plan.go). Config.NoMorph and
-// Config.NoFamily switch the optimizer off for A/B timing and for the
-// equivalence tests' reference server.
+// and fork per entry ("family_shared", plan.go). The optimizer is
+// always on; equiv_test.go checks its answers against the library's.
 //
 // Concurrency and ownership: one Server owns its cache, flight group,
 // metrics and admission semaphore; every handler is safe for arbitrary
@@ -68,7 +67,7 @@ type Config struct {
 	// (the admission gate). 0 means twice the available CPUs.
 	MaxConcurrent int
 	// CacheSize is the LRU result cache capacity in entries. 0 means
-	// 256; negative disables caching.
+	// 256; negative is an error.
 	CacheSize int
 	// MaxLength caps the diameter length a request may ask for. Every
 	// served length grows the index's level cache permanently and the
@@ -76,23 +75,16 @@ type Config struct {
 	// would let one request exhaust the process. 0 means 64.
 	MaxLength int
 	// MaxBatch caps how many requests one /v1/batch call may carry.
-	// 0 means 64; negative disables the endpoint (404).
+	// 0 means 64; negative is an error.
 	MaxBatch int
-	// IndexConcurrency, when non-zero, sets the index's own worker pool
-	// (skinnymine.Index.SetConcurrency) — the budget backbones
-	// materialization uses; Mine requests carry their own. > 0 sets that
-	// many workers, < 0 sets one per available CPU, and 0 leaves the
-	// index exactly as the embedder configured it. (The server used to
-	// silently reset the caller-owned index to one-per-CPU; it no longer
-	// touches it unless asked.)
-	IndexConcurrency int
 	// Logger receives the daemon's structured log lines (per-request
 	// access lines at debug, slow queries at warn). nil means
 	// slog.Default().
 	Logger *slog.Logger
 	// SlowQuery, when > 0, logs any mining run at least this slow at
-	// warn level — with the run's spans attached, so the log line alone
-	// says where the time went. 0 disables the slow-query log.
+	// warn level — with the run's spans and its /debug/traces link
+	// attached, so the log line alone says where the time went. 0
+	// disables the slow-query log.
 	SlowQuery time.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/. Off by default:
 	// profiles expose internals and cost real CPU, so they are opt-in.
@@ -100,19 +92,8 @@ type Config struct {
 	// TraceStore is how many completed request traces the always-on
 	// trace store retains (ring of the most recent, plus a few exemplars
 	// per latency bucket so slow traces survive fast traffic). 0 means
-	// 256; negative disables the store and the /debug/traces endpoint.
+	// 256; negative is an error.
 	TraceStore int
-	// NoMorph disables morphing cache reuse: on a cache miss the LRU is
-	// no longer scanned for a subsuming superset entry to post-filter
-	// (skinnymine.CanMorph/Morph), and every miss mines. The optimizer
-	// never changes response bytes — the knob exists for A/B timing and
-	// for the equivalence tests' reference server.
-	NoMorph bool
-	// NoFamily disables shared-plan batch execution: /v1/batch entries
-	// forming a query family (skinnymine.FamilyOptions) are mined
-	// independently instead of once-plus-forks. Same byte-identity
-	// guarantee and purpose as NoMorph.
-	NoFamily bool
 }
 
 // Server serves mining requests over HTTP. Create one with New and
@@ -120,17 +101,15 @@ type Config struct {
 type Server struct {
 	ix       *skinnymine.Index
 	maxLen   int
-	maxBatch int // 0 disables /v1/batch
+	maxBatch int
 	sem      chan struct{}
-	cache    *lruCache // nil when caching is disabled
+	cache    *lruCache
 	flights  *flightGroup
 	metrics  *metrics
 	log      *slog.Logger
 	slowQry  time.Duration // 0 disables the slow-query log
 	pprofOn  bool
-	traces   *obs.TraceStore // nil when the trace store is disabled
-	noMorph  bool
-	noFamily bool
+	traces   *obs.TraceStore
 
 	// mineFn runs one mining request under the leader request's context
 	// (a distributed index propagates it into worker RPCs); tests
@@ -139,10 +118,16 @@ type Server struct {
 	mineFn func(context.Context, skinnymine.Options) (*skinnymine.Result, error)
 }
 
-// New returns a Server over the index.
+// New returns a Server over the index. The index's own concurrency
+// (backbones materialization; Mine requests carry their own) belongs to
+// the embedder, and New leaves it as configured.
 func New(cfg Config) (*Server, error) {
 	if cfg.Index == nil {
 		return nil, fmt.Errorf("server: Config.Index is required")
+	}
+	if cfg.CacheSize < 0 || cfg.MaxBatch < 0 || cfg.TraceStore < 0 {
+		return nil, fmt.Errorf("server: CacheSize (%d), MaxBatch (%d) and TraceStore (%d) must not be negative; 0 means the default",
+			cfg.CacheSize, cfg.MaxBatch, cfg.TraceStore)
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
@@ -150,48 +135,29 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxLength <= 0 {
 		cfg.MaxLength = 64
 	}
-	switch {
-	case cfg.MaxBatch == 0:
+	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 64
-	case cfg.MaxBatch < 0:
-		cfg.MaxBatch = 0 // endpoint disabled
 	}
-	// The index's own concurrency (backbones materialization; Mine
-	// requests carry their own) belongs to the embedder: touch it only
-	// when explicitly asked.
-	switch {
-	case cfg.IndexConcurrency > 0:
-		cfg.Index.SetConcurrency(cfg.IndexConcurrency)
-	case cfg.IndexConcurrency < 0:
-		cfg.Index.SetConcurrency(0) // one worker per available CPU
+	if cfg.CacheSize == 0 {
+		cfg.CacheSize = 256
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	s := &Server{
+	return &Server{
 		ix:       cfg.Index,
 		maxLen:   cfg.MaxLength,
 		maxBatch: cfg.MaxBatch,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
+		cache:    newLRUCache(cfg.CacheSize),
 		flights:  newFlightGroup(),
 		metrics:  newMetrics(),
 		log:      cfg.Logger,
 		slowQry:  cfg.SlowQuery,
 		pprofOn:  cfg.Pprof,
-		noMorph:  cfg.NoMorph,
-		noFamily: cfg.NoFamily,
+		traces:   obs.NewTraceStore(cfg.TraceStore, 0), // 0s: default 256 traces, 4 exemplars/bucket
 		mineFn:   cfg.Index.MineContext,
-	}
-	switch {
-	case cfg.CacheSize == 0:
-		s.cache = newLRUCache(256)
-	case cfg.CacheSize > 0:
-		s.cache = newLRUCache(cfg.CacheSize)
-	}
-	if cfg.TraceStore >= 0 {
-		s.traces = obs.NewTraceStore(cfg.TraceStore, 0) // 0s: default 256 traces, 4 exemplars/bucket
-	}
-	return s, nil
+	}, nil
 }
 
 // Handler returns the daemon's route table, wrapped in the
@@ -199,15 +165,11 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/mine", s.handleMine)
-	if s.maxBatch > 0 {
-		mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	}
+	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/backbones", s.handleBackbones)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.traces != nil {
-		mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	}
+	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	if s.pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -289,10 +251,10 @@ type MineRequest struct {
 	MaxPatterns int    `json:"max_patterns,omitempty"`
 	Concurrency int    `json:"concurrency,omitempty"`
 	// Where is a declarative pattern constraint (skinnymine.Options.
-	// Where); invalid expressions are a 400. toOptions rewrites it to
-	// the parsed form's canonical rendering, so whitespace variants of
-	// one expression share a cache entry while any semantic difference
-	// — including only in the topk clause — keys separately.
+	// Where); invalid expressions are a 400. cacheKey keys it by the
+	// parsed form's canonical rendering, so whitespace variants of one
+	// expression share a cache entry while any semantic difference —
+	// including only in the topk clause — keys separately.
 	Where string `json:"where,omitempty"`
 }
 
@@ -335,26 +297,20 @@ func (s *Server) toOptions(req *MineRequest) (skinnymine.Options, error) {
 	switch strings.ToLower(req.Measure) {
 	case "", "embeddings":
 		opt.Measure = skinnymine.EmbeddingCount
-		req.Measure = "embeddings"
 	case "graphs":
 		opt.Measure = skinnymine.GraphCount
-		req.Measure = "graphs"
 	default:
 		return zero, fmt.Errorf("measure %q is not \"embeddings\" or \"graphs\"", req.Measure)
 	}
-	// Canonicalize the constraint: whitespace variants of one
-	// expression must share a cache entry, and an unparsable one is the
-	// client's fault (400). The parsed form rides along on the options
-	// so mining does not re-parse.
+	// An unparsable constraint is the client's fault (400). The parsed
+	// form rides along on the options, so mining does not re-parse and
+	// cacheKey keys its canonical rendering.
 	if strings.TrimSpace(req.Where) != "" {
 		c, err := skinnymine.ParseConstraint(req.Where)
 		if err != nil {
 			return zero, err
 		}
 		opt.WhereExpr = c
-		req.Where = c.String()
-	} else {
-		req.Where = ""
 	}
 	// Remaining field validation is the library's: the daemon rejects
 	// exactly what Mine and the CLI reject, with the same messages.
@@ -364,23 +320,38 @@ func (s *Server) toOptions(req *MineRequest) (skinnymine.Options, error) {
 	return opt, nil
 }
 
-// cacheKey canonicalizes the (already default-resolved) request into
-// the cache and coalescing key. Concurrency is excluded unless
-// max_patterns is set: output is byte-identical at every worker count,
-// except under a pattern budget where which patterns win the race may
-// depend on scheduling — there, differently-concurrent requests must
-// not share a cache entry. Where arrives here already rewritten to its
-// canonical rendering (toOptions), so spelling variants of one
+// cacheKey renders canonical options (toOptions, or a batch family's
+// FamilyOptions) as the cache and coalescing key, so a request and a
+// family mine of the same options share one entry. Concurrency is
+// excluded unless MaxPatterns is set: output is byte-identical at every
+// worker count, except under a pattern budget where which patterns win
+// the race may depend on scheduling — there, differently-concurrent
+// requests must not share a cache entry. The constraint is keyed by its
+// parsed form's canonical rendering, so spelling variants of one
 // constraint hit one entry and semantically different constraints —
-// down to the topk clause — never collide.
-func cacheKey(req *MineRequest) string {
-	conc := 0
-	if req.MaxPatterns > 0 {
-		conc = req.Concurrency
+// down to the topk clause — never collide. A family whose band union
+// has gaps adds its seed lengths: a length-restricted result must never
+// be served to a whole-band request.
+func cacheKey(o skinnymine.Options) string {
+	measure := "embeddings"
+	if o.Measure == skinnymine.GraphCount {
+		measure = "graphs"
 	}
-	return fmt.Sprintf("s=%d l=%d ml=%d d=%d m=%s max=%v cl=%v mp=%d c=%d w=%q",
-		req.Support, req.Length, req.MinLength, req.Delta, req.Measure,
-		req.MaximalOnly, req.ClosedOnly, req.MaxPatterns, conc, req.Where)
+	where := o.Where
+	if o.WhereExpr != nil {
+		where = o.WhereExpr.String()
+	}
+	conc := 0
+	if o.MaxPatterns > 0 {
+		conc = o.Concurrency
+	}
+	key := fmt.Sprintf("s=%d l=%d ml=%d d=%d m=%s max=%v cl=%v mp=%d c=%d w=%q",
+		o.Support, o.Length, o.MinLength, o.Delta, measure,
+		o.MaximalOnly, o.ClosedOnly, o.MaxPatterns, conc, where)
+	if len(o.SeedLengths) > 0 {
+		key += fmt.Sprintf(" sl=%v", o.SeedLengths)
+	}
+	return key
 }
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
@@ -398,10 +369,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("trace") == "1" {
-		s.serveTraced(w, r, cacheKey(&req), opt)
+		s.serveTraced(w, r, cacheKey(opt), opt)
 		return
 	}
-	s.serveCached(w, r, cacheKey(&req), true, &opt, s.mineProduce("/v1/mine", opt))
+	s.serveCached(w, r, cacheKey(opt), true, &opt, s.mineProduce("/v1/mine", opt))
 }
 
 // TraceResponse is the ?trace=1 payload: the normal mining result plus
@@ -427,14 +398,8 @@ type TraceResponse struct {
 // coalescing, admission gate, the hit/miss/coalesced ledger — because
 // the trace store retains every run's spans: a hot key serves the
 // cached bytes plus the stored trace of the original run instead of
-// paying a full mine for visibility (it used to bypass the cache and
-// re-mine). With the store disabled the old bypass behavior remains,
-// as the only way to get spans then is to run fresh.
+// paying a full mine for visibility.
 func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, key string, opt skinnymine.Options) {
-	if s.traces == nil {
-		s.serveTracedBypass(w, r, opt)
-		return
-	}
 	p, source, err := s.execute(r, key, true, &opt, s.mineProduce("/v1/mine", opt))
 	if err != nil {
 		s.writeError(w, errStatus(err), err.Error())
@@ -466,50 +431,10 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, key string,
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// serveTracedBypass is the pre-store ?trace=1 path, kept for servers
-// running with the trace store disabled: bypass the cache and
-// coalescing (a cached body has no spans to show), run fresh, return
-// the run's own spans. Takes an admission slot and counts under runs
-// and latency, but not the cache ledger.
-func (s *Server) serveTracedBypass(w http.ResponseWriter, r *http.Request, opt skinnymine.Options) {
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.writeError(w, errStatus(err), err.Error())
-		return
-	}
-	defer release()
-	tr := skinnymine.NewTrace()
-	opt.Trace = tr
-	s.metrics.mine.inFlight.Add(1)
-	s.metrics.mine.runs.Add(1)
-	t0 := time.Now()
-	res, err := s.mineFn(r.Context(), opt)
-	dur := time.Since(t0)
-	s.metrics.mine.inFlight.Add(-1)
-	if err != nil {
-		s.metrics.mine.errors.Add(1)
-		s.writeError(w, errStatus(err), err.Error())
-		return
-	}
-	s.metrics.observeMine(dur)
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("X-Result-Source", "traced")
-	s.writeJSON(w, http.StatusOK, TraceResponse{
-		RequestID: obs.RequestID(r.Context()),
-		Source:    "mined",
-		TotalMs:   float64(dur.Microseconds()) / 1000,
-		Spans:     tr.Spans(),
-		Result:    json.RawMessage(buf.Bytes()),
-	})
-}
-
 // produced is what one producer run yields: the serialized response
 // body plus the trace ID (the leader request's ID) under which the
-// run's spans live in the trace store — "" when nothing was recorded.
+// run's spans live in the trace store — "" for a backbones listing,
+// which records no trace.
 // Mining producers additionally carry the decoded result and the
 // options that produced it, which is what the multi-query optimizer
 // consumes: a cached produced is a morph source (tryMorph) and a
@@ -525,26 +450,21 @@ type produced struct {
 }
 
 // mineProduce returns the producer for one mining request: run the
-// request, record latency and — with the trace store on — the run's
-// full span set, serialize the wire body. Shared by /v1/mine and
-// /v1/batch so both feed the same /metrics mine section. The context
-// is the leader request's: its deadline and cancellation reach a
-// distributed index's worker RPCs.
+// request, record its latency and its full span set in the trace
+// store, serialize the wire body. Shared by /v1/mine and /v1/batch so
+// both feed the same /metrics mine section. The context is the leader
+// request's: its deadline and cancellation reach a distributed index's
+// worker RPCs.
 func (s *Server) mineProduce(endpoint string, opt skinnymine.Options) func(context.Context) (produced, error) {
 	return func(ctx context.Context) (produced, error) {
 		s.metrics.mine.inFlight.Add(1)
 		defer s.metrics.mine.inFlight.Add(-1)
 		s.metrics.mine.runs.Add(1)
-		// With the trace store on, every run records spans — that is the
-		// store's point: the fleet explains itself after the fact, not
-		// only when ?trace=1 was guessed in advance. Without it, spans
-		// are still recorded speculatively for the slow-query log
-		// (whether a run was slow is only known once it finishes).
-		var qt *obs.Trace
-		if (s.traces != nil || s.slowQry > 0) && obs.TraceFromContext(ctx) == nil {
-			qt = obs.NewTrace()
-			ctx = obs.NewContext(ctx, qt)
-		}
+		// Every run records spans — that is the trace store's point: the
+		// fleet explains itself after the fact, not only when ?trace=1
+		// was guessed in advance.
+		qt := obs.NewTrace()
+		ctx = obs.NewContext(ctx, qt)
 		t0 := time.Now()
 		res, err := s.mineFn(ctx, opt)
 		dur := time.Since(t0)
@@ -553,29 +473,23 @@ func (s *Server) mineProduce(endpoint string, opt skinnymine.Options) func(conte
 		}
 		s.metrics.observeMine(dur)
 		traceID := obs.RequestID(ctx)
-		if s.traces != nil && qt != nil {
-			spans := qt.Snapshot()
-			s.traces.Record(obs.StoredTrace{
-				ID: traceID, Endpoint: endpoint, Source: "miss", Start: t0,
-				DurationMs: float64(dur.Microseconds()) / 1000,
-				Workers:    countWorkerShards(spans), Spans: spans,
-			})
-		}
+		spans := qt.Snapshot()
+		s.traces.Record(obs.StoredTrace{
+			ID: traceID, Endpoint: endpoint, Source: "miss", Start: t0,
+			DurationMs: float64(dur.Microseconds()) / 1000,
+			Workers:    countWorkerShards(spans), Spans: spans,
+		})
 		if s.slowQry > 0 && dur >= s.slowQry {
 			s.metrics.mine.slowQueries.Add(1)
 			attrs := []any{
 				"dur_ms", float64(dur.Microseconds()) / 1000,
 				"length", opt.Length, "delta", opt.Delta,
-				"request_id", obs.RequestID(ctx),
-			}
-			if s.traces != nil {
+				"request_id", traceID,
 				// The stored trace outlives this log line; link it.
-				attrs = append(attrs, "trace", "/debug/traces?id="+traceID)
+				"trace", "/debug/traces?id=" + traceID,
 			}
-			if qt != nil {
-				if b, err := json.Marshal(qt.Snapshot()); err == nil {
-					attrs = append(attrs, "spans", string(b))
-				}
+			if b, err := json.Marshal(spans); err == nil {
+				attrs = append(attrs, "spans", string(b))
 			}
 			s.log.Warn("slow query", attrs...)
 		}
@@ -583,13 +497,7 @@ func (s *Server) mineProduce(endpoint string, opt skinnymine.Options) func(conte
 		if err := res.WriteJSON(&buf); err != nil {
 			return produced{}, err
 		}
-		p := produced{body: buf.Bytes(), traceID: traceID, res: res, opts: opt}
-		if s.noMorph && s.noFamily {
-			// Nothing will ever read the decoded result; keep only the
-			// bytes so the cache's memory profile stays what it was.
-			p.res = nil
-		}
-		return p, nil
+		return produced{body: buf.Bytes(), traceID: traceID, res: res, opts: opt}, nil
 	}
 }
 
@@ -653,18 +561,16 @@ func errStatus(err error) int {
 // batch and single requests share one cache, one coalescing domain,
 // and one admission gate.
 func (s *Server) execute(r *http.Request, key string, trackMine bool, morphTo *skinnymine.Options, produce func(context.Context) (produced, error)) (p produced, source string, err error) {
-	if s.cache != nil {
-		if hit, ok := s.cache.get(key); ok {
-			if trackMine {
-				s.metrics.mine.cacheHits.Add(1)
-				s.recordServed(r, "hit", hit.traceID)
-			}
-			return hit, "hit", nil
+	if hit, ok := s.cache.get(key); ok {
+		if trackMine {
+			s.metrics.mine.cacheHits.Add(1)
+			s.recordServed(r, "hit", hit.traceID)
 		}
+		return hit, "hit", nil
 	}
 
 	run := func() (produced, error) {
-		if morphTo != nil && !s.noMorph && s.cache != nil {
+		if morphTo != nil {
 			if mp, ok := s.tryMorph(key, *morphTo); ok {
 				return mp, nil
 			}
@@ -675,7 +581,7 @@ func (s *Server) execute(r *http.Request, key string, trackMine bool, morphTo *s
 		// under coalesced; counting it as a miss too would overstate
 		// misses by exactly the coalesced count and understate the hit
 		// rate (see MineMetrics for the denominator semantics).
-		if s.cache != nil && trackMine {
+		if trackMine {
 			s.metrics.mine.cacheMisses.Add(1)
 		}
 		release, err := s.admit(r.Context())
@@ -687,9 +593,7 @@ func (s *Server) execute(r *http.Request, key string, trackMine bool, morphTo *s
 		if err != nil {
 			return produced{}, err
 		}
-		if s.cache != nil {
-			s.cache.put(key, p)
-		}
+		s.cache.put(key, p)
 		return p, nil
 	}
 	var shared bool
@@ -733,34 +637,42 @@ func (s *Server) execute(r *http.Request, key string, trackMine bool, morphTo *s
 
 // tryMorph attempts to answer a cache miss without mining: scan the
 // LRU (hottest first) for an entry whose options provably subsume the
-// request's (skinnymine.CanMorph) and post-filter its decoded result
-// into the requested one (skinnymine.Morph). The morphed response is
-// serialized and cached under the request's own key, so the NEXT
-// identical request is a plain hit — and, carrying its own decoded
-// result, the morphed entry can itself seed further morphs. The
-// returned value keeps the superset run's trace ID: that run is where
-// the patterns actually came from, and /debug/traces should say so.
-// The stats section of a morphed body is zero — no search ran — while
-// the patterns bytes are identical to a fresh mine's; the equivalence
-// tests pin exactly that.
+// request's (skinnymine.CanMorph) and fork the request out of it.
 func (s *Server) tryMorph(key string, to skinnymine.Options) (produced, bool) {
 	for _, cand := range s.cache.morphCandidates() {
 		if !skinnymine.CanMorph(cand.opts, to) {
 			continue
 		}
-		res, err := skinnymine.Morph(cand.res, cand.opts, to)
-		if err != nil {
-			continue
+		if p, ok := s.fork(cand, key, to); ok {
+			p.morphed = true
+			return p, true
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
-			continue
-		}
-		p := produced{body: buf.Bytes(), traceID: cand.traceID, res: res, opts: to, morphed: true}
-		s.cache.put(key, p)
-		return p, true
 	}
 	return produced{}, false
+}
+
+// fork answers to from src, a produced superset result, by
+// post-filtering src's decoded result (skinnymine.Morph). The answer is
+// serialized and cached under its own key, so the NEXT identical
+// request is a plain hit — and, carrying its own decoded result, it can
+// itself seed further morphs. It keeps src's trace ID: the run that
+// mined the superset is where the patterns actually came from, and
+// /debug/traces should say so. The stats section of a forked body is
+// zero — no search ran — while the patterns bytes are identical to a
+// fresh mine's; the equivalence tests pin exactly that. ok is false
+// when the morph or the encode fails.
+func (s *Server) fork(src produced, key string, to skinnymine.Options) (p produced, ok bool) {
+	res, err := skinnymine.Morph(src.res, src.opts, to)
+	if err != nil {
+		return produced{}, false
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		return produced{}, false
+	}
+	p = produced{body: buf.Bytes(), traceID: src.traceID, res: res, opts: to}
+	s.cache.put(key, p)
+	return p, true
 }
 
 // recordServed retains a span-less trace-store entry for a request
@@ -769,9 +681,6 @@ func (s *Server) tryMorph(key string, to skinnymine.Options) (produced, bool) {
 // then lists every mining request with how it was served, not only the
 // runs.
 func (s *Server) recordServed(r *http.Request, source, runID string) {
-	if s.traces == nil {
-		return
-	}
 	s.traces.Record(obs.StoredTrace{
 		ID:       obs.RequestID(r.Context()),
 		Endpoint: r.URL.Path,

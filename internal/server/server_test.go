@@ -354,25 +354,6 @@ func TestDeltaNegativeCanonicalized(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{CacheSize: -1})
-	if s.cache != nil {
-		t.Fatal("negative CacheSize should disable the cache")
-	}
-	postMine(t, ts, `{"length":4,"delta":1}`)
-	resp := postMine(t, ts, `{"length":4,"delta":1}`)
-	if src := resp.Header.Get("X-Result-Source"); src == "hit" {
-		t.Error("cache disabled but request hit")
-	}
-	m := s.metrics.snapshot()
-	if m.Mine.Runs != 2 {
-		t.Error("cache disabled should mine every request")
-	}
-	if m.Mine.CacheHits != 0 || m.Mine.CacheMisses != 0 {
-		t.Errorf("hits=%d misses=%d, want 0/0 with the cache disabled", m.Mine.CacheHits, m.Mine.CacheMisses)
-	}
-}
-
 // TestFlightGroupSurvivesPanic pins the cleanup contract: a panicking
 // run must release its waiters with an error and deregister the key so
 // later requests do not hang.
@@ -395,9 +376,63 @@ func TestFlightGroupSurvivesPanic(t *testing.T) {
 	}
 }
 
-func TestNewRequiresIndex(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("New without an index should fail")
+// TestNewRejectsBadConfig: New needs an index, and a negative
+// CacheSize, MaxBatch or TraceStore is an error — 0 means the default,
+// and none of them can be switched off.
+func TestNewRejectsBadConfig(t *testing.T) {
+	ix := buildIndex(t)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no index", Config{}},
+		{"negative CacheSize", Config{Index: ix, CacheSize: -1}},
+		{"negative MaxBatch", Config{Index: ix, MaxBatch: -1}},
+		{"negative TraceStore", Config{Index: ix, TraceStore: -1}},
+	} {
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("%s: New accepted the config", tc.name)
+		}
+	}
+}
+
+// TestCacheKeyGolden pins the cache key strings: the LRU, the
+// coalescing domain and the family plans all key on them, so a request
+// and a family mine of the same options must render one string, and the
+// format must not drift.
+func TestCacheKeyGolden(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, tc := range []struct{ body, want string }{
+		{`{"length":4,"delta":-7}`,
+			`s=2 l=4 ml=0 d=-1 m=embeddings max=false cl=false mp=0 c=0 w=""`},
+		{`{"length":4,"min_length":2,"delta":2,"where":"vertices <= 8 &&  edges<=9"}`,
+			`s=2 l=4 ml=2 d=2 m=embeddings max=false cl=false mp=0 c=0 w="vertices<=8 && edges<=9"`},
+		{`{"length":3,"delta":2,"measure":"graphs","where":"support>=3"}`,
+			`s=2 l=3 ml=0 d=2 m=graphs max=false cl=false mp=0 c=0 w="support>=3"`},
+		{`{"length":4,"delta":1,"max_patterns":5,"concurrency":3}`,
+			`s=2 l=4 ml=0 d=1 m=embeddings max=false cl=false mp=5 c=3 w=""`},
+	} {
+		var req MineRequest
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		opt, err := s.toOptions(&req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if got := cacheKey(opt); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.body, got, tc.want)
+		}
+	}
+	fam, ok := skinnymine.FamilyOptions([]skinnymine.Options{
+		{Support: 2, Length: 2, Delta: 1},
+		{Support: 2, Length: 4, MinLength: 4, Delta: 2, Where: "vertices<=8"},
+	})
+	if !ok {
+		t.Fatal("FamilyOptions declined a two-member family")
+	}
+	if got, want := cacheKey(fam), `s=2 l=4 ml=2 d=2 m=embeddings max=false cl=false mp=0 c=0 w="" sl=[2 4]`; got != want {
+		t.Errorf("family key:\n got %s\nwant %s", got, want)
 	}
 }
 

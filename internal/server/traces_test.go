@@ -48,8 +48,7 @@ func TestDebugTracesList(t *testing.T) {
 }
 
 // TestDebugTracesDetail: ?id= returns the retained run as a span tree
-// with non-negative offsets; an unknown ID is a 404, and so is the
-// whole endpoint on a server with the store disabled.
+// with non-negative offsets; an unknown ID is a 404.
 func TestDebugTracesDetail(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	miss := postMine(t, ts, `{"length":4,"delta":1}`)
@@ -90,16 +89,6 @@ func TestDebugTracesDetail(t *testing.T) {
 	notFound.Body.Close()
 	if notFound.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: status %d, want 404", notFound.StatusCode)
-	}
-
-	_, off := newTestServer(t, Config{TraceStore: -1})
-	gone, err := http.Get(off.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone.Body.Close()
-	if gone.StatusCode != http.StatusNotFound {
-		t.Errorf("store disabled: /debug/traces status %d, want 404", gone.StatusCode)
 	}
 }
 

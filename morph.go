@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"skinnymine/internal/constraint"
-	"skinnymine/internal/graph"
 )
 
 // Pattern morphing: answering one request from another request's
@@ -121,20 +120,12 @@ func Morph(res *Result, from, to Options) (*Result, error) {
 	lens := lengthSet(to)
 	m := to.measure()
 	c, _ := to.parsedWhere()
-	var accept func(g *graph.Graph, skinniness int32, sup int) bool
+	// The same binding and attribute view lower installs as the mining
+	// output filter, so a morph judges each pattern against the facts a
+	// fresh mine would.
+	var b *constraint.Bound
 	if c != nil && c.Expr != nil {
-		lt := res.Patterns[0].lt
-		// The same binding and attribute view lower installs as the
-		// mining output filter, so a morph judges each pattern against
-		// the facts a fresh mine would.
-		b := c.Bind(lt, to.Measure == GraphCount)
-		accept = func(g *graph.Graph, skinniness int32, sup int) bool {
-			return b.Accept(constraint.Attrs{
-				Vertices: g.N(), Edges: g.M(),
-				Skinniness: int(skinniness), Support: sup,
-				Labels: g.Labels(),
-			})
-		}
+		b = c.Bind(res.Patterns[0].lt, to.Measure == GraphCount)
 	}
 	for _, p := range res.Patterns {
 		if !lens[int(p.p.DiamLen)] {
@@ -143,7 +134,7 @@ func Morph(res *Result, from, to Options) (*Result, error) {
 		if to.Delta >= 0 && int(p.p.MaxLevel()) > to.Delta {
 			continue
 		}
-		if accept != nil && !accept(p.p.G, p.p.MaxLevel(), p.p.Embs.Count(m)) {
+		if b != nil && !b.Accept(patternAttrs(p.p.G, p.p.MaxLevel(), p.p.Embs.Count(m))) {
 			continue
 		}
 		out.Patterns = append(out.Patterns, p)

@@ -8,6 +8,8 @@
 #      (README.md, ARCHITECTURE.md, CHANGES.md, ROADMAP.md and any
 #      markdown under examples/) must point at a file or directory that
 #      exists.
+#   3. Every markdown file a Go comment names (`see ARCHITECTURE.md`)
+#      must exist, next to the Go file or at the repo root.
 #
 # Exits non-zero with one line per violation.
 set -uo pipefail
@@ -48,6 +50,24 @@ for doc in $docs; do
     fi
   done < <(grep -o ']([^)]*)' "$doc" | sed 's/^](//; s/)$//')
 done
+
+echo "== markdown files named in Go comments"
+# Each hit is "<file>:<line> <name>": the text after a line's first //
+# scanned for *.md names. Names starting with / are URL tails.
+while read -r loc name; do
+  case "$name" in /*) continue ;; esac
+  if [ ! -e "$(dirname "${loc%%:*}")/$name" ] && [ ! -e "$name" ]; then
+    echo "DANGLING markdown reference at $loc: $name"
+    fail=1
+  fi
+done < <(find . -name '*.go' -not -path './.git/*' | sort | xargs awk '
+  i = index($0, "//") {
+    rest = substr($0, i + 2)
+    while (match(rest, /[A-Za-z0-9_.\/-]+\.md/)) {
+      print FILENAME ":" FNR " " substr(rest, RSTART, RLENGTH)
+      rest = substr(rest, RSTART + RLENGTH)
+    }
+  }')
 
 if [ "$fail" -ne 0 ]; then
   echo "FAIL: documentation check"

@@ -300,31 +300,33 @@ func (o Options) lower(lt *graph.LabelTable) (core.Options, *constraint.TopK, er
 	// Support atoms are anti-monotone (and so pushdown-eligible) only
 	// under the graph-transaction measure; see internal/constraint.
 	b := c.Bind(lt, o.Measure == GraphCount)
-	// One attribute view feeds both hooks: pushdown and output
-	// filtering must never judge a pattern against different facts.
-	attrs := func(g *graph.Graph, skinniness int32, sup int) constraint.Attrs {
-		return constraint.Attrs{
-			Vertices: g.N(), Edges: g.M(),
-			Skinniness: int(skinniness), Support: sup,
-			Labels: g.Labels(),
-		}
-	}
 	if !o.NoPushdown {
 		if b.HasPathPushdown() {
 			copt.PrunePath = b.RejectPath
 		}
 		if b.HasPushdown() {
 			copt.PrunePattern = func(g *graph.Graph, skinniness int32, sup int) bool {
-				return b.Reject(attrs(g, skinniness, sup))
+				return b.Reject(patternAttrs(g, skinniness, sup))
 			}
 		}
 	}
 	if c.Expr != nil {
 		copt.OutputFilter = func(g *graph.Graph, skinniness int32, sup int) bool {
-			return b.Accept(attrs(g, skinniness, sup))
+			return b.Accept(patternAttrs(g, skinniness, sup))
 		}
 	}
 	return copt, c.TopK, nil
+}
+
+// patternAttrs is the one attribute view a constraint judges a pattern
+// by. Pushdown, the output filter (lower) and Morph all read it, so a
+// pruned, a filtered and a morphed pattern are judged on the same facts.
+func patternAttrs(g *graph.Graph, skinniness int32, sup int) constraint.Attrs {
+	return constraint.Attrs{
+		Vertices: g.N(), Edges: g.M(),
+		Skinniness: int(skinniness), Support: sup,
+		Labels: g.Labels(),
+	}
 }
 
 // Constraint is a parsed Where expression. Parsing is cheap but not
