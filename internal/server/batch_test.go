@@ -284,6 +284,20 @@ func TestBatchBadRequests(t *testing.T) {
 	}
 }
 
+// TestBatchDisabled: the batch endpoint cannot be switched off. New
+// rejects a negative MaxBatch, which once meant "off", and the zero
+// value serves /v1/batch under the default cap.
+func TestBatchDisabled(t *testing.T) {
+	if _, err := New(Config{Index: buildIndex(t), MaxBatch: -1}); err == nil {
+		t.Fatal("New accepted a negative MaxBatch")
+	}
+	_, ts := newTestServer(t, Config{})
+	resp := postBatch(t, ts, `{"requests":[{"length":4,"delta":1}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch endpoint with MaxBatch 0 returned %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestBatchConcurrentWithSingles: batches and single requests race
 // safely and coalesce across the shared flight group.
 func TestBatchConcurrentWithSingles(t *testing.T) {

@@ -376,18 +376,22 @@ func TestFlightGroupSurvivesPanic(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBadConfig: New needs an index, and a negative
-// CacheSize, MaxBatch or TraceStore is an error — 0 means the default,
-// and none of them can be switched off.
+func TestNewRequiresIndex(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New without an index should fail")
+	}
+}
+
+// TestNewRejectsBadConfig: a negative CacheSize or TraceStore is an
+// error — 0 means the default, and neither can be switched off.
+// MaxBatch has the same rule; TestBatchDisabled covers it.
 func TestNewRejectsBadConfig(t *testing.T) {
 	ix := buildIndex(t)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"no index", Config{}},
 		{"negative CacheSize", Config{Index: ix, CacheSize: -1}},
-		{"negative MaxBatch", Config{Index: ix, MaxBatch: -1}},
 		{"negative TraceStore", Config{Index: ix, TraceStore: -1}},
 	} {
 		if _, err := New(tc.cfg); err == nil {
