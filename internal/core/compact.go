@@ -1,18 +1,14 @@
 package core
 
-import (
-	"slices"
+import "skinnymine/internal/graph"
 
-	"skinnymine/internal/graph"
-)
-
-// Compact hash-keyed structures for the Stage I hot paths. The join and
-// dedup loops of DiamMine touch every candidate embedding; materializing
-// a string key per touch (the original design) dominated the allocation
-// profile. Everything here keys on a 64-bit FNV-1a hash instead and
-// verifies the full key on a hash hit, so dedup semantics are exactly
-// those of the string-keyed maps while the hot path allocates nothing
-// per embedding.
+// Compact hash-keyed structures for the Stage I hot paths. The joins
+// touch every candidate embedding, so nothing here materializes a key
+// per touch: buckets and the merge join index key on 64-bit FNV-1a
+// hashes and verify the exact labels or vertices on a hash hit, and the
+// concat join index packs (graph ID, vertex) exactly into a uint64.
+// Candidates themselves need no dedup structure at all, because the
+// joins assemble every oriented path once.
 
 const (
 	fnvOffset64 = 0xcbf29ce484222325
@@ -27,16 +23,6 @@ func mix64(h uint64, v uint32) uint64 {
 	return (h ^ uint64(v)) * fnvPrime64
 }
 
-// orientedHash hashes the exact oriented embedding (GID, vertex
-// sequence) — the hashed form of PathEmb.key.
-func (p PathEmb) orientedHash() uint64 {
-	h := mix64(fnvOffset64, uint32(p.GID))
-	for _, v := range p.Seq {
-		h = mix64(h, uint32(v))
-	}
-	return h
-}
-
 // canonicalForward reports whether the vertex sequence reads canonically
 // in its stored direction, i.e. it is <= its own reversal.
 func (p PathEmb) canonicalForward() bool {
@@ -45,53 +31,6 @@ func (p PathEmb) canonicalForward() bool {
 	for i := 0; i < n; i++ {
 		if s[i] != s[n-1-i] {
 			return s[i] < s[n-1-i]
-		}
-	}
-	return true
-}
-
-// subgraphHash hashes the orientation-independent key (GID plus the
-// canonical orientation of the vertex sequence) — the hashed form of
-// PathEmb.subgraphKey.
-func (p PathEmb) subgraphHash() uint64 {
-	h := mix64(fnvOffset64, uint32(p.GID))
-	s := p.Seq
-	n := len(s)
-	if p.canonicalForward() {
-		for i := 0; i < n; i++ {
-			h = mix64(h, uint32(s[i]))
-		}
-	} else {
-		for i := n - 1; i >= 0; i-- {
-			h = mix64(h, uint32(s[i]))
-		}
-	}
-	return h
-}
-
-// pathEmbEqual reports exact oriented equality.
-func pathEmbEqual(a, b PathEmb) bool {
-	return a.GID == b.GID && slices.Equal(a.Seq, b.Seq)
-}
-
-// sameSubgraph reports whether two oriented embeddings occupy the same
-// path subgraph: equal GID and equal canonical orientations.
-func sameSubgraph(a, b PathEmb) bool {
-	if a.GID != b.GID || len(a.Seq) != len(b.Seq) {
-		return false
-	}
-	n := len(a.Seq)
-	af, bf := a.canonicalForward(), b.canonicalForward()
-	for i := 0; i < n; i++ {
-		av, bv := a.Seq[i], b.Seq[i]
-		if !af {
-			av = a.Seq[n-1-i]
-		}
-		if !bf {
-			bv = b.Seq[n-1-i]
-		}
-		if av != bv {
-			return false
 		}
 	}
 	return true
@@ -143,8 +82,6 @@ func labelsEqualDir(canon, seq []graph.Label, forward bool) bool {
 	}
 	return true
 }
-
-func labelSeqsEqual(a, b []graph.Label) bool { return slices.Equal(a, b) }
 
 // gidVertexKey packs a (graph ID, vertex) pair into one exact uint64 —
 // the byFirst join index key needs no verification.

@@ -24,6 +24,15 @@
 // MineDB build a request-private engine per call, which may prune
 // inside its joins; a shared engine (the serving index) never does.
 //
+// The joins assemble every oriented path exactly once, from one pair of
+// shorter stored paths, and store both orientations. So candidates are
+// collected without dedup, and support, the number of distinct path
+// subgraphs, is the number of canonical-forward embeddings (collect).
+// The cross-part recount is the same bucket-and-collect step over the
+// parts' candidates. ValidateLevel checks that rule, with vertex
+// ranges, on every level that enters from outside the joins: restored
+// snapshots and both directions of the shard wire.
+//
 // # Support measures and result budgets
 //
 // Pattern frequency is counted by one of three measures
@@ -42,9 +51,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -58,53 +67,12 @@ type PathEmb struct {
 	Seq graph.Path
 }
 
-// key returns an exact string key for the oriented sequence. The mining
-// hot path dedups on orientedHash instead; the string form remains for
-// tests and reference implementations.
-func (p PathEmb) key() string {
-	b := make([]byte, 0, 4+len(p.Seq)*4)
-	b = append4(b, p.GID)
-	for _, v := range p.Seq {
-		b = append4(b, v)
-	}
-	return string(b)
-}
-
-// subgraphKey returns an orientation-independent string key: both
-// orientations of the same path subgraph collide. The mining hot path
-// uses subgraphHash; the string form remains for tests and reference
-// implementations.
-func (p PathEmb) subgraphKey() string {
-	n := len(p.Seq)
-	rev := make(graph.Path, n)
-	for i, v := range p.Seq {
-		rev[n-1-i] = v
-	}
-	seq := p.Seq
-	for i := 0; i < n; i++ {
-		if rev[i] != seq[i] {
-			if rev[i] < seq[i] {
-				seq = rev
-			}
-			break
-		}
-	}
-	b := make([]byte, 0, 4+n*4)
-	b = append4(b, p.GID)
-	for _, v := range seq {
-		b = append4(b, v)
-	}
-	return string(b)
-}
-
-func append4(b []byte, v int32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
 // PathPattern is a frequent path pattern: its canonical label sequence
-// and all oriented embeddings (each path subgraph contributes both
-// traversal orders, so joins are symmetric). Support counts distinct
-// subgraphs.
+// and all oriented embeddings, ascending by (graph ID, vertex
+// sequence). Each path subgraph contributes both traversal orders, so
+// joins are symmetric, and exactly one of the two reads canonically
+// forward: Support, the number of distinct subgraphs, is the number of
+// canonical-forward embeddings, half of Embs.
 type PathPattern struct {
 	Seq     []graph.Label
 	Embs    []PathEmb
@@ -114,81 +82,34 @@ type PathPattern struct {
 // Length returns the path length in edges.
 func (p *PathPattern) Length() int { return len(p.Seq) - 1 }
 
-// pathBucket accumulates oriented embeddings for one candidate pattern.
-// Dedup runs on 64-bit hashes with intrusive chains over the embedding
-// slice — seenHead/seenNext dedup exact oriented sequences, subHead/
-// subNext count distinct subgraphs — and every hash hit verifies the
-// full key, so the semantics are those of the former string-keyed maps
-// without materializing a key per embedding.
+// pathBucket accumulates the oriented embeddings of one candidate
+// pattern. It needs no dedup: the joins assemble every oriented path
+// exactly once (see concat and merge), and collect counts the support.
 type pathBucket struct {
-	seq      []graph.Label
-	embs     []PathEmb
-	seenHead map[uint64]int32 // oriented hash -> newest emb index
-	seenNext []int32          // per emb: previous index with same hash
-	subHead  map[uint64]int32 // subgraph hash -> newest representative
-	subNext  []int32          // per emb: previous representative chain
-	nsub     int              // distinct subgraphs (the support)
-}
-
-func newPathBucket(seq []graph.Label) *pathBucket {
-	return &pathBucket{
-		seq:      seq,
-		seenHead: make(map[uint64]int32),
-		subHead:  make(map[uint64]int32),
-	}
-}
-
-// add records an oriented embedding if it is new. When borrowed is true
-// e.Seq aliases a caller scratch buffer and is copied only if the
-// embedding is actually stored — duplicate candidates allocate nothing.
-func (b *pathBucket) add(e PathEmb, borrowed bool) {
-	h := e.orientedHash()
-	head, dupHash := b.seenHead[h]
-	if dupHash {
-		for i := head; i >= 0; i = b.seenNext[i] {
-			if pathEmbEqual(b.embs[i], e) {
-				return
-			}
-		}
-	}
-	if borrowed {
-		e.Seq = append(graph.Path(nil), e.Seq...)
-	}
-	idx := int32(len(b.embs))
-	b.embs = append(b.embs, e)
-	if dupHash {
-		b.seenNext = append(b.seenNext, head)
-	} else {
-		b.seenNext = append(b.seenNext, -1)
-	}
-	b.seenHead[h] = idx
-
-	b.subNext = append(b.subNext, -1)
-	sh := e.subgraphHash()
-	if shead, ok := b.subHead[sh]; ok {
-		for i := shead; i >= 0; i = b.subNext[i] {
-			if sameSubgraph(b.embs[i], e) {
-				return // subgraph already counted
-			}
-		}
-		b.subNext[idx] = shead
-	}
-	b.subHead[sh] = idx
-	b.nsub++
-}
-
-// merge folds another worker's bucket for the same pattern into b. The
-// other bucket's embeddings are already owned copies, so no cloning.
-func (b *pathBucket) merge(o *pathBucket) {
-	for _, e := range o.embs {
-		b.add(e, false)
-	}
+	seq  []graph.Label
+	embs []PathEmb
 }
 
 // bucketMap indexes candidate buckets by the 64-bit hash of their
 // canonical label sequence; the short slice is the collision chain,
 // resolved by exact sequence comparison.
 type bucketMap map[uint64][]*pathBucket
+
+// fold adds b's embeddings to the bucket of b's label sequence, or
+// adopts b when there is none. It merges the worker-private maps of a
+// parallel join and the parts of a cross-part recount; neither needs
+// dedup, since each oriented path is assembled by one worker of one
+// part.
+func (m bucketMap) fold(b *pathBucket) {
+	h := hashLabelsDir(b.seq, true)
+	for _, dst := range m[h] {
+		if slices.Equal(dst.seq, b.seq) {
+			dst.embs = append(dst.embs, b.embs...)
+			return
+		}
+	}
+	m[h] = append(m[h], b)
+}
 
 // joinScratch is the per-worker reusable state of the Stage I joins: the
 // stamped vertex set replacing the per-join map, plus label and
@@ -264,7 +185,7 @@ func (r *localRunner) edgeCandidates(gids []int32) []*PathPattern {
 			}
 		}
 	}
-	return r.collect(buckets)
+	return collect(buckets, r.minSup)
 }
 
 // flattenEmbs gathers every oriented embedding of every pattern into one
@@ -309,10 +230,9 @@ func (r *localRunner) joinBuckets(pool []*PathPattern, workers int,
 // parBuckets runs the join body over [0, n) across a pool of the given
 // worker count, each worker filling a private bucket map (with private
 // scratch) over contiguous chunks claimed from a shared counter, then
-// merges the worker maps. Bucket membership is set-valued (exact-key
-// dedup, orientation-independent support sets) and collect sorts
-// everything it emits, so the merged result is identical to the
-// sequential one regardless of scheduling.
+// merges the worker maps. Each candidate lands in exactly one worker's
+// map and collect sorts everything it emits, so the merged result is
+// identical to the sequential one regardless of scheduling.
 func (r *localRunner) parBuckets(n, workers int, run func(lo, hi int, buckets bucketMap, sc *joinScratch)) bucketMap {
 	if workers > n {
 		workers = n
@@ -354,29 +274,13 @@ func (r *localRunner) parBuckets(n, workers int, run func(lo, hi int, buckets bu
 	wg.Wait()
 	out := locals[0]
 	for _, loc := range locals[1:] {
-		for h, chain := range loc {
+		for _, chain := range loc {
 			for _, b := range chain {
-				dst := findBucket(out[h], b.seq)
-				if dst == nil {
-					out[h] = append(out[h], b)
-					continue
-				}
-				dst.merge(b)
+				out.fold(b)
 			}
 		}
 	}
 	return out
-}
-
-// findBucket resolves a hash chain by exact canonical-sequence
-// comparison.
-func findBucket(chain []*pathBucket, seq []graph.Label) *pathBucket {
-	for _, b := range chain {
-		if labelSeqsEqual(b.seq, seq) {
-			return b
-		}
-	}
-	return nil
 }
 
 // concat joins pairs of frequent paths of length L end-to-end into
@@ -384,7 +288,8 @@ func findBucket(chain []*pathBucket, seq []graph.Label) *pathBucket {
 // pattern stores both orientations of every embedding, a single
 // last-vertex index covers all of CheckConcat's cases. The index keys
 // (GID, vertex) pairs packed exactly into a uint64, so lookups need no
-// verification.
+// verification. An oriented path v0..v2L is assembled once: only from
+// its halves v0..vL and vL..v2L, each stored once in prev.
 func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
 	byFirst := make(map[uint64][]PathEmb)
 	for _, p := range prev {
@@ -411,7 +316,7 @@ func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
 			r.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
 		}
 	})
-	return r.collect(buckets)
+	return collect(buckets, r.minSup)
 }
 
 // merge overlaps two length-m paths to form paths of length l with
@@ -420,6 +325,8 @@ func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
 // of every embedding are stored. The index is keyed by the 64-bit hash
 // of (GID, prefix); every candidate is verified against the exact
 // suffix before joining, so hash collisions never produce a bogus join.
+// An oriented path v0..vl is assembled once: only from v0..vm and
+// v(l-m)..vl, which overlap in exactly o edges.
 func (r *localRunner) merge(pool []*PathPattern, l, pm int, workers int) []*PathPattern {
 	o := 2*pm - l // overlap in edges, >= 1
 	byPrefix := make(map[uint64][]PathEmb)
@@ -451,7 +358,7 @@ func (r *localRunner) merge(pool []*PathPattern, l, pm int, workers int) []*Path
 			r.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
 		}
 	})
-	return r.collect(buckets)
+	return collect(buckets, r.minSup)
 }
 
 // prefixMatches reports whether seq starts with the given prefix.
@@ -459,11 +366,11 @@ func prefixMatches(seq graph.Path, prefix graph.Path) bool {
 	return len(seq) >= len(prefix) && slices.Equal(seq[:len(prefix)], prefix)
 }
 
-// bucketAdd routes a candidate embedding (whose Seq may alias scratch)
-// to its pattern bucket, keyed by the canonical label sequence. Labels
-// are gathered into the worker's scratch buffer and hashed in canonical
-// direction; a fresh label slice is materialized only when a new bucket
-// is created.
+// bucketAdd stores a copy of a candidate embedding (whose Seq aliases
+// scratch) in its pattern bucket, keyed by the canonical label
+// sequence. Labels are gathered into the worker's scratch buffer and
+// hashed in canonical direction; a fresh label slice is materialized
+// only when a new bucket is created.
 func (r *localRunner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
 	g := r.graphs[e.GID]
 	sc.labels = sc.labels[:0]
@@ -479,11 +386,12 @@ func (r *localRunner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
 		r.pruned.Add(1)
 		return
 	}
+	e.Seq = slices.Clone(e.Seq)
 	fwd := canonLabelsForward(sc.labels)
 	h := hashLabelsDir(sc.labels, fwd)
 	for _, b := range buckets[h] {
 		if labelsEqualDir(b.seq, sc.labels, fwd) {
-			b.add(e, true)
+			b.embs = append(b.embs, e)
 			return
 		}
 	}
@@ -496,36 +404,43 @@ func (r *localRunner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
 			canon[i] = sc.labels[n-1-i]
 		}
 	}
-	b := newPathBucket(canon)
-	buckets[h] = append(buckets[h], b)
-	b.add(e, true)
+	buckets[h] = append(buckets[h], &pathBucket{seq: canon, embs: []PathEmb{e}})
 }
 
-// collect applies the runner's threshold and sorts patterns, and each
-// pattern's embeddings by (graph ID, vertex sequence).
-func (r *localRunner) collect(buckets bucketMap) []*PathPattern {
+// collect turns buckets into patterns: each pattern's support is its
+// number of canonical-forward embeddings, patterns below minSup are
+// dropped, and the rest sort by label sequence, each with its
+// embeddings ascending by (graph ID, vertex sequence). The joins apply
+// the runner's threshold here, and the cross-part recount applies σ.
+func collect(buckets bucketMap, minSup int) []*PathPattern {
 	var out []*PathPattern
 	for _, chain := range buckets {
 		for _, b := range chain {
-			if b.nsub < r.minSup {
+			sup := 0
+			for _, e := range b.embs {
+				if e.canonicalForward() {
+					sup++
+				}
+			}
+			if sup < minSup {
 				continue
 			}
-			sort.Slice(b.embs, func(i, j int) bool {
-				if b.embs[i].GID != b.embs[j].GID {
-					return b.embs[i].GID < b.embs[j].GID
-				}
-				return comparePaths(b.embs[i].Seq, b.embs[j].Seq) < 0
-			})
-			out = append(out, &PathPattern{Seq: b.seq, Embs: b.embs, Support: b.nsub})
+			slices.SortFunc(b.embs, comparePathEmbs)
+			out = append(out, &PathPattern{Seq: b.seq, Embs: b.embs, Support: sup})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return graph.CompareLabelSeqs(out[i].Seq, out[j].Seq) < 0
-	})
+	slices.SortFunc(out, func(a, b *PathPattern) int { return graph.CompareLabelSeqs(a.Seq, b.Seq) })
 	return out
 }
 
-func comparePaths(a, b graph.Path) int { return slices.Compare(a, b) }
+// comparePathEmbs orders embeddings by graph ID, then vertex sequence:
+// the order every level stores them in.
+func comparePathEmbs(a, b PathEmb) int {
+	if a.GID != b.GID {
+		return cmp.Compare(a.GID, b.GID)
+	}
+	return slices.Compare(a.Seq, b.Seq)
+}
 
 // disjointAfterJoint reports whether seq's vertices beyond its first are
 // all absent from the stamped set inA.

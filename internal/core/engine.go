@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -55,8 +54,8 @@ type Runner interface {
 // are exactly the unsharded candidates restricted to its graphs. With
 // one in-process part the joins apply σ themselves and a step's output
 // is the level. Otherwise every part reports threshold-1 candidates and
-// the cross-part recount (mergeLevel) groups them by label sequence,
-// recounts distinct path subgraphs and applies σ; each part's share of
+// the cross-part recount (mergeLevel) buckets them by label sequence,
+// counts canonical-forward embeddings and applies σ; each part's share of
 // the survivors is its input to the next step, so parts only ever
 // extend globally frequent paths. Both routes give the same bytes.
 //
@@ -392,87 +391,51 @@ func (e *Engine) store(l int, level []*PathPattern, parts [][]*PathPattern) {
 }
 
 // mergeLevel folds the parts' candidate lists for one path level into
-// the global level, with exact support aggregation:
-//
-//   - Candidates group across parts by canonical label sequence.
-//   - A pattern's embeddings are the concatenation of its per-part
-//     embeddings, re-sorted into the canonical order (graph ID, then
-//     vertex sequence). The lists are disjoint by construction — every
-//     embedding lives in one graph, every graph in one part — so
-//     nothing needs dedup.
-//   - Support is recomputed from the merged embeddings (distinct path
-//     subgraphs: of a subgraph's two stored traversal orders exactly
-//     one is canonical), never summed from per-part counters.
-//   - σ is applied here, and survivors sort by label sequence.
-//
-// The result is byte-identical to the level one in-process part
+// the global level by the joins' own bucket-and-collect step: the parts'
+// patterns fold into buckets by label sequence, and collect counts each
+// pattern's support over all parts' embeddings, applies σ and sorts.
+// The lists need no dedup, because every embedding lives in one graph
+// and every graph in one part, and no per-part support is summed. The
+// result is byte-identical to the level one in-process part
 // materializes (pinned by the sharding refguards). The second result is
 // each part's share of the survivors: only globally frequent paths,
 // only the part's own embeddings.
 func mergeLevel(parts [][]*PathPattern, sigma int) (global []*PathPattern, local [][]*PathPattern) {
-	type agg struct {
-		seq  []graph.Label
-		embs []PathEmb
-	}
-	seen := make(map[string]*agg)
-	var order []*agg
+	buckets := make(bucketMap)
 	for _, part := range parts {
 		for _, p := range part {
-			k := labelKey(p.Seq)
-			a, ok := seen[k]
-			if !ok {
-				a = &agg{seq: p.Seq}
-				seen[k] = a
-				order = append(order, a)
-			}
-			a.embs = append(a.embs, p.Embs...)
+			// A copy, because collect sorts the bucket in place.
+			buckets.fold(&pathBucket{seq: p.Seq, embs: slices.Clone(p.Embs)})
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return graph.CompareLabelSeqs(order[i].seq, order[j].seq) < 0
-	})
-
-	frequent := make(map[string]bool, len(order))
-	for _, a := range order {
-		sort.Slice(a.embs, func(i, j int) bool {
-			if a.embs[i].GID != a.embs[j].GID {
-				return a.embs[i].GID < a.embs[j].GID
-			}
-			return slices.Compare(a.embs[i].Seq, a.embs[j].Seq) < 0
-		})
-		sup := 0
-		for _, e := range a.embs {
-			if e.canonicalForward() {
-				sup++
-			}
-		}
-		if sup < sigma {
-			continue
-		}
-		frequent[labelKey(a.seq)] = true
-		global = append(global, &PathPattern{Seq: a.seq, Embs: a.embs, Support: sup})
-	}
-
+	global = collect(buckets, sigma)
 	local = make([][]*PathPattern, len(parts))
 	for s, part := range parts {
-		kept := make([]*PathPattern, 0, len(part))
-		for _, p := range part {
-			if frequent[labelKey(p.Seq)] {
-				kept = append(kept, p)
-			}
-		}
-		local[s] = kept
+		local[s] = slices.DeleteFunc(slices.Clone(part), func(p *PathPattern) bool {
+			_, ok := slices.BinarySearchFunc(global, p.Seq, func(g *PathPattern, seq []graph.Label) int {
+				return graph.CompareLabelSeqs(g.Seq, seq)
+			})
+			return !ok
+		})
 	}
 	return global, local
 }
 
-// labelKey packs a label sequence into a map key.
-func labelKey(seq []graph.Label) string {
-	b := make([]byte, 0, len(seq)*4)
-	for _, l := range seq {
-		b = append4(b, int32(l))
+// RemapGIDs returns a copy of a level whose embeddings carry to[GID]
+// in place of their graph IDs: the one translation between the engine's
+// graph IDs and a part's own. Label and vertex sequences are shared,
+// not copied. A remap that ascends within the part keeps every
+// pattern's embeddings in order.
+func RemapGIDs(ps []*PathPattern, to []int32) []*PathPattern {
+	out := make([]*PathPattern, len(ps))
+	for i, p := range ps {
+		embs := make([]PathEmb, len(p.Embs))
+		for j, e := range p.Embs {
+			embs[j] = PathEmb{GID: to[e.GID], Seq: e.Seq}
+		}
+		out[i] = &PathPattern{Seq: p.Seq, Embs: embs, Support: p.Support}
 	}
-	return string(b)
+	return out
 }
 
 // PartStates exports each part's serializable content: its graphs and
@@ -492,8 +455,8 @@ func (e *Engine) PartStates() []IndexState {
 		return []IndexState{{Graphs: e.graphs, Sigma: e.sigma, Levels: levels}}
 	}
 	out := make([]IndexState, len(e.parts))
+	toLocal := make([]int32, len(e.graphs))
 	for s, gids := range e.parts {
-		toLocal := make(map[int32]int32, len(gids))
 		graphs := make([]*graph.Graph, len(gids))
 		for i, gid := range gids {
 			toLocal[gid] = int32(i)
@@ -501,16 +464,7 @@ func (e *Engine) PartStates() []IndexState {
 		}
 		levels := make(map[int][]*PathPattern, len(e.proj))
 		for l, parts := range e.proj {
-			src := parts[s]
-			ps := make([]*PathPattern, len(src))
-			for i, p := range src {
-				embs := make([]PathEmb, len(p.Embs))
-				for j, emb := range p.Embs {
-					embs[j] = PathEmb{GID: toLocal[emb.GID], Seq: emb.Seq}
-				}
-				ps[i] = &PathPattern{Seq: p.Seq, Embs: embs, Support: p.Support}
-			}
-			levels[l] = ps
+			levels[l] = RemapGIDs(parts[s], toLocal)
 		}
 		out[s] = IndexState{Graphs: graphs, Sigma: e.sigma, Levels: levels}
 	}
@@ -534,7 +488,7 @@ func RestoreEngine(states []IndexState, parts [][]int32, sigma int, runner Runne
 			return nil, fmt.Errorf("core: part %d was built with support %d, want %d", s, st.Sigma, sigma)
 		}
 		for l, ps := range st.Levels {
-			if err := validateLevel(st.Graphs, l, ps); err != nil {
+			if err := ValidateLevel(st.Graphs, l, ps); err != nil {
 				return nil, fmt.Errorf("core: part %d: %w", s, err)
 			}
 		}
@@ -579,42 +533,41 @@ func RestoreEngine(states []IndexState, parts [][]int32, sigma int, runner Runne
 	}
 	for l := range states[0].Levels {
 		shares := make([][]*PathPattern, len(states))
-		distinct := make(map[string]struct{})
 		for s, st := range states {
-			gids := parts[s]
-			shares[s] = make([]*PathPattern, len(st.Levels[l]))
-			for i, p := range st.Levels[l] {
-				embs := make([]PathEmb, len(p.Embs))
-				for j, emb := range p.Embs {
-					embs[j] = PathEmb{GID: gids[emb.GID], Seq: emb.Seq}
-				}
-				shares[s][i] = &PathPattern{Seq: p.Seq, Embs: embs, Support: p.Support}
-				distinct[labelKey(p.Seq)] = struct{}{}
-			}
+			shares[s] = RemapGIDs(st.Levels[l], parts[s])
 		}
 		level, local := mergeLevel(shares, sigma)
-		if len(level) != len(distinct) {
-			return nil, fmt.Errorf("core: level %d holds %d patterns below the σ=%d threshold: snapshot is corrupted", l, len(distinct)-len(level), sigma)
+		for s := range shares {
+			if n := len(shares[s]) - len(local[s]); n > 0 {
+				return nil, fmt.Errorf("core: part %d level %d holds %d patterns below the σ=%d threshold: snapshot is corrupted", s, l, n, sigma)
+			}
 		}
 		e.store(l, level, local)
 	}
 	return e, nil
 }
 
-// validateLevel checks one frequent-path level against the graphs it
-// indexes: every pattern sequence has l+1 labels and every embedding
-// references an in-range graph with in-range vertices. Restored levels
-// feed straight into join scratch arrays, so a bad vertex must be a
-// load-time error, never a request-time panic.
-func validateLevel(graphs []*graph.Graph, l int, ps []*PathPattern) error {
+// ValidateLevel checks that ps is a well-formed level l over graphs,
+// as the joins build one. Every pattern has l+1 labels. Every embedding
+// references an in-range graph and l+1 of its vertices. A pattern's
+// embeddings ascend strictly by (graph ID, vertex sequence), so none
+// repeats. Its Support is its number of canonical-forward embeddings,
+// which is half of them, because every path is stored in both
+// orientations. Levels enter an engine from snapshots (RestoreEngine),
+// from a coordinator's posts to a shard worker and from the worker's
+// replies; all three check them here, because a level feeds straight
+// into join scratch arrays and support counts, so a bad one must fail
+// where it enters, never panic or miscount later.
+func ValidateLevel(graphs []*graph.Graph, l int, ps []*PathPattern) error {
 	if l < 1 {
-		return fmt.Errorf("core: restored level %d out of range", l)
+		return fmt.Errorf("core: level %d out of range", l)
 	}
-	for _, p := range ps {
+	for i, p := range ps {
 		if len(p.Seq) != l+1 {
-			return fmt.Errorf("core: level %d pattern has %d labels, want %d", l, len(p.Seq), l+1)
+			return fmt.Errorf("core: level %d pattern %d has %d labels, want %d", l, i, len(p.Seq), l+1)
 		}
-		for _, e := range p.Embs {
+		forward := 0
+		for j, e := range p.Embs {
 			if int(e.GID) < 0 || int(e.GID) >= len(graphs) {
 				return fmt.Errorf("core: level %d embedding references graph %d of %d", l, e.GID, len(graphs))
 			}
@@ -627,6 +580,15 @@ func validateLevel(graphs []*graph.Graph, l int, ps []*PathPattern) error {
 					return fmt.Errorf("core: level %d embedding vertex %d out of range for graph %d", l, v, e.GID)
 				}
 			}
+			if j > 0 && comparePathEmbs(p.Embs[j-1], e) >= 0 {
+				return fmt.Errorf("core: level %d pattern %d embedding %d repeats or precedes the one before it", l, i, j)
+			}
+			if e.canonicalForward() {
+				forward++
+			}
+		}
+		if p.Support != forward || 2*forward != len(p.Embs) {
+			return fmt.Errorf("core: level %d pattern %d has support %d, but %d of its %d embeddings read canonically forward", l, i, p.Support, forward, len(p.Embs))
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,15 +13,58 @@ import (
 )
 
 // This file retains the string-keyed, map-based implementation of
-// Stage I that the hash-keyed pathBucket/join indexes replaced — the
+// Stage I that the hash-keyed buckets and join indexes replaced — the
 // pre-refactor code, sequential form — and asserts the two produce
 // identical PathPattern sets (sequences, supports, AND full oriented
-// embedding sets) on randomized synthetic graphs. Any divergence in the
-// hash sets' dedup semantics (missed collision verification, wrong
-// canonical orientation, lost embeddings in a chain merge) shows up
-// here. The concurrent variants of the same pipeline are exercised
-// under -race by parallel_test.go and the parallel guard below, which
-// drive the epoch-stamped scratch tables from multiple workers.
+// embedding sets) on randomized synthetic graphs. The reference dedups
+// every oriented embedding and counts distinct subgraphs by key; the
+// mining code does neither, because its joins assemble each oriented
+// path once and store both orientations, so support is the
+// canonical-forward count. A duplicate assembly, a lost orientation or
+// a hash collision resolved wrongly shows up here as a different
+// embedding list or support. The concurrent variants of the same
+// pipeline are exercised under -race by parallel_test.go and the
+// parallel guard below, which drive the epoch-stamped scratch tables
+// from multiple workers.
+
+// key returns an exact string key for the oriented sequence.
+func (p PathEmb) key() string {
+	b := make([]byte, 0, 4+len(p.Seq)*4)
+	b = append4(b, p.GID)
+	for _, v := range p.Seq {
+		b = append4(b, v)
+	}
+	return string(b)
+}
+
+// subgraphKey returns an orientation-independent string key: both
+// orientations of the same path subgraph collide.
+func (p PathEmb) subgraphKey() string {
+	n := len(p.Seq)
+	rev := make(graph.Path, n)
+	for i, v := range p.Seq {
+		rev[n-1-i] = v
+	}
+	seq := p.Seq
+	for i := 0; i < n; i++ {
+		if rev[i] != seq[i] {
+			if rev[i] < seq[i] {
+				seq = rev
+			}
+			break
+		}
+	}
+	b := make([]byte, 0, 4+n*4)
+	b = append4(b, p.GID)
+	for _, v := range seq {
+		b = append4(b, v)
+	}
+	return string(b)
+}
+
+func append4(b []byte, v int32) []byte {
+	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
 
 // refBucket is the reference accumulator: exact oriented keys and
 // orientation-independent subgraph keys as materialized strings
@@ -215,7 +259,7 @@ func (m *refMiner) collect(buckets map[string]*refBucket) []*PathPattern {
 			if b.embs[i].GID != b.embs[j].GID {
 				return b.embs[i].GID < b.embs[j].GID
 			}
-			return comparePaths(b.embs[i].Seq, b.embs[j].Seq) < 0
+			return slices.Compare(b.embs[i].Seq, b.embs[j].Seq) < 0
 		})
 		out = append(out, &PathPattern{Seq: b.seq, Embs: b.embs, Support: sup})
 	}

@@ -15,6 +15,9 @@ import (
 	"skinnymine/internal/support"
 )
 
+// maxLevels bounds growth when Options.Delta is negative.
+const maxLevels = 32
+
 // Options configures SkinnyMine.
 type Options struct {
 	// Support is the frequency threshold σ (>= 1).
@@ -25,8 +28,8 @@ type Options struct {
 	// Length.
 	Length    int
 	MinLength int
-	// Delta is the skinniness bound δ. Negative means unbounded (grow
-	// until no frequent extension remains).
+	// Delta is the skinniness bound δ. Negative means unbounded: growth
+	// stops when no frequent extension remains, or after 32 levels.
 	Delta int
 	// CheckMode selects constraint maintenance (default CheckFast).
 	CheckMode CheckMode
@@ -63,8 +66,6 @@ type Options struct {
 	// definition with a from-scratch canonical-diameter computation.
 	// Cheap relative to mining; on by default via DefaultOptions.
 	ValidateOutput bool
-	// MaxLevels bounds growth when Delta < 0 (default 32).
-	MaxLevels int
 	// Concurrency bounds the worker pool used by both mining stages:
 	// Stage I fans the per-label-sequence bucket joins of path doubling
 	// and merging across workers, Stage II grows different canonical
@@ -137,7 +138,6 @@ func DefaultOptions(sigma, length, delta int) Options {
 		CheckMode:      CheckFast,
 		Measure:        support.EmbeddingCount,
 		ValidateOutput: true,
-		MaxLevels:      32,
 	}
 }
 
@@ -344,9 +344,6 @@ func validate(ctx context.Context, graphs []*graph.Graph, opt *Options) error {
 	if opt.MinLength > opt.Length {
 		return fmt.Errorf("core: MinLength %d exceeds Length %d", opt.MinLength, opt.Length)
 	}
-	if opt.MaxLevels == 0 {
-		opt.MaxLevels = 32
-	}
 	if len(opt.SeedLengths) > 0 {
 		lo := opt.Length
 		if opt.MinLength > 0 {
@@ -461,7 +458,7 @@ func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
 	sp2 := tr.Start("stage2").TagInt("seeds", int64(len(seeds)))
 	maxDelta := opt.Delta
 	if maxDelta < 0 {
-		maxDelta = opt.MaxLevels
+		maxDelta = maxLevels
 	}
 	perSeed := make([][]*Pattern, len(seeds))
 	workers := opt.Concurrency

@@ -114,21 +114,9 @@ func Save(w io.Writer, st core.IndexState, lt *graph.LabelTable) error {
 	sort.Ints(lengths)
 	writeUvarint(bw, uint64(len(lengths)))
 	for _, l := range lengths {
-		ps := st.Levels[l]
 		writeUvarint(bw, uint64(l))
-		writeUvarint(bw, uint64(len(ps)))
-		for _, p := range ps {
-			for _, lab := range p.Seq {
-				writeUvarint(bw, uint64(lab))
-			}
-			writeUvarint(bw, uint64(p.Support))
-			writeUvarint(bw, uint64(len(p.Embs)))
-			for _, e := range p.Embs {
-				writeUvarint(bw, uint64(e.GID))
-				for _, v := range e.Seq {
-					writeUvarint(bw, uint64(v))
-				}
-			}
+		if err := writePatterns(bw, st.Levels[l], l+1); err != nil {
+			return err
 		}
 	}
 	// Flush the payload into the CRC before sealing it; the checksum
@@ -146,6 +134,34 @@ func writeUvarint(bw *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	bw.Write(buf[:n])
+}
+
+// writePatterns writes one level's pattern records, every label and
+// vertex sequence seqLen long: the layout the snapshot and the level
+// stream share. A sequence of another length is an error, because the
+// reader could not frame it.
+func writePatterns(bw *bufio.Writer, ps []*core.PathPattern, seqLen int) error {
+	writeUvarint(bw, uint64(len(ps)))
+	for i, p := range ps {
+		if len(p.Seq) != seqLen {
+			return fmt.Errorf("indexio: pattern %d has %d labels, want %d", i, len(p.Seq), seqLen)
+		}
+		for _, lab := range p.Seq {
+			writeUvarint(bw, uint64(lab))
+		}
+		writeUvarint(bw, uint64(p.Support))
+		writeUvarint(bw, uint64(len(p.Embs)))
+		for _, e := range p.Embs {
+			if len(e.Seq) != seqLen {
+				return fmt.Errorf("indexio: pattern %d embedding has %d vertices, want %d", i, len(e.Seq), seqLen)
+			}
+			writeUvarint(bw, uint64(e.GID))
+			for _, v := range e.Seq {
+				writeUvarint(bw, uint64(v))
+			}
+		}
+	}
+	return nil
 }
 
 // Load reads a snapshot from r and rebuilds the index state and label
@@ -196,6 +212,9 @@ func Load(r io.Reader) (core.IndexState, *graph.LabelTable, error) {
 	nGraphs, err := sr.count("graph count")
 	if err != nil {
 		return st, nil, err
+	}
+	if nGraphs == 0 {
+		return st, nil, fmt.Errorf("indexio: snapshot holds no graphs")
 	}
 	st.Graphs = make([]*graph.Graph, 0, allocHint(nGraphs))
 	for gi := 0; gi < nGraphs; gi++ {
@@ -256,47 +275,9 @@ func Load(r io.Reader) (core.IndexState, *graph.LabelTable, error) {
 		if _, dup := st.Levels[l]; dup {
 			return st, nil, fmt.Errorf("indexio: level %d appears twice", l)
 		}
-		nPat, err := sr.count("pattern count")
+		ps, err := sr.readPatterns(l+1, nLabels, len(st.Graphs))
 		if err != nil {
 			return st, nil, err
-		}
-		ps := make([]*core.PathPattern, 0, allocHint(nPat))
-		for pi := 0; pi < nPat; pi++ {
-			p := &core.PathPattern{Seq: make([]graph.Label, min(l, maxLevelLen)+1)}
-			for j := range p.Seq {
-				lab, err := sr.count("pattern label")
-				if err != nil {
-					return st, nil, err
-				}
-				if lab >= nLabels {
-					return st, nil, fmt.Errorf("indexio: level %d pattern %d label %d outside table of %d", l, pi, lab, nLabels)
-				}
-				p.Seq[j] = graph.Label(lab)
-			}
-			if p.Support, err = sr.count("pattern support"); err != nil {
-				return st, nil, err
-			}
-			nEmb, err := sr.count("embedding count")
-			if err != nil {
-				return st, nil, err
-			}
-			p.Embs = make([]core.PathEmb, 0, allocHint(nEmb))
-			for ei := 0; ei < nEmb; ei++ {
-				gid, err := sr.count("embedding graph ID")
-				if err != nil {
-					return st, nil, err
-				}
-				seq := make(graph.Path, min(l, maxLevelLen)+1)
-				for j := range seq {
-					v, err := sr.count("embedding vertex")
-					if err != nil {
-						return st, nil, err
-					}
-					seq[j] = graph.V(v)
-				}
-				p.Embs = append(p.Embs, core.PathEmb{GID: int32(gid), Seq: seq})
-			}
-			ps = append(ps, p)
 		}
 		st.Levels[l] = ps
 	}
@@ -353,6 +334,62 @@ func (s *sumReader) count(what string) (int, error) {
 		return 0, fmt.Errorf("indexio: %s %d exceeds sanity bound", what, v)
 	}
 	return int(v), nil
+}
+
+// readPatterns reads the records writePatterns wrote, seqLen <=
+// maxLevelLen+1, rejecting labels outside a table of numLabels and
+// graph IDs outside a database of numGraphs. Vertex IDs are checked by
+// the consumer, which owns the graphs (core.ValidateLevel).
+func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.PathPattern, error) {
+	n, err := s.count("pattern count")
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 && seqLen == 0 {
+		return nil, fmt.Errorf("indexio: %d patterns of zero labels", n)
+	}
+	ps := make([]*core.PathPattern, 0, allocHint(n))
+	for pi := 0; pi < n; pi++ {
+		p := &core.PathPattern{Seq: make([]graph.Label, min(seqLen, maxLevelLen+1))}
+		for j := range p.Seq {
+			lab, err := s.count("pattern label")
+			if err != nil {
+				return nil, err
+			}
+			if lab >= numLabels {
+				return nil, fmt.Errorf("indexio: pattern %d label %d outside table of %d", pi, lab, numLabels)
+			}
+			p.Seq[j] = graph.Label(lab)
+		}
+		if p.Support, err = s.count("pattern support"); err != nil {
+			return nil, err
+		}
+		nEmb, err := s.count("embedding count")
+		if err != nil {
+			return nil, err
+		}
+		p.Embs = make([]core.PathEmb, 0, allocHint(nEmb))
+		for ei := 0; ei < nEmb; ei++ {
+			gid, err := s.count("embedding graph ID")
+			if err != nil {
+				return nil, err
+			}
+			if gid >= numGraphs {
+				return nil, fmt.Errorf("indexio: pattern %d embedding references graph %d of %d", pi, gid, numGraphs)
+			}
+			seq := make(graph.Path, len(p.Seq))
+			for j := range seq {
+				v, err := s.count("embedding vertex")
+				if err != nil {
+					return nil, err
+				}
+				seq[j] = graph.V(v)
+			}
+			p.Embs = append(p.Embs, core.PathEmb{GID: int32(gid), Seq: seq})
+		}
+		ps = append(ps, p)
+	}
+	return ps, nil
 }
 
 // clean maps a bare EOF in the middle of a record to ErrUnexpectedEOF

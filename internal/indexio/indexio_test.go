@@ -12,7 +12,7 @@ import (
 
 // buildState makes a small two-graph index with a couple of
 // materialized levels.
-func buildState(t *testing.T) (core.IndexState, *graph.LabelTable) {
+func buildState(t testing.TB) (core.IndexState, *graph.LabelTable) {
 	t.Helper()
 	lt := graph.NewLabelTable()
 	labels := []graph.Label{
@@ -41,7 +41,7 @@ func buildState(t *testing.T) (core.IndexState, *graph.LabelTable) {
 	return ix.PartStates()[0], lt
 }
 
-func snapshotBytes(t *testing.T, st core.IndexState, lt *graph.LabelTable) []byte {
+func snapshotBytes(t testing.TB, st core.IndexState, lt *graph.LabelTable) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Save(&buf, st, lt); err != nil {

@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"skinnymine/internal/core"
-	"skinnymine/internal/graph"
 )
 
 // LevelMagic opens every level-set stream — the wire encoding of one
@@ -28,6 +27,9 @@ import (
 //	           uvarint embeddings, per embedding:
 //	             uvarint graph ID, seqlen × uvarint vertex ID
 //	crc      4 bytes  little-endian IEEE CRC-32 of everything above
+//
+// The pattern records are those of a v1 snapshot level, written and
+// read by the same code (writePatterns, readPatterns).
 //
 // Pattern, embedding and vertex order are preserved exactly — the
 // coordinator's cross-shard merge is order-sensitive, and the
@@ -55,25 +57,8 @@ func SaveLevel(w io.Writer, ps []*core.PathPattern) error {
 		seqLen = len(ps[0].Seq)
 	}
 	writeUvarint(bw, uint64(seqLen))
-	writeUvarint(bw, uint64(len(ps)))
-	for i, p := range ps {
-		if len(p.Seq) != seqLen {
-			return fmt.Errorf("indexio: level pattern %d has %d labels, pattern 0 has %d", i, len(p.Seq), seqLen)
-		}
-		for _, lab := range p.Seq {
-			writeUvarint(bw, uint64(lab))
-		}
-		writeUvarint(bw, uint64(p.Support))
-		writeUvarint(bw, uint64(len(p.Embs)))
-		for _, e := range p.Embs {
-			if len(e.Seq) != seqLen {
-				return fmt.Errorf("indexio: level pattern %d embedding has %d vertices, want %d", i, len(e.Seq), seqLen)
-			}
-			writeUvarint(bw, uint64(e.GID))
-			for _, v := range e.Seq {
-				writeUvarint(bw, uint64(v))
-			}
-		}
+	if err := writePatterns(bw, ps, seqLen); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -105,61 +90,16 @@ func LoadLevel(r io.Reader, numLabels, numGraphs int) ([]*core.PathPattern, erro
 	if ver != levelVersion {
 		return nil, fmt.Errorf("indexio: level version %d, this build reads version %d", ver, levelVersion)
 	}
-	rawLen, err := sr.count("level sequence length")
+	seqLen, err := sr.count("level sequence length")
 	if err != nil {
 		return nil, err
 	}
-	if rawLen > maxLevelLen {
-		return nil, fmt.Errorf("indexio: level sequence length %d exceeds %d", rawLen, maxLevelLen)
+	if seqLen > maxLevelLen {
+		return nil, fmt.Errorf("indexio: level sequence length %d exceeds %d", seqLen, maxLevelLen)
 	}
-	seqLen := min(rawLen, maxLevelLen)
-	nPat, err := sr.count("level pattern count")
+	ps, err := sr.readPatterns(seqLen, numLabels, numGraphs)
 	if err != nil {
 		return nil, err
-	}
-	if nPat > 0 && seqLen == 0 {
-		return nil, fmt.Errorf("indexio: level holds %d patterns of zero labels", nPat)
-	}
-	ps := make([]*core.PathPattern, 0, allocHint(nPat))
-	for pi := 0; pi < nPat; pi++ {
-		p := &core.PathPattern{Seq: make([]graph.Label, seqLen)}
-		for j := range p.Seq {
-			lab, err := sr.count("level pattern label")
-			if err != nil {
-				return nil, err
-			}
-			if lab >= numLabels {
-				return nil, fmt.Errorf("indexio: level pattern %d label %d outside table of %d", pi, lab, numLabels)
-			}
-			p.Seq[j] = graph.Label(lab)
-		}
-		if p.Support, err = sr.count("level pattern support"); err != nil {
-			return nil, err
-		}
-		nEmb, err := sr.count("level embedding count")
-		if err != nil {
-			return nil, err
-		}
-		p.Embs = make([]core.PathEmb, 0, allocHint(nEmb))
-		for ei := 0; ei < nEmb; ei++ {
-			gid, err := sr.count("level embedding graph ID")
-			if err != nil {
-				return nil, err
-			}
-			if gid >= numGraphs {
-				return nil, fmt.Errorf("indexio: level pattern %d embedding references graph %d of %d", pi, gid, numGraphs)
-			}
-			seq := make(graph.Path, seqLen)
-			for j := range seq {
-				v, err := sr.count("level embedding vertex")
-				if err != nil {
-					return nil, err
-				}
-				seq[j] = graph.V(v)
-			}
-			p.Embs = append(p.Embs, core.PathEmb{GID: int32(gid), Seq: seq})
-		}
-		ps = append(ps, p)
 	}
 	want := sr.crc.Sum32()
 	var tail [4]byte

@@ -15,11 +15,15 @@
 // graph, and each graph belongs to exactly one shard. Per level, each
 // shard therefore assembles exactly the unsharded candidate set
 // restricted to its own graphs (threshold 1), and the engine's
-// cross-shard recount — group by canonical label sequence, concatenate
-// the disjoint embedding lists, recount distinct subgraphs, apply the
-// global σ — reproduces the unsharded level byte for byte. The
-// surviving patterns are projected back per shard as the next level's
-// join input, so pruning power at the global threshold is never lost.
+// cross-shard recount — the joins' own bucket-and-collect step over the
+// shards' disjoint candidates, counting canonical-forward embeddings
+// and applying the global σ — reproduces the unsharded level byte for
+// byte. The surviving patterns are projected back per shard as the next
+// level's join input, so pruning power at the global threshold is never
+// lost. Both directions of the wire are checked by core.ValidateLevel:
+// a worker validates the level it is posted, and the coordinator the
+// level each worker replies with, so a malformed level is a permanent
+// error and never reaches a join or Stage II.
 //
 // # Concurrency and ownership
 //

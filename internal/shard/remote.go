@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"skinnymine/internal/core"
+	"skinnymine/internal/graph"
 	"skinnymine/internal/indexio"
 	"skinnymine/internal/obs"
 )
@@ -116,7 +117,10 @@ func RestoreRemote(states []core.IndexState, assign [][]int32, sigma int, crcs [
 	if len(crcs) != len(assign) {
 		return nil, fmt.Errorf("shard: %d shard checksums for %d shards", len(crcs), len(assign))
 	}
-	r := newRemoteRunner(assign, crcs, numLabels, cfg.withDefaults())
+	r, err := newRemoteRunner(states, assign, crcs, numLabels, cfg.withDefaults())
+	if err != nil {
+		return nil, err
+	}
 	e, err := core.RestoreEngine(states, assign, sigma, r)
 	if err != nil {
 		r.Close()
@@ -152,26 +156,28 @@ func WorkerStats(e *core.Engine) []WorkerRPCStats {
 // The runner owns the global↔shard-local graph-ID remap at the wire
 // boundary: assignment GIDs ascend within each shard, so the remap is
 // monotone and embedding order — which the byte-identical merge
-// depends on — survives the round trip untouched.
+// depends on — survives the round trip untouched. Every reply is
+// validated against the shard's graphs before it is remapped.
 type remoteRunner struct {
 	cfg       RemoteConfig
 	client    *http.Client
 	numLabels int
+	toLocal   []int32 // global GID -> index within its shard
 	workers   []*remoteWorker
 	stop      chan struct{}
 	wg        sync.WaitGroup
 }
 
 // remoteWorker is the per-shard client state: address, pinned CRC, the
-// GID remap tables, the advisory health flag, and the per-worker RPC
-// accounting surfaced by WorkerStats.
+// shard's graphs and GID table, the advisory health flag, and the
+// per-worker RPC accounting surfaced by WorkerStats.
 type remoteWorker struct {
 	addr     string
 	base     string // normalized http://host:port
 	shard    int
-	crc      string  // 8 hex digits, pinned in every request
-	toGlobal []int32 // shard-local index -> global GID
-	toLocal  map[int32]int32
+	crc      string         // 8 hex digits, pinned in every request
+	graphs   []*graph.Graph // the shard's graphs, in shard-local order
+	toGlobal []int32        // shard-local index -> global GID
 
 	mu      sync.Mutex
 	healthy bool
@@ -192,18 +198,35 @@ type remoteWorker struct {
 	rpcLat      *obs.Histogram
 }
 
-func newRemoteRunner(assign [][]int32, crcs []uint32, numLabels int, cfg RemoteConfig) *remoteRunner {
+func newRemoteRunner(states []core.IndexState, assign [][]int32, crcs []uint32, numLabels int, cfg RemoteConfig) (*remoteRunner, error) {
+	if len(states) != len(assign) {
+		return nil, fmt.Errorf("shard: %d shard states for %d shards", len(states), len(assign))
+	}
+	total := 0
+	for _, gids := range assign {
+		total += len(gids)
+	}
+	toLocal := make([]int32, total)
+	for _, gids := range assign {
+		for i, gid := range gids {
+			if gid < 0 || int(gid) >= total {
+				return nil, fmt.Errorf("shard: graph ID %d outside database of %d", gid, total)
+			}
+			toLocal[gid] = int32(i)
+		}
+	}
 	r := &remoteRunner{
 		cfg: cfg,
 		// One shared transport: keep-alive connections across levels
 		// and retries. Per-attempt deadlines come from the request
 		// contexts, not Client.Timeout, so hedges can outlive the
 		// attempt that spawned them.
-		client:  &http.Client{},
-		workers: make([]*remoteWorker, len(assign)),
-		stop:    make(chan struct{}),
+		client:    &http.Client{},
+		numLabels: numLabels,
+		toLocal:   toLocal,
+		workers:   make([]*remoteWorker, len(assign)),
+		stop:      make(chan struct{}),
 	}
-	r.numLabels = numLabels
 	for s, gids := range assign {
 		base := cfg.Workers[s]
 		if !hasScheme(base) {
@@ -214,12 +237,9 @@ func newRemoteRunner(assign [][]int32, crcs []uint32, numLabels int, cfg RemoteC
 			base:     base,
 			shard:    s,
 			crc:      fmt.Sprintf("%08x", crcs[s]),
+			graphs:   states[s].Graphs,
 			toGlobal: gids,
-			toLocal:  make(map[int32]int32, len(gids)),
 			rpcLat:   obs.NewHistogram(nil),
-		}
-		for i, gid := range gids {
-			w.toLocal[gid] = int32(i)
 		}
 		r.workers[s] = w
 	}
@@ -229,7 +249,7 @@ func newRemoteRunner(assign [][]int32, crcs []uint32, numLabels int, cfg RemoteC
 			go r.probe(s)
 		}
 	}
-	return r
+	return r, nil
 }
 
 func hasScheme(addr string) bool {
@@ -331,12 +351,17 @@ func (r *remoteRunner) Close() error {
 
 // Edges implements core.Runner.
 func (r *remoteRunner) Edges(ctx context.Context, s, workers int) ([]*core.PathPattern, error) {
-	return r.call(ctx, s, "edges", 0, 0, workers, nil)
+	return r.call(ctx, s, "edges", 1, 0, workers, nil)
 }
 
-// Concat implements core.Runner.
+// Concat implements core.Runner. The reply is level 2L for a share of
+// level L; an empty share has no length and must get no candidates.
 func (r *remoteRunner) Concat(ctx context.Context, s int, prev []*core.PathPattern, workers int) ([]*core.PathPattern, error) {
-	return r.call(ctx, s, "concat", 0, 0, workers, prev)
+	l := 0
+	if len(prev) > 0 {
+		l = 2 * prev[0].Length()
+	}
+	return r.call(ctx, s, "concat", l, 0, workers, prev)
 }
 
 // Merge implements core.Runner.
@@ -348,9 +373,10 @@ func (r *remoteRunner) Merge(ctx context.Context, s int, pool []*core.PathPatter
 // reliability stack: per-attempt timeout, bounded retries with
 // exponential backoff, and straggler hedging. The request body is
 // encoded once (with GIDs remapped global→local) and reused across
-// attempts; the reply is decoded and remapped local→global. One span
-// covers the whole logical call, tagged with its attempt/retry/hedge
-// counts and outcome — observation only, the control flow is untouched.
+// attempts; the reply, level l's candidates, is decoded, validated and
+// remapped local→global. One span covers the whole logical call, tagged
+// with its attempt/retry/hedge counts and outcome — observation only,
+// the control flow is untouched.
 func (r *remoteRunner) call(ctx context.Context, s int, op string, l, m, workers int, in []*core.PathPattern) (_ []*core.PathPattern, err error) {
 	w := r.workers[s]
 	sp := obs.FromContext(ctx).Start("worker.rpc").TagInt("shard", int64(s)).Tag("op", op)
@@ -375,7 +401,7 @@ func (r *remoteRunner) call(ctx context.Context, s int, op string, l, m, workers
 	var body []byte
 	if in != nil {
 		var buf bytes.Buffer
-		if err := indexio.SaveLevel(&buf, w.project(in)); err != nil {
+		if err := indexio.SaveLevel(&buf, core.RemapGIDs(in, r.toLocal)); err != nil {
 			return nil, fmt.Errorf("shard: encoding level for shard %d: %w", s, err)
 		}
 		body = buf.Bytes()
@@ -398,7 +424,7 @@ func (r *remoteRunner) call(ctx context.Context, s int, op string, l, m, workers
 			w.retries.Add(1)
 		}
 		attempts++
-		ps, hedged, err := r.attempt(ctx, w, u, body)
+		ps, hedged, err := r.attempt(ctx, w, u, body, l)
 		if hedged {
 			hedges++
 		}
@@ -427,11 +453,11 @@ func (r *remoteRunner) call(ctx context.Context, s int, op string, l, m, workers
 // duplicate racing it. The first outcome wins; the loser's context is
 // canceled so the straggler stops costing the worker anything. The
 // second return reports whether a hedge was launched.
-func (r *remoteRunner) attempt(ctx context.Context, w *remoteWorker, u string, body []byte) ([]*core.PathPattern, bool, error) {
+func (r *remoteRunner) attempt(ctx context.Context, w *remoteWorker, u string, body []byte, l int) ([]*core.PathPattern, bool, error) {
 	actx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()
 	if r.cfg.HedgeAfter <= 0 {
-		ps, err := r.rpc(actx, w, u, body)
+		ps, err := r.rpc(actx, w, u, body, l)
 		return ps, false, err
 	}
 	type outcome struct {
@@ -440,7 +466,7 @@ func (r *remoteRunner) attempt(ctx context.Context, w *remoteWorker, u string, b
 	}
 	results := make(chan outcome, 2)
 	launch := func() {
-		ps, err := r.rpc(actx, w, u, body)
+		ps, err := r.rpc(actx, w, u, body, l)
 		results <- outcome{ps, err}
 	}
 	go launch()
@@ -481,16 +507,17 @@ func (r *remoteRunner) attempt(ctx context.Context, w *remoteWorker, u string, b
 }
 
 // permanentError marks worker replies retrying cannot fix: the request
-// itself is wrong (400) or the worker serves a different shard (409).
+// itself is wrong (400), the worker serves a different shard (409), or
+// its intact reply is not a valid level.
 type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }
 
-// rpc performs exactly one HTTP exchange and decodes the reply,
-// counting it (and its latency, outcome status) against the worker and
-// forwarding the request ID riding the context so one query is
-// greppable across the fleet.
-func (r *remoteRunner) rpc(ctx context.Context, w *remoteWorker, u string, body []byte) (_ []*core.PathPattern, err error) {
+// rpc performs exactly one HTTP exchange and decodes the reply as
+// level l, counting it (and its latency, outcome status) against the
+// worker and forwarding the request ID riding the context so one query
+// is greppable across the fleet.
+func (r *remoteRunner) rpc(ctx context.Context, w *remoteWorker, u string, body []byte, l int) (_ []*core.PathPattern, err error) {
 	w.requests.Add(1)
 	t0 := time.Now()
 	defer func() {
@@ -546,17 +573,16 @@ func (r *remoteRunner) rpc(ctx context.Context, w *remoteWorker, u string, body 
 		}
 		return nil, err
 	}
-	ps, err := indexio.LoadLevel(resp.Body, r.numLabels, len(w.toGlobal))
+	ps, err := indexio.LoadLevel(resp.Body, r.numLabels, len(w.graphs))
 	if err != nil {
 		return nil, err
 	}
-	// Freshly decoded: safe to remap in place.
-	for _, p := range ps {
-		for i := range p.Embs {
-			p.Embs[i].GID = w.toGlobal[p.Embs[i].GID]
+	if len(ps) > 0 {
+		if err := core.ValidateLevel(w.graphs, l, ps); err != nil {
+			return nil, &permanentError{msg: "invalid worker reply: " + err.Error()}
 		}
 	}
-	return ps, nil
+	return core.RemapGIDs(ps, w.toGlobal), nil
 }
 
 // graftWorkerSpans stitches a worker's spans (compact JSON from the
@@ -585,20 +611,4 @@ func (r *remoteRunner) graftWorkerSpans(tr *obs.Trace, w *remoteWorker, js strin
 		spans[i].Attrs["addr"] = w.addr
 	}
 	tr.Graft(spans, t0)
-}
-
-// project copies a level's patterns with GIDs remapped global→local
-// for the wire. The inputs are shared cache data (the engine's
-// per-shard projections) and must not be mutated; embedding vertex
-// paths are shared unchanged.
-func (w *remoteWorker) project(ps []*core.PathPattern) []*core.PathPattern {
-	out := make([]*core.PathPattern, len(ps))
-	for i, p := range ps {
-		embs := make([]core.PathEmb, len(p.Embs))
-		for j, e := range p.Embs {
-			embs[j] = core.PathEmb{GID: w.toLocal[e.GID], Seq: e.Seq}
-		}
-		out[i] = &core.PathPattern{Seq: p.Seq, Embs: embs, Support: p.Support}
-	}
-	return out
 }

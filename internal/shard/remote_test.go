@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"skinnymine/internal/core"
 	"skinnymine/internal/graph"
+	"skinnymine/internal/indexio"
 	"skinnymine/internal/support"
 )
 
@@ -439,6 +441,56 @@ func TestRemoteCRCMismatchIsPermanent(t *testing.T) {
 	}
 }
 
+// TestRemoteMalformedReplyIsPermanent: a worker whose reply is an
+// intact, CRC-valid level naming a vertex its graph does not have fails
+// the mine with a permanent error on the first attempt. The coordinator
+// validates every reply before the recount or Stage II can index a
+// graph with it.
+func TestRemoteMalformedReplyIsPermanent(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	db := randomDB(rng, 6, 8, 12, 3)
+	var reqs atomic.Int64
+	wrap := func(s int, h http.Handler) http.Handler {
+		if s != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !isCandidates(r) {
+				h.ServeHTTP(w, r)
+				return
+			}
+			reqs.Add(1)
+			// Well formed but for vertex 9999: ascending, both
+			// orientations, Support the canonical-forward count.
+			indexio.SaveLevel(w, []*core.PathPattern{{
+				Seq:     []graph.Label{0, 1},
+				Support: 2,
+				Embs: []core.PathEmb{
+					{GID: 0, Seq: graph.Path{0, 9999}},
+					{GID: 0, Seq: graph.Path{1, 9999}},
+					{GID: 0, Seq: graph.Path{9999, 0}},
+					{GID: 0, Seq: graph.Path{9999, 1}},
+				},
+			}})
+		})
+	}
+	fx := newRemoteFixture(t, db, 2, 2, 3, func(cfg *RemoteConfig) { cfg.Retries = 2 }, wrap)
+
+	_, err := fx.eng.Mine(context.Background(), core.DefaultOptions(2, 1, 0))
+	if err == nil {
+		t.Fatal("a reply naming vertex 9999 was mined")
+	}
+	if errors.Is(err, ErrUnavailable) {
+		t.Errorf("malformed reply classified as transient unavailability: %v", err)
+	}
+	if n := reqs.Load(); n != 1 {
+		t.Errorf("%d candidate RPCs to the malformed shard, want 1: the reply was retried", n)
+	}
+	if got := fx.eng.MaterializedLevels(); len(got) != 0 {
+		t.Errorf("failed materialization left levels %v cached", got)
+	}
+}
+
 // TestRemoteCancellationWinsOverUnavailable: when the caller's context
 // dies mid-RPC the coordinator reports the cancellation, not worker
 // unavailability — the serving layer maps those differently (client's
@@ -592,5 +644,28 @@ func TestWorkerHTTPContract(t *testing.T) {
 	}
 	if resp := post(WorkerCandidatesPath+"?op=edges", "deadbeef", ""); resp.StatusCode != http.StatusOK {
 		t.Errorf("valid edges op: HTTP %d, want 200", resp.StatusCode)
+	}
+
+	// A posted level is checked like a restored one: the same edge in
+	// both orientations is a valid level 1, and repeating one of its
+	// embeddings makes it a 400.
+	e := db[0].Edges()[0]
+	level := func(embs ...graph.Path) string {
+		p := &core.PathPattern{Seq: []graph.Label{db[0].Label(e.U), db[0].Label(e.W)}, Support: 1}
+		for _, seq := range embs {
+			p.Embs = append(p.Embs, core.PathEmb{GID: 0, Seq: seq})
+		}
+		var buf bytes.Buffer
+		if err := indexio.SaveLevel(&buf, []*core.PathPattern{p}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	fwd, rev := graph.Path{e.U, e.W}, graph.Path{e.W, e.U}
+	if resp := post(WorkerCandidatesPath+"?op=concat", "deadbeef", level(fwd, rev)); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid concat level: HTTP %d, want 200", resp.StatusCode)
+	}
+	if resp := post(WorkerCandidatesPath+"?op=concat", "deadbeef", level(fwd, fwd, rev)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("concat level repeating an embedding: HTTP %d, want 400", resp.StatusCode)
 	}
 }

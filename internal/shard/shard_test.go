@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -385,5 +386,28 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 			t.Errorf("level %d: out-of-range embedding vertex accepted", l)
 		}
 		break
+	}
+
+	// The joins assemble every oriented path once and store both
+	// orientations, so a level lists each embedding once, ascending,
+	// with Support its canonical-forward count. Nothing downstream
+	// dedups, so a level breaking that rule is corruption.
+	for _, tc := range []struct {
+		name string
+		edit func(p *core.PathPattern)
+	}{
+		{"repeated embedding", func(p *core.PathPattern) { p.Embs = slices.Insert(p.Embs, 1, p.Embs[0]) }},
+		{"embeddings out of order", func(p *core.PathPattern) { p.Embs[0], p.Embs[1] = p.Embs[1], p.Embs[0] }},
+		{"support off the canonical-forward count", func(p *core.PathPattern) { p.Support++ }},
+	} {
+		tampered := eng.PartStates() // fresh copies: the edit leaves eng intact
+		p := tampered[0].Levels[1][0]
+		if len(p.Embs) < 2 {
+			t.Fatalf("level 1 pattern %v has %d embeddings, want both orientations", p.Seq, len(p.Embs))
+		}
+		tc.edit(p)
+		if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

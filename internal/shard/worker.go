@@ -213,9 +213,9 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// readLevel under a decode span tagged with what came off the wire.
-	decode := func() ([]*core.PathPattern, error) {
+	decode := func(l int) ([]*core.PathPattern, error) {
 		sp := tracer.Start("worker.decode")
-		ps, err := w.readLevel(r)
+		ps, err := w.readLevel(r, l)
 		if err != nil {
 			sp.End()
 			return nil, err
@@ -232,7 +232,7 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 	case "edges":
 		runOp = func() ([]*core.PathPattern, error) { return w.joins.Edges(ctx, 0, workers) }
 	case "concat":
-		prev, err := decode()
+		prev, err := decode(0)
 		if err != nil {
 			fail(http.StatusBadRequest, err.Error())
 			return
@@ -253,7 +253,7 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, fmt.Sprintf("merge requires m < l < 2m, got l=%d m=%d", l, m))
 			return
 		}
-		pool, err := decode()
+		pool, err := decode(m)
 		if err != nil {
 			fail(http.StatusBadRequest, err.Error())
 			return
@@ -293,24 +293,22 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 		"dur_ms", float64(time.Since(t0).Microseconds())/1000, "request_id", reqID)
 }
 
-// readLevel decodes the posted level set and range-checks every
-// embedding vertex against its graph — decoded patterns feed straight
-// into join scratch arrays, so a bad vertex must be a 400, never a
-// panic (the same guarantee core.RestoreEngine gives loaded levels).
-func (w *Worker) readLevel(r *http.Request) ([]*core.PathPattern, error) {
+// readLevel decodes the posted level and validates it against the
+// shard's graphs as level l, or, when l is 0, as the level its patterns
+// declare. Decoded patterns feed straight into join scratch arrays, so
+// a bad level must be a 400, never a panic (the check core.RestoreEngine
+// and the coordinator apply to the levels they take in). An empty level
+// has nothing to check.
+func (w *Worker) readLevel(r *http.Request, l int) ([]*core.PathPattern, error) {
 	ps, err := indexio.LoadLevel(r.Body, w.numLabels, len(w.graphs))
-	if err != nil {
-		return nil, err
+	if err != nil || len(ps) == 0 {
+		return ps, err
 	}
-	for pi, p := range ps {
-		for _, e := range p.Embs {
-			g := w.graphs[e.GID]
-			for _, v := range e.Seq {
-				if int(v) < 0 || int(v) >= g.N() {
-					return nil, fmt.Errorf("shard: pattern %d embedding vertex %d out of range for graph %d", pi, v, e.GID)
-				}
-			}
-		}
+	if l == 0 {
+		l = ps[0].Length()
+	}
+	if err := core.ValidateLevel(w.graphs, l, ps); err != nil {
+		return nil, err
 	}
 	return ps, nil
 }
