@@ -8,7 +8,6 @@ package skinnymine_test
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +15,6 @@ import (
 	"skinnymine/internal/core"
 	"skinnymine/internal/exp"
 	"skinnymine/internal/graph"
-	"skinnymine/internal/shard"
 	"skinnymine/internal/synth"
 	"skinnymine/internal/testutil"
 )
@@ -178,12 +176,10 @@ func TestConstrainedWorkPinned(t *testing.T) {
 	}
 }
 
-// Sharded-mining benchmark: a six-graph transaction database mined end
-// to end (Stage I + Stage II, engine construction included — sharding
-// is a per-database cost) unsharded and at P ∈ {2, 4}. Output is
-// byte-identical at every setting (the sharding refguards), so the
-// variants do the same logical work; compare ns/op for what the
-// shard-parallel Stage I and the cross-shard merge cost or save.
+// Transaction-database benchmark: a six-graph database (perfbench's
+// index-build graphs) mined end to end, Stage I and Stage II with engine
+// construction included. An in-process engine joins once over all its
+// graphs at every part count, so one variant covers them all.
 var shardBenchDB []*graph.Graph
 
 func benchShardDB() []*graph.Graph {
@@ -195,7 +191,7 @@ func benchShardDB() []*graph.Graph {
 	return shardBenchDB
 }
 
-func benchMineSharded(b *testing.B, shards int) {
+func BenchmarkMineSharded1(b *testing.B) {
 	db := benchShardDB()
 	opt := core.DefaultOptions(2, 4, 1)
 	opt.GreedyGrow = true
@@ -203,7 +199,7 @@ func benchMineSharded(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.MineParts(context.Background(), db, shard.Partition(db, shards), opt)
+		res, err := core.MineDB(db, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,10 +208,6 @@ func benchMineSharded(b *testing.B, shards int) {
 		}
 	}
 }
-
-func BenchmarkMineSharded1(b *testing.B) { benchMineSharded(b, 1) }
-func BenchmarkMineSharded2(b *testing.B) { benchMineSharded(b, 2) }
-func BenchmarkMineSharded4(b *testing.B) { benchMineSharded(b, 4) }
 
 // BenchmarkTables12_DataSettings regenerates the Table 1/2 data sets
 // (generation cost only; the settings themselves are constants).

@@ -44,7 +44,7 @@ func main() {
 		top      = flag.Int("top", 20, "print at most this many patterns, largest first")
 		asJSON   = flag.Bool("json", false, "emit the full result as JSON")
 		conc     = flag.Int("concurrency", 0, "mining workers (0: one per CPU, 1: sequential)")
-		shards   = flag.Int("shards", 0, "partition the database across this many shards (0/1: unsharded; output is identical)")
+		shards   = flag.Int("shards", 0, "with -snapshot, shard the index across this many shards: a manifest plus per-shard files (0/1: one file; results are identical)")
 		snapshot = flag.String("snapshot", "", "also write an index snapshot (for skinnymined -index) to this file; with -shards, a sharded manifest + per-shard files")
 		where    = flag.String("where", "", "declarative pattern constraint, e.g. \"contains(label='7') && vertices<=8\"")
 		topk     = flag.Int("topk", 0, "keep only the k best-ranked patterns (0: all); composes with -where")
@@ -56,6 +56,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: skinnymine -input <file> [-support σ] [-length l] [-delta δ] [-where expr] [-topk k]")
 		flag.PrintDefaults()
 		os.Exit(2)
+	}
+	if *shards < 0 {
+		fatal(fmt.Errorf("-shards must be >= 0, got %d", *shards))
 	}
 
 	// -topk composes with -where as the constraint language's result
@@ -109,7 +112,6 @@ func main() {
 		ClosedOnly:  *closed,
 		MaxPatterns: *limit,
 		Concurrency: *conc,
-		Shards:      *shards,
 		WhereExpr:   whereExpr,
 	}
 	if *perGraph {
@@ -123,7 +125,7 @@ func main() {
 	if err := opt.Validate(); err != nil {
 		fatal(err)
 	}
-	res, err := mine(graphs, opt, *snapshot)
+	res, err := mine(graphs, opt, *snapshot, *shards)
 	if err != nil {
 		fatal(err)
 	}
@@ -166,14 +168,14 @@ func main() {
 
 // mine runs the request, optionally through an index whose state —
 // including the levels this request materialized — is then persisted to
-// snapshotPath for skinnymined to serve. With Options.Shards > 1 the
-// index is sharded and the snapshot is a manifest plus per-shard files.
-// Results are identical every way.
-func mine(graphs []*skinnymine.Graph, opt skinnymine.Options, snapshotPath string) (*skinnymine.Result, error) {
+// snapshotPath for skinnymined to serve. With shards > 1 the index is
+// sharded and the snapshot is a manifest plus per-shard files. Results
+// are identical every way.
+func mine(graphs []*skinnymine.Graph, opt skinnymine.Options, snapshotPath string, shards int) (*skinnymine.Result, error) {
 	if snapshotPath == "" {
 		return skinnymine.MineDB(graphs, opt)
 	}
-	ix, err := skinnymine.BuildShardedIndex(graphs, opt.Support, opt.Shards)
+	ix, err := skinnymine.BuildShardedIndex(graphs, opt.Support, shards)
 	if err != nil {
 		return nil, err
 	}

@@ -25,8 +25,7 @@ func mix64(h uint64, v uint32) uint64 {
 
 // canonicalForward reports whether the vertex sequence reads canonically
 // in its stored direction, i.e. it is <= its own reversal.
-func (p PathEmb) canonicalForward() bool {
-	s := p.Seq
+func canonicalForward(s graph.Path) bool {
 	n := len(s)
 	for i := 0; i < n; i++ {
 		if s[i] != s[n-1-i] {

@@ -1,7 +1,6 @@
 // Package core implements SkinnyMine (Zhu, Zhang & Qu, SIGMOD 2013): the
 // two-stage direct mining algorithm for l-long δ-skinny frequent graph
-// patterns, together with the generalized direct mining framework
-// (Section 5 of the paper).
+// patterns.
 //
 // Stage I (DiamMine, Algorithm 2) mines all frequent simple paths of
 // length l — the minimal constraint-satisfying patterns — by
@@ -16,22 +15,35 @@
 // Engine is the only Stage I scheduler and level cache. It owns the one
 // doubling schedule and stores every level it materializes; Stage II
 // reads its seeds straight from that cache. The database may be split
-// into parts (internal/shard partitions it): each schedule step runs a
-// Runner once per part, and with more than one part the engine merges
-// the parts' threshold-1 candidates and applies σ in a cross-part
-// recount. The in-process Runner runs the joins of this package; the
-// HTTP Runner of internal/shard asks one worker per part. Mine and
-// MineDB build a request-private engine per call, which may prune
-// inside its joins; a shared engine (the serving index) never does.
+// into parts (internal/shard partitions it). An in-process engine runs
+// each step's joins once over all its graphs, whatever its part count,
+// and applies σ as it collects the candidates; a part's share of a
+// level is the level split by graph ID, needed only where a part is
+// persisted or shipped. The HTTP Runner of internal/shard asks one
+// worker per part instead, and the engine merges the parts'
+// threshold-1 candidates in a cross-part recount, which snapshot
+// restore reuses. Mine and MineDB build a request-private engine per
+// call, which may prune inside its joins; a shared engine (the serving
+// index) never does.
+//
+// # Columnar levels
+//
+// A level is stored as columns: each PathPattern holds its label
+// sequence, a graph-ID column and one flat vertex column of stride l+1,
+// and a level's patterns share level-wide backing arrays that hold no
+// pointers. The joins append candidate rows to per-worker columns,
+// bucketed by an id over a flat label arena, so nothing is allocated
+// per candidate or per bucket; collect keeps the frequent buckets and
+// scatters only their rows into the level's columns.
 //
 // The joins assemble every oriented path exactly once, from one pair of
 // shorter stored paths, and store both orientations. So candidates are
 // collected without dedup, and support, the number of distinct path
-// subgraphs, is the number of canonical-forward embeddings (collect).
-// The cross-part recount is the same bucket-and-collect step over the
-// parts' candidates. ValidateLevel checks that rule, with vertex
-// ranges, on every level that enters from outside the joins: restored
-// snapshots and both directions of the shard wire.
+// subgraphs, is the number of canonical-forward rows (collect). The
+// cross-part recount is the same collect step over the parts'
+// candidates. ValidateLevel checks that rule, with vertex ranges, on
+// every level that enters from outside the joins: restored snapshots
+// and both directions of the shard wire.
 //
 // # Support measures and result budgets
 //
@@ -60,64 +72,280 @@ import (
 	"skinnymine/internal/graph"
 )
 
-// PathEmb is one oriented embedding of a path pattern: the graph it lives
-// in (GID, 0 for the single-graph setting) and the vertex sequence.
-type PathEmb struct {
-	GID int32
-	Seq graph.Path
-}
-
-// PathPattern is a frequent path pattern: its canonical label sequence
-// and all oriented embeddings, ascending by (graph ID, vertex
-// sequence). Each path subgraph contributes both traversal orders, so
-// joins are symmetric, and exactly one of the two reads canonically
-// forward: Support, the number of distinct subgraphs, is the number of
-// canonical-forward embeddings, half of Embs.
+// PathPattern is a frequent path pattern of length l: its canonical
+// label sequence and all oriented embeddings, as columns. Embedding i
+// lives in graph GIDs[i] and visits Verts[i*(l+1) : (i+1)*(l+1)]
+// (Emb); embeddings ascend by (graph ID, vertex sequence). Each path
+// subgraph contributes both traversal orders, so joins are symmetric,
+// and exactly one of the two reads canonically forward: Support, the
+// number of distinct subgraphs, is the number of canonical-forward
+// embeddings, half of them. The patterns of one level may share
+// backing arrays; treat them as read-only.
 type PathPattern struct {
 	Seq     []graph.Label
-	Embs    []PathEmb
+	GIDs    []int32
+	Verts   []graph.V
 	Support int
 }
 
 // Length returns the path length in edges.
 func (p *PathPattern) Length() int { return len(p.Seq) - 1 }
 
-// pathBucket accumulates the oriented embeddings of one candidate
-// pattern. It needs no dedup: the joins assemble every oriented path
-// exactly once (see concat and merge), and collect counts the support.
-type pathBucket struct {
-	seq  []graph.Label
-	embs []PathEmb
+// Emb returns embedding i's vertex sequence, a view into Verts.
+func (p *PathPattern) Emb(i int) graph.Path {
+	s := len(p.Seq)
+	return p.Verts[i*s : (i+1)*s : (i+1)*s]
 }
 
-// bucketMap indexes candidate buckets by the 64-bit hash of their
-// canonical label sequence; the short slice is the collision chain,
-// resolved by exact sequence comparison.
-type bucketMap map[uint64][]*pathBucket
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it has to move: append grows a large slice by only
+// ~1.25×, which multiplies the bytes a growing column copies.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
+}
 
-// fold adds b's embeddings to the bucket of b's label sequence, or
-// adopts b when there is none. It merges the worker-private maps of a
-// parallel join and the parts of a cross-part recount; neither needs
-// dedup, since each oriented path is assembled by one worker of one
-// part.
-func (m bucketMap) fold(b *pathBucket) {
-	h := hashLabelsDir(b.seq, true)
-	for _, dst := range m[h] {
-		if slices.Equal(dst.seq, b.seq) {
-			dst.embs = append(dst.embs, b.embs...)
-			return
+// cands holds one worker's candidate rows of a level step as columns:
+// row i is an oriented path in graph gid[i] visiting
+// verts[i*s:(i+1)*s], a member of bucket bucket[i]. A bucket is one
+// candidate pattern: an id whose canonical label sequence is
+// labels[b*s:(b+1)*s], found through an open-addressed hash table, with
+// counts of its rows and of its canonical-forward rows. Nothing is
+// allocated per row or per bucket.
+type cands struct {
+	s      int
+	labels []graph.Label
+	hash   []uint64 // per bucket
+	rows   []int32  // per bucket
+	fwd    []int32  // per bucket: rows that read canonically forward
+	table  []uint64 // per slot: the bucket hash's high half, then bucket id + 1; 0 when empty
+	bucket []int32  // per row
+	gid    []int32  // per row
+	verts  []graph.V
+}
+
+func newCands(s int) *cands {
+	return &cands{s: s, table: make([]uint64, 64)}
+}
+
+// tableEntry packs a bucket into a slot: the high half of its hash, so
+// most mismatches are rejected without touching the label arena, and
+// its id + 1.
+func tableEntry(h uint64, b int32) uint64 { return h&^0xffffffff | uint64(b+1) }
+
+// find returns the bucket of a label sequence read forward or reversed,
+// whose hash in canonical direction is h, adding the bucket if it is
+// new.
+func (c *cands) find(seq []graph.Label, forward bool, h uint64) int32 {
+	if 2*(len(c.hash)+1) > len(c.table) {
+		c.rehash()
+	}
+	mask := uint64(len(c.table) - 1)
+	for i := slot(h) & mask; ; i = (i + 1) & mask {
+		e := c.table[i]
+		if e == 0 {
+			b := int32(len(c.hash))
+			c.table[i] = tableEntry(h, b)
+			c.hash = append(grow(c.hash, 1), h)
+			c.rows = append(grow(c.rows, 1), 0)
+			c.fwd = append(grow(c.fwd, 1), 0)
+			c.labels = grow(c.labels, len(seq))
+			n := len(seq)
+			for j := range seq {
+				if forward {
+					c.labels = append(c.labels, seq[j])
+				} else {
+					c.labels = append(c.labels, seq[n-1-j])
+				}
+			}
+			return b
+		}
+		if e>>32 != h>>32 {
+			continue
+		}
+		b := int32(uint32(e)) - 1
+		if labelsEqualDir(c.labels[int(b)*c.s:int(b+1)*c.s], seq, forward) {
+			return b
 		}
 	}
-	m[h] = append(m[h], b)
 }
 
-// joinScratch is the per-worker reusable state of the Stage I joins: the
-// stamped vertex set replacing the per-join map, plus label and
-// combined-path buffers the join body fills in place.
+// rehash doubles the slot table and reinserts every bucket.
+func (c *cands) rehash() {
+	c.table = make([]uint64, 2*len(c.table))
+	mask := uint64(len(c.table) - 1)
+	for b, h := range c.hash {
+		i := slot(h) & mask
+		for c.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.table[i] = tableEntry(h, int32(b))
+	}
+}
+
+// addRow appends a row to bucket b; its vertices are already the last
+// s of verts.
+func (c *cands) addRow(b, gid int32) {
+	c.bucket = append(grow(c.bucket, 1), b)
+	c.gid = append(grow(c.gid, 1), gid)
+	c.rows[b]++
+	if canonicalForward(c.verts[len(c.verts)-c.s:]) {
+		c.fwd[b]++
+	}
+}
+
+// levelCands loads a level's patterns, all of one sequence length, into
+// candidate columns, one bucket per label sequence: the cross-part
+// recount's input to collect.
+func levelCands(ps []*PathPattern) *cands {
+	c := newCands(len(ps[0].Seq))
+	n := 0
+	for _, p := range ps {
+		n += len(p.GIDs)
+	}
+	c.bucket = make([]int32, 0, n)
+	c.gid = make([]int32, 0, n)
+	c.verts = make([]graph.V, 0, n*c.s)
+	for _, p := range ps {
+		b := c.find(p.Seq, true, hashLabelsDir(p.Seq, true))
+		for i, gid := range p.GIDs {
+			c.verts = append(c.verts, p.Emb(i)...)
+			c.addRow(b, gid)
+		}
+	}
+	return c
+}
+
+// rowRef names row i of worker w's candidate columns.
+type rowRef struct{ w, i int32 }
+
+// collect turns the workers' candidate rows into a level. It folds the
+// workers' buckets by label sequence, keeps those with at least minSup
+// canonical-forward rows (the support: each path subgraph is one
+// canonical-forward row), and scatters only their rows into level-wide
+// columns: patterns ascend by label sequence, and each pattern's rows
+// by (graph ID, vertex sequence), sorted as row references, the
+// patterns spread over the worker budget. The joins apply the runner's
+// threshold here, and the cross-part recount applies σ.
+func collect(ws []*cands, minSup, workers int) []*PathPattern {
+	if len(ws) == 0 {
+		return nil
+	}
+	g, s := ws[0], ws[0].s
+	// Worker 0's buckets become the level's; every other worker's
+	// bucket maps into them.
+	remap := make([][]int32, len(ws))
+	for w, c := range ws[1:] {
+		ids := make([]int32, len(c.hash))
+		for b, h := range c.hash {
+			id := g.find(c.labels[b*s:(b+1)*s], true, h)
+			g.rows[id] += c.rows[b]
+			g.fwd[id] += c.fwd[b]
+			ids[b] = id
+		}
+		remap[w+1] = ids
+	}
+	var keep []int32
+	for b, f := range g.fwd {
+		if int(f) >= minSup {
+			keep = append(keep, int32(b))
+		}
+	}
+	if len(keep) == 0 {
+		return nil
+	}
+	seqOf := func(b int32) []graph.Label { return g.labels[int(b)*s : int(b+1)*s] }
+	slices.SortFunc(keep, func(a, b int32) int { return graph.CompareLabelSeqs(seqOf(a), seqOf(b)) })
+	pat := make([]int32, len(g.hash))
+	for b := range pat {
+		pat[b] = -1
+	}
+	off := make([]int, len(keep)+1)
+	for k, b := range keep {
+		pat[b] = int32(k)
+		off[k+1] = off[k] + int(g.rows[b])
+	}
+	refs := make([]rowRef, off[len(keep)])
+	next := slices.Clone(off[:len(keep)])
+	for w, c := range ws {
+		for i, b := range c.bucket {
+			if w > 0 {
+				b = remap[w][b]
+			}
+			if k := pat[b]; k >= 0 {
+				refs[next[k]] = rowRef{int32(w), int32(i)}
+				next[k]++
+			}
+		}
+	}
+	row := func(r rowRef) []graph.V { return ws[r.w].verts[int(r.i)*s : int(r.i+1)*s] }
+	byRow := func(a, b rowRef) int {
+		return compareRows(ws[a.w].gid[a.i], row(a), ws[b.w].gid[b.i], row(b))
+	}
+	gids := make([]int32, len(refs))
+	verts := make([]graph.V, len(refs)*s)
+	seqs := make([]graph.Label, len(keep)*s)
+	pats := make([]PathPattern, len(keep))
+	out := make([]*PathPattern, len(keep))
+	fanOut(len(keep), workers, 16, func(_, from, to int) {
+		for k := from; k < to; k++ {
+			b, lo, hi := keep[k], off[k], off[k+1]
+			slices.SortFunc(refs[lo:hi], byRow)
+			for j, r := range refs[lo:hi] {
+				gids[lo+j] = ws[r.w].gid[r.i]
+				copy(verts[(lo+j)*s:], row(r))
+			}
+			copy(seqs[k*s:], seqOf(b))
+			pats[k] = PathPattern{
+				Seq:     seqs[k*s : (k+1)*s : (k+1)*s],
+				GIDs:    gids[lo:hi:hi],
+				Verts:   verts[lo*s : hi*s : hi*s],
+				Support: int(g.fwd[b]),
+			}
+			out[k] = &pats[k]
+		}
+	})
+	return out
+}
+
+// fanOut runs body over [0, n) in chunks claimed from a shared counter
+// by up to workers goroutines; the calls of one worker w are
+// sequential, so body may keep per-worker state indexed by w. One
+// worker runs inline.
+func fanOut(n, workers, chunk int, body func(w, lo, hi int)) {
+	workers = min(workers, (n+chunk-1)/chunk)
+	if workers < 2 {
+		if n > 0 {
+			body(0, 0, n)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
+				}
+				body(w, lo, min(lo+chunk, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// joinScratch is the per-worker reusable state of the Stage I joins:
+// the stamped vertex set replacing the per-join map and the label
+// buffer a candidate's sequence is gathered into.
 type joinScratch struct {
 	inA    *stampSet
 	labels []graph.Label
-	comb   graph.Path
 }
 
 func (r *localRunner) newJoinScratch() *joinScratch {
@@ -125,38 +353,35 @@ func (r *localRunner) newJoinScratch() *joinScratch {
 }
 
 // localRunner is the in-process Runner: DiamMine's path joins
-// (Algorithm 2) over the graphs of each part. Embeddings carry the
-// database's graph IDs throughout; a part only selects which graphs
-// its level-1 edges come from, since every later join combines
-// embeddings of one graph. collect applies minSup: σ when the runner's
-// output is the level itself (one in-process part), 1 when a recount
-// follows. prune is the Stage I pushdown hook (Options.PrunePath) of a
-// request-private engine. Every call owns its buckets and scratch, so
-// concurrent calls are safe.
+// (Algorithm 2) over all its graphs, whatever part a call names.
+// collect applies minSup: σ for an in-process engine, whose step output
+// is the level itself, and 1 for a shard worker, whose candidates the
+// coordinator recounts. prune is the Stage I pushdown hook
+// (Options.PrunePath) of a request-private engine. Every call owns its
+// columns and scratch, so concurrent calls are safe.
 type localRunner struct {
 	graphs []*graph.Graph
-	parts  [][]int32
 	maxN   int // largest vertex count across graphs; sizes stamp sets
 	minSup int
 	prune  func(seq []graph.Label) bool
 	pruned atomic.Int64 // join candidates cut by prune, folded into Stats
 }
 
-func newLocalRunner(graphs []*graph.Graph, parts [][]int32, minSup int, prune func([]graph.Label) bool) *localRunner {
-	return &localRunner{graphs: graphs, parts: parts, maxN: maxVertices(graphs), minSup: minSup, prune: prune}
+func newLocalRunner(graphs []*graph.Graph, minSup int, prune func([]graph.Label) bool) *localRunner {
+	return &localRunner{graphs: graphs, maxN: maxVertices(graphs), minSup: minSup, prune: prune}
 }
 
-// NewJoinRunner returns the in-process Runner over graphs as one part
-// at threshold 1: it reports every candidate its joins assemble, with
-// part-local supports, and leaves σ to the engine's cross-part
-// recount. A shard worker (internal/shard) serves it over HTTP.
+// NewJoinRunner returns the in-process Runner over graphs at threshold
+// 1: it reports every candidate its joins assemble, with local
+// supports, and leaves σ to the coordinator's cross-part recount. A
+// shard worker (internal/shard) serves it over HTTP.
 func NewJoinRunner(graphs []*graph.Graph) Runner {
-	return newLocalRunner(graphs, [][]int32{allGIDs(len(graphs))}, 1, nil)
+	return newLocalRunner(graphs, 1, nil)
 }
 
 // Edges implements Runner.
-func (r *localRunner) Edges(_ context.Context, part, _ int) ([]*PathPattern, error) {
-	return r.edgeCandidates(r.parts[part]), nil
+func (r *localRunner) Edges(_ context.Context, _, _ int) ([]*PathPattern, error) {
+	return r.edges(), nil
 }
 
 // Concat implements Runner.
@@ -172,151 +397,144 @@ func (r *localRunner) Merge(_ context.Context, _ int, pool []*PathPattern, l, m,
 // Close implements Runner; the in-process joins hold no resources.
 func (r *localRunner) Close() error { return nil }
 
-// edgeCandidates buckets the length-1 paths of the given graphs and
-// applies the runner's threshold.
-func (r *localRunner) edgeCandidates(gids []int32) []*PathPattern {
-	buckets := make(bucketMap)
+// edges buckets the length-1 paths of every graph, both orientations of
+// each edge, and applies the runner's threshold.
+func (r *localRunner) edges() []*PathPattern {
+	c := newCands(2)
 	sc := r.newJoinScratch()
-	for _, gid := range gids {
-		for _, e := range r.graphs[gid].Edges() {
-			for _, or := range [2][2]graph.V{{e.U, e.W}, {e.W, e.U}} {
-				sc.comb = append(sc.comb[:0], or[0], or[1])
-				r.bucketAdd(buckets, sc, PathEmb{GID: gid, Seq: sc.comb})
-			}
+	for gid, g := range r.graphs {
+		for _, e := range g.Edges() {
+			r.add(c, sc, int32(gid), []graph.V{e.U, e.W}, nil)
+			r.add(c, sc, int32(gid), []graph.V{e.W, e.U}, nil)
 		}
 	}
-	return collect(buckets, r.minSup)
+	return collect([]*cands{c}, r.minSup, 1)
 }
 
-// flattenEmbs gathers every oriented embedding of every pattern into one
-// slice, the work list the parallel joins partition.
-func flattenEmbs(pool []*PathPattern) []PathEmb {
+// pool is a level's rows gathered into two flat columns, the work list
+// and join index the joins read: row j lives in graph gid[j] and visits
+// verts[j*s:(j+1)*s].
+type pool struct {
+	s     int
+	gid   []int32
+	verts []graph.V
+}
+
+func newPool(ps []*PathPattern) pool {
+	if len(ps) == 0 {
+		return pool{}
+	}
 	n := 0
-	for _, p := range pool {
-		n += len(p.Embs)
+	for _, p := range ps {
+		n += len(p.GIDs)
 	}
-	out := make([]PathEmb, 0, n)
-	for _, p := range pool {
-		out = append(out, p.Embs...)
+	pl := pool{s: len(ps[0].Seq), gid: make([]int32, 0, n), verts: make([]graph.V, 0, n*len(ps[0].Seq))}
+	for _, p := range ps {
+		pl.gid = append(pl.gid, p.GIDs...)
+		pl.verts = append(pl.verts, p.Verts...)
 	}
-	return out
+	return pl
 }
 
-// joinBuckets applies join to every oriented embedding in the pool,
-// bucketing candidates. Sequentially it iterates the pool in place;
-// with two or more workers it flattens the embeddings into a shared
-// work list and fans chunks across parBuckets. join receives a
-// worker-private bucket map and that worker's reusable scratch state.
-func (r *localRunner) joinBuckets(pool []*PathPattern, workers int,
-	join func(a PathEmb, buckets bucketMap, sc *joinScratch)) bucketMap {
-	if workers < 2 {
-		buckets := make(bucketMap)
-		sc := r.newJoinScratch()
-		for _, p := range pool {
-			for _, a := range p.Embs {
-				join(a, buckets, sc)
-			}
-		}
-		return buckets
+func (pl pool) row(j int32) graph.Path {
+	return pl.verts[int(j)*pl.s : int(j+1)*pl.s]
+}
+
+// rowIndex chains a pool's rows by a 64-bit key: an open-addressed
+// table maps each key to the first row of its chain, and next links
+// the rows that share it.
+type rowIndex struct {
+	keys  []uint64 // per row
+	next  []int32  // per row; -1 ends a chain
+	slots []int32  // row + 1 of a chain's first row, 0 when empty
+}
+
+func newRowIndex(keys []uint64) *rowIndex {
+	n := 16
+	for n < 2*len(keys) {
+		n *= 2
 	}
-	as := flattenEmbs(pool)
-	return r.parBuckets(len(as), workers, func(lo, hi int, buckets bucketMap, sc *joinScratch) {
-		for _, a := range as[lo:hi] {
-			join(a, buckets, sc)
+	x := &rowIndex{keys: keys, next: make([]int32, len(keys)), slots: make([]int32, n)}
+	mask := uint64(n - 1)
+	for j := len(keys) - 1; j >= 0; j-- {
+		i := slot(keys[j]) & mask
+		for x.slots[i] != 0 && x.keys[x.slots[i]-1] != keys[j] {
+			i = (i + 1) & mask
 		}
+		x.next[j] = x.slots[i] - 1
+		x.slots[i] = int32(j) + 1
+	}
+	return x
+}
+
+// slot spreads a key's bits over a table index: packed (graph, vertex)
+// keys and the low bits of FNV-style hashes would otherwise cluster.
+func slot(k uint64) uint64 { return (k * 0x9e3779b97f4a7c15) >> 20 }
+
+// first returns the first row with the given key, or -1.
+func (x *rowIndex) first(k uint64) int32 {
+	mask := uint64(len(x.slots) - 1)
+	for i := slot(k) & mask; x.slots[i] != 0; i = (i + 1) & mask {
+		if j := x.slots[i] - 1; x.keys[j] == k {
+			return j
+		}
+	}
+	return -1
+}
+
+// joinRows runs a join body over the pool rows [0, n), which appends
+// candidate rows of sequence length s, and collects them into the
+// level. With two or more workers, each fills private columns (with
+// private scratch) over contiguous chunks of rows. Each candidate lands
+// in exactly one worker's columns and collect sorts everything it
+// emits, so the level is identical to the sequential one regardless of
+// scheduling.
+func (r *localRunner) joinRows(n, workers, s int, run func(lo, hi int32, c *cands, sc *joinScratch)) []*PathPattern {
+	workers = max(min(workers, n), 1)
+	ws := make([]*cands, workers)
+	scs := make([]*joinScratch, workers)
+	fanOut(n, workers, max(n/(workers*8), 1), func(w, lo, hi int) {
+		if ws[w] == nil {
+			ws[w], scs[w] = newCands(s), r.newJoinScratch()
+		}
+		run(int32(lo), int32(hi), ws[w], scs[w])
 	})
-}
-
-// parBuckets runs the join body over [0, n) across a pool of the given
-// worker count, each worker filling a private bucket map (with private
-// scratch) over contiguous chunks claimed from a shared counter, then
-// merges the worker maps. Each candidate lands in exactly one worker's
-// map and collect sorts everything it emits, so the merged result is
-// identical to the sequential one regardless of scheduling.
-func (r *localRunner) parBuckets(n, workers int, run func(lo, hi int, buckets bucketMap, sc *joinScratch)) bucketMap {
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 {
-		buckets := make(bucketMap)
-		if n > 0 {
-			run(0, n, buckets, r.newJoinScratch())
-		}
-		return buckets
-	}
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	locals := make([]bucketMap, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buckets := make(bucketMap)
-			locals[w] = buckets
-			sc := r.newJoinScratch()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				run(lo, hi, buckets, sc)
-			}
-		}(w)
-	}
-	wg.Wait()
-	out := locals[0]
-	for _, loc := range locals[1:] {
-		for _, chain := range loc {
-			for _, b := range chain {
-				out.fold(b)
-			}
-		}
-	}
-	return out
+	return collect(slices.DeleteFunc(ws, func(c *cands) bool { return c == nil }), r.minSup, workers)
 }
 
 // concat joins pairs of frequent paths of length L end-to-end into
 // candidate paths of length 2L (Algorithm 2 lines 2–7). Because every
 // pattern stores both orientations of every embedding, a single
-// last-vertex index covers all of CheckConcat's cases. The index keys
+// first-vertex index covers all of CheckConcat's cases. The index keys
 // (GID, vertex) pairs packed exactly into a uint64, so lookups need no
 // verification. An oriented path v0..v2L is assembled once: only from
 // its halves v0..vL and vL..v2L, each stored once in prev.
 func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
-	byFirst := make(map[uint64][]PathEmb)
-	for _, p := range prev {
-		for _, e := range p.Embs {
-			k := gidVertexKey(e.GID, e.Seq[0])
-			byFirst[k] = append(byFirst[k], e)
-		}
+	pl := newPool(prev)
+	n, L := len(pl.gid), pl.s-1
+	keys := make([]uint64, n)
+	for j := range keys {
+		keys[j] = gidVertexKey(pl.gid[j], pl.verts[j*pl.s])
 	}
-	buckets := r.joinBuckets(prev, workers, func(a PathEmb, buckets bucketMap, sc *joinScratch) {
-		cands := byFirst[gidVertexKey(a.GID, a.Seq[len(a.Seq)-1])]
-		if len(cands) == 0 {
-			return
-		}
-		sc.inA.reset()
-		for _, v := range a.Seq {
-			sc.inA.mark(v)
-		}
-		for _, b := range cands {
-			if !disjointAfterJoint(sc.inA, b.Seq) {
+	idx := newRowIndex(keys)
+	return r.joinRows(n, workers, 2*L+1, func(lo, hi int32, c *cands, sc *joinScratch) {
+		for j := lo; j < hi; j++ {
+			gid, a := pl.gid[j], pl.row(j)
+			first := idx.first(gidVertexKey(gid, a[L]))
+			if first < 0 {
 				continue
 			}
-			sc.comb = append(sc.comb[:0], a.Seq...)
-			sc.comb = append(sc.comb, b.Seq[1:]...)
-			r.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
+			sc.inA.reset()
+			for _, v := range a {
+				sc.inA.mark(v)
+			}
+			for b := first; b >= 0; b = idx.next[b] {
+				if bs := pl.row(b); disjointAfter(sc.inA, bs, 0) {
+					r.add(c, sc, gid, a, bs[1:])
+				}
+			}
 		}
 	})
-	return collect(buckets, r.minSup)
 }
 
 // merge overlaps two length-m paths to form paths of length l with
@@ -327,54 +545,50 @@ func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
 // suffix before joining, so hash collisions never produce a bogus join.
 // An oriented path v0..vl is assembled once: only from v0..vm and
 // v(l-m)..vl, which overlap in exactly o edges.
-func (r *localRunner) merge(pool []*PathPattern, l, pm int, workers int) []*PathPattern {
+func (r *localRunner) merge(prev []*PathPattern, l, pm int, workers int) []*PathPattern {
 	o := 2*pm - l // overlap in edges, >= 1
-	byPrefix := make(map[uint64][]PathEmb)
-	for _, p := range pool {
-		for _, e := range p.Embs {
-			k := hashGidSeq(e.GID, e.Seq[:o+1])
-			byPrefix[k] = append(byPrefix[k], e)
-		}
+	pl := newPool(prev)
+	n := len(pl.gid)
+	keys := make([]uint64, n)
+	for j := range keys {
+		keys[j] = hashGidSeq(pl.gid[j], pl.row(int32(j))[:o+1])
 	}
-	buckets := r.joinBuckets(pool, workers, func(a PathEmb, buckets bucketMap, sc *joinScratch) {
-		suffix := a.Seq[len(a.Seq)-o-1:]
-		cands := byPrefix[hashGidSeq(a.GID, suffix)]
-		if len(cands) == 0 {
-			return
-		}
-		sc.inA.reset()
-		for _, v := range a.Seq {
-			sc.inA.mark(v)
-		}
-		for _, b := range cands {
-			if b.GID != a.GID || !prefixMatches(b.Seq, suffix) {
-				continue // hash collision
-			}
-			if !disjointAfterOverlap(sc.inA, b.Seq, o) {
+	idx := newRowIndex(keys)
+	return r.joinRows(n, workers, l+1, func(lo, hi int32, c *cands, sc *joinScratch) {
+		for j := lo; j < hi; j++ {
+			gid, a := pl.gid[j], pl.row(j)
+			suffix := a[len(a)-o-1:]
+			first := idx.first(hashGidSeq(gid, suffix))
+			if first < 0 {
 				continue
 			}
-			sc.comb = append(sc.comb[:0], a.Seq...)
-			sc.comb = append(sc.comb, b.Seq[o+1:]...)
-			r.bucketAdd(buckets, sc, PathEmb{GID: a.GID, Seq: sc.comb})
+			sc.inA.reset()
+			for _, v := range a {
+				sc.inA.mark(v)
+			}
+			for b := first; b >= 0; b = idx.next[b] {
+				bs := pl.row(b)
+				if pl.gid[b] != gid || !slices.Equal(bs[:o+1], suffix) {
+					continue // hash collision
+				}
+				if disjointAfter(sc.inA, bs, o) {
+					r.add(c, sc, gid, a, bs[o+1:])
+				}
+			}
 		}
 	})
-	return collect(buckets, r.minSup)
 }
 
-// prefixMatches reports whether seq starts with the given prefix.
-func prefixMatches(seq graph.Path, prefix graph.Path) bool {
-	return len(seq) >= len(prefix) && slices.Equal(seq[:len(prefix)], prefix)
-}
-
-// bucketAdd stores a copy of a candidate embedding (whose Seq aliases
-// scratch) in its pattern bucket, keyed by the canonical label
-// sequence. Labels are gathered into the worker's scratch buffer and
-// hashed in canonical direction; a fresh label slice is materialized
-// only when a new bucket is created.
-func (r *localRunner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
-	g := r.graphs[e.GID]
+// add appends the candidate path head+tail of graph gid to the bucket
+// of its canonical label sequence. Labels are gathered into the
+// worker's scratch buffer and hashed in canonical direction.
+func (r *localRunner) add(c *cands, sc *joinScratch, gid int32, head, tail graph.Path) {
+	g := r.graphs[gid]
 	sc.labels = sc.labels[:0]
-	for _, v := range e.Seq {
+	for _, v := range head {
+		sc.labels = append(sc.labels, g.Label(v))
+	}
+	for _, v := range tail {
 		sc.labels = append(sc.labels, g.Label(v))
 	}
 	// Constraint pushdown inside the join: an anti-monotone violation
@@ -386,76 +600,24 @@ func (r *localRunner) bucketAdd(buckets bucketMap, sc *joinScratch, e PathEmb) {
 		r.pruned.Add(1)
 		return
 	}
-	e.Seq = slices.Clone(e.Seq)
 	fwd := canonLabelsForward(sc.labels)
-	h := hashLabelsDir(sc.labels, fwd)
-	for _, b := range buckets[h] {
-		if labelsEqualDir(b.seq, sc.labels, fwd) {
-			b.embs = append(b.embs, e)
-			return
-		}
-	}
-	n := len(sc.labels)
-	canon := make([]graph.Label, n)
-	for i := 0; i < n; i++ {
-		if fwd {
-			canon[i] = sc.labels[i]
-		} else {
-			canon[i] = sc.labels[n-1-i]
-		}
-	}
-	buckets[h] = append(buckets[h], &pathBucket{seq: canon, embs: []PathEmb{e}})
+	b := c.find(sc.labels, fwd, hashLabelsDir(sc.labels, fwd))
+	c.verts = append(append(grow(c.verts, c.s), head...), tail...)
+	c.addRow(b, gid)
 }
 
-// collect turns buckets into patterns: each pattern's support is its
-// number of canonical-forward embeddings, patterns below minSup are
-// dropped, and the rest sort by label sequence, each with its
-// embeddings ascending by (graph ID, vertex sequence). The joins apply
-// the runner's threshold here, and the cross-part recount applies σ.
-func collect(buckets bucketMap, minSup int) []*PathPattern {
-	var out []*PathPattern
-	for _, chain := range buckets {
-		for _, b := range chain {
-			sup := 0
-			for _, e := range b.embs {
-				if e.canonicalForward() {
-					sup++
-				}
-			}
-			if sup < minSup {
-				continue
-			}
-			slices.SortFunc(b.embs, comparePathEmbs)
-			out = append(out, &PathPattern{Seq: b.seq, Embs: b.embs, Support: sup})
-		}
+// compareRows orders embeddings by graph ID, then vertex sequence: the
+// order every level stores them in.
+func compareRows(ga int32, a graph.Path, gb int32, b graph.Path) int {
+	if ga != gb {
+		return cmp.Compare(ga, gb)
 	}
-	slices.SortFunc(out, func(a, b *PathPattern) int { return graph.CompareLabelSeqs(a.Seq, b.Seq) })
-	return out
+	return slices.Compare(a, b)
 }
 
-// comparePathEmbs orders embeddings by graph ID, then vertex sequence:
-// the order every level stores them in.
-func comparePathEmbs(a, b PathEmb) int {
-	if a.GID != b.GID {
-		return cmp.Compare(a.GID, b.GID)
-	}
-	return slices.Compare(a.Seq, b.Seq)
-}
-
-// disjointAfterJoint reports whether seq's vertices beyond its first are
+// disjointAfter reports whether seq's vertices beyond position o are
 // all absent from the stamped set inA.
-func disjointAfterJoint(inA *stampSet, seq graph.Path) bool {
-	for _, v := range seq[1:] {
-		if inA.has(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// disjointAfterOverlap reports whether seq's vertices beyond position o
-// are all absent from inA.
-func disjointAfterOverlap(inA *stampSet, seq graph.Path, o int) bool {
+func disjointAfter(inA *stampSet, seq graph.Path, o int) bool {
 	for _, v := range seq[o+1:] {
 		if inA.has(v) {
 			return false

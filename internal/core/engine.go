@@ -24,10 +24,11 @@ type IndexState struct {
 	Levels map[int][]*PathPattern
 }
 
-// Runner produces one part's Stage I candidates for one step of the
-// engine's doubling schedule. The engine calls it once per part per
-// step. The two implementations are the in-process joins (NewEngine,
-// NewJoinRunner) and the HTTP runner of internal/shard. Inputs and
+// Runner produces Stage I candidates for one step of the engine's
+// doubling schedule. The two implementations are the in-process joins
+// (NewEngine, NewJoinRunner), which an engine calls once per step over
+// all its graphs, and the HTTP runner of internal/shard, which it calls
+// once per part with the part's share of the previous level. Inputs and
 // outputs carry the engine's graph IDs; a runner that ships work
 // elsewhere owns the remapping. An error fails the whole step, and the
 // engine stores nothing of it.
@@ -51,32 +52,34 @@ type Runner interface {
 //
 // The database is split into parts, each a set of graph IDs. Stage I
 // joins only combine embeddings of one graph, so each part's candidates
-// are exactly the unsharded candidates restricted to its graphs. With
-// one in-process part the joins apply σ themselves and a step's output
-// is the level. Otherwise every part reports threshold-1 candidates and
-// the cross-part recount (mergeLevel) buckets them by label sequence,
-// counts canonical-forward embeddings and applies σ; each part's share of
-// the survivors is its input to the next step, so parts only ever
-// extend globally frequent paths. Both routes give the same bytes.
+// are exactly the unsharded candidates restricted to its graphs. The
+// in-process joins therefore run once per step over every graph, apply
+// σ themselves, and a step's output is the level; a part's share is the
+// level split by graph ID (share), taken only for PartStates. With a
+// remote runner every part reports threshold-1 candidates from its
+// share of the previous level, and the cross-part recount (mergeLevel)
+// collects them by label sequence, counts canonical-forward embeddings
+// and applies σ, so parts only ever extend globally frequent paths.
+// Both routes give the same bytes.
 //
 // An Engine is safe for concurrent requests. A cache hit takes a read
 // lock; a miss materializes under the write lock for its full cost, so
 // MaterializedLevels reads a separate mirror and never waits. Only a
-// request-private engine (MineParts) prunes inside its joins: pruned
+// request-private engine (MineContext) prunes inside its joins: pruned
 // levels must never be cached where other requests read them.
 type Engine struct {
-	graphs  []*graph.Graph
-	sigma   int
-	parts   [][]int32 // each part's graph IDs, ascending
-	runner  Runner
-	recount bool          // runner candidates are threshold-1: merge across parts and apply σ
-	pruned  *atomic.Int64 // join candidates cut by PrunePath; nil unless request-private
-	conc    int           // Level's worker budget; <= 0 means one per CPU
-	maxN    int           // largest vertex count across graphs; sizes stamp tables
+	graphs []*graph.Graph
+	sigma  int
+	parts  [][]int32 // each part's graph IDs, ascending
+	partOf []int32   // per graph ID: its part
+	runner Runner
+	remote bool          // runner runs per part at threshold 1: recount across parts and apply σ
+	pruned *atomic.Int64 // join candidates cut by PrunePath; nil unless request-private
+	conc   int           // Level's worker budget; <= 0 means one per CPU
+	maxN   int           // largest vertex count across graphs; sizes stamp tables
 
-	mu     sync.RWMutex             // guards levels and proj
-	levels map[int][]*PathPattern   // key: path length
-	proj   map[int][][]*PathPattern // per level: each part's share of it
+	mu     sync.RWMutex           // guards levels
+	levels map[int][]*PathPattern // key: path length
 
 	matMu sync.Mutex
 	mat   []int // the keys of levels, ascending, readable during a materialization
@@ -94,8 +97,9 @@ func NewEngine(graphs []*graph.Graph, sigma int, parts [][]int32) (*Engine, erro
 	return newEngine(graphs, sigma, parts, nil, nil)
 }
 
-// newEngine builds an engine. A nil runner means the in-process joins,
-// which apply prune (request-private engines only) to every candidate.
+// newEngine builds an engine. A nil runner means the in-process joins
+// at threshold σ, which apply prune (request-private engines only) to
+// every candidate.
 func newEngine(graphs []*graph.Graph, sigma int, parts [][]int32, runner Runner, prune func([]graph.Label) bool) (*Engine, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("core: the engine needs at least one graph")
@@ -110,21 +114,22 @@ func newEngine(graphs []*graph.Graph, sigma int, parts [][]int32, runner Runner,
 		return nil, err
 	}
 	e := &Engine{
-		graphs:  graphs,
-		sigma:   sigma,
-		parts:   parts,
-		runner:  runner,
-		recount: runner != nil || len(parts) > 1,
-		maxN:    maxVertices(graphs),
-		levels:  make(map[int][]*PathPattern),
-		proj:    make(map[int][][]*PathPattern),
+		graphs: graphs,
+		sigma:  sigma,
+		parts:  parts,
+		partOf: make([]int32, len(graphs)),
+		runner: runner,
+		remote: runner != nil,
+		maxN:   maxVertices(graphs),
+		levels: make(map[int][]*PathPattern),
+	}
+	for s, gids := range parts {
+		for _, gid := range gids {
+			e.partOf[gid] = int32(s)
+		}
 	}
 	if runner == nil {
-		minSup := 1
-		if !e.recount {
-			minSup = sigma
-		}
-		lr := newLocalRunner(graphs, parts, minSup, prune)
+		lr := newLocalRunner(graphs, sigma, prune)
 		if prune != nil {
 			e.pruned = &lr.pruned
 		}
@@ -280,14 +285,11 @@ func (e *Engine) materialize(ctx context.Context, l, workers int, tr obs.Tracer)
 		}
 		var err error
 		if p == 1 {
-			err = e.step(ctx, tr, "stage1.edges", 1, 0, workers, func(ctx context.Context, s, w int) ([]*PathPattern, error) {
+			err = e.step(ctx, tr, "stage1.edges", 1, 0, nil, workers, func(ctx context.Context, s int, _ []*PathPattern, w int) ([]*PathPattern, error) {
 				return e.runner.Edges(ctx, s, w)
 			})
 		} else {
-			prev := e.proj[p/2]
-			err = e.step(ctx, tr, "stage1.concat", p, 0, workers, func(ctx context.Context, s, w int) ([]*PathPattern, error) {
-				return e.runner.Concat(ctx, s, prev[s], w)
-			})
+			err = e.step(ctx, tr, "stage1.concat", p, 0, e.levels[p/2], workers, e.runner.Concat)
 		}
 		if err != nil {
 			return err
@@ -296,18 +298,19 @@ func (e *Engine) materialize(ctx context.Context, l, workers int, tr obs.Tracer)
 	if l == k {
 		return nil
 	}
-	pool := e.proj[k]
-	return e.step(ctx, tr, "stage1.merge", l, k, workers, func(ctx context.Context, s, w int) ([]*PathPattern, error) {
-		return e.runner.Merge(ctx, s, pool[s], l, k, w)
+	return e.step(ctx, tr, "stage1.merge", l, k, e.levels[k], workers, func(ctx context.Context, s int, pool []*PathPattern, w int) ([]*PathPattern, error) {
+		return e.runner.Merge(ctx, s, pool, l, k, w)
 	})
 }
 
-// step runs one level step on every part and stores level l: the
-// parts' candidates as they are, or their cross-part recount, which
-// gets its own span because it is the coordinator-side cost a
-// distributed deployment cannot shard away. Callers hold e.mu for
-// writing.
-func (e *Engine) step(ctx context.Context, tr obs.Tracer, name string, l, base, workers int, run func(ctx context.Context, s, w int) ([]*PathPattern, error)) error {
+// step runs one level step from the previous level prev and stores
+// level l: the in-process joins' output as it is, or, with a remote
+// runner, the cross-part recount of every part's candidates from its
+// share of prev. The recount gets its own span because it is the
+// coordinator-side cost a distributed deployment cannot shard away.
+// Callers hold e.mu for writing.
+func (e *Engine) step(ctx context.Context, tr obs.Tracer, name string, l, base int, prev []*PathPattern, workers int,
+	run func(ctx context.Context, s int, in []*PathPattern, w int) ([]*PathPattern, error)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -315,7 +318,19 @@ func (e *Engine) step(ctx context.Context, tr obs.Tracer, name string, l, base, 
 	if base > 0 {
 		sp.TagInt("base", int64(base))
 	}
-	parts, err := e.runParts(ctx, workers, run)
+	if !e.remote {
+		level, err := run(ctx, 0, prev, max(workers, 1))
+		if err != nil {
+			sp.Tag("outcome", "error").End()
+			return err
+		}
+		sp.TagInt("candidates", int64(len(level))).End()
+		e.store(l, level)
+		return nil
+	}
+	parts, err := e.runParts(ctx, workers, func(ctx context.Context, s, w int) ([]*PathPattern, error) {
+		return run(ctx, s, e.share(prev, s), w)
+	})
 	if err != nil {
 		sp.Tag("outcome", "error").End()
 		return err
@@ -325,17 +340,15 @@ func (e *Engine) step(ctx context.Context, tr obs.Tracer, name string, l, base, 
 		n += len(part)
 	}
 	sp.TagInt("candidates", int64(n)).End()
-	level := parts[0]
-	if e.recount {
-		rs := tr.Start("stage1.recount").TagInt("level", int64(l)).TagInt("candidates", int64(n))
-		level, parts = mergeLevel(parts, e.sigma)
-		rs.TagInt("patterns", int64(len(level))).End()
-	}
-	e.store(l, level, parts)
+	rs := tr.Start("stage1.recount").TagInt("level", int64(l)).TagInt("candidates", int64(n))
+	level := mergeLevel(parts, e.sigma, workers)
+	rs.TagInt("patterns", int64(len(level))).End()
+	e.store(l, level)
 	return nil
 }
 
-// runParts runs one level step on every part within the worker budget:
+// runParts runs one remote level step on every part within the worker
+// budget:
 // at most workers parts run at once (Concurrency=1 stays sequential),
 // and a budget beyond the part count fans out inside each part's
 // joins. parts[s] is part s's output, so the result is independent of
@@ -378,62 +391,100 @@ func (e *Engine) runParts(ctx context.Context, workers int, run func(ctx context
 	return parts, nil
 }
 
-// store caches level l with each part's share of it and publishes the
-// length to the materialized-levels mirror. Callers hold e.mu for
-// writing (or own an engine not yet shared).
-func (e *Engine) store(l int, level []*PathPattern, parts [][]*PathPattern) {
+// store caches level l and publishes its length to the
+// materialized-levels mirror. Callers hold e.mu for writing (or own an
+// engine not yet shared).
+func (e *Engine) store(l int, level []*PathPattern) {
 	e.levels[l] = level
-	e.proj[l] = parts
 	e.matMu.Lock()
 	i, _ := slices.BinarySearch(e.mat, l)
 	e.mat = slices.Insert(e.mat, i, l)
 	e.matMu.Unlock()
 }
 
-// mergeLevel folds the parts' candidate lists for one path level into
-// the global level by the joins' own bucket-and-collect step: the parts'
-// patterns fold into buckets by label sequence, and collect counts each
-// pattern's support over all parts' embeddings, applies σ and sorts.
-// The lists need no dedup, because every embedding lives in one graph
-// and every graph in one part, and no per-part support is summed. The
-// result is byte-identical to the level one in-process part
-// materializes (pinned by the sharding refguards). The second result is
-// each part's share of the survivors: only globally frequent paths,
-// only the part's own embeddings.
-func mergeLevel(parts [][]*PathPattern, sigma int) (global []*PathPattern, local [][]*PathPattern) {
-	buckets := make(bucketMap)
-	for _, part := range parts {
-		for _, p := range part {
-			// A copy, because collect sorts the bucket in place.
-			buckets.fold(&pathBucket{seq: p.Seq, embs: slices.Clone(p.Embs)})
+// mergeLevel is the cross-part recount: it collects the parts'
+// candidate lists for one path level, counting each pattern's support
+// over every part's embeddings, and applies σ. The lists need no dedup,
+// because every embedding lives in one graph and every graph in one
+// part, and no per-part support is summed. The result is byte-identical
+// to the level the in-process joins materialize (pinned by the sharding
+// refguards).
+func mergeLevel(parts [][]*PathPattern, sigma, workers int) []*PathPattern {
+	var ws []*cands
+	for _, ps := range parts {
+		if len(ps) > 0 {
+			ws = append(ws, levelCands(ps))
 		}
 	}
-	global = collect(buckets, sigma)
-	local = make([][]*PathPattern, len(parts))
-	for s, part := range parts {
-		local[s] = slices.DeleteFunc(slices.Clone(part), func(p *PathPattern) bool {
-			_, ok := slices.BinarySearchFunc(global, p.Seq, func(g *PathPattern, seq []graph.Label) int {
-				return graph.CompareLabelSeqs(g.Seq, seq)
-			})
-			return !ok
-		})
+	return collect(ws, sigma, workers)
+}
+
+// share returns part s's share of a level: each pattern's embeddings in
+// the part's graphs, support recounted over them, leaving out the
+// patterns with none there. Graph IDs stay the engine's. One part's
+// share is the level itself.
+func (e *Engine) share(level []*PathPattern, s int) []*PathPattern {
+	if len(e.parts) == 1 {
+		return level
 	}
-	return global, local
+	n := 0
+	for _, p := range level {
+		for _, gid := range p.GIDs {
+			if e.partOf[gid] == int32(s) {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	sl := len(level[0].Seq)
+	gids := make([]int32, 0, n)
+	verts := make([]graph.V, 0, n*sl)
+	var pats []PathPattern
+	for _, p := range level {
+		lo, fwd := len(gids), 0
+		for i, gid := range p.GIDs {
+			if e.partOf[gid] == int32(s) {
+				gids = append(gids, gid)
+				verts = append(verts, p.Emb(i)...)
+				if canonicalForward(p.Emb(i)) {
+					fwd++
+				}
+			}
+		}
+		if hi := len(gids); hi > lo {
+			pats = append(pats, PathPattern{Seq: p.Seq, GIDs: gids[lo:hi:hi], Verts: verts[lo*sl : hi*sl : hi*sl], Support: fwd})
+		}
+	}
+	out := make([]*PathPattern, len(pats))
+	for i := range pats {
+		out[i] = &pats[i]
+	}
+	return out
 }
 
 // RemapGIDs returns a copy of a level whose embeddings carry to[GID]
 // in place of their graph IDs: the one translation between the engine's
-// graph IDs and a part's own. Label and vertex sequences are shared,
-// not copied. A remap that ascends within the part keeps every
-// pattern's embeddings in order.
+// graph IDs and a part's own. Only the graph-ID column is copied; label
+// and vertex columns are shared. A remap that ascends within the part
+// keeps every pattern's embeddings in order.
 func RemapGIDs(ps []*PathPattern, to []int32) []*PathPattern {
+	n := 0
+	for _, p := range ps {
+		n += len(p.GIDs)
+	}
+	gids := make([]int32, 0, n)
+	pats := make([]PathPattern, len(ps))
 	out := make([]*PathPattern, len(ps))
 	for i, p := range ps {
-		embs := make([]PathEmb, len(p.Embs))
-		for j, e := range p.Embs {
-			embs[j] = PathEmb{GID: to[e.GID], Seq: e.Seq}
+		lo := len(gids)
+		for _, gid := range p.GIDs {
+			gids = append(gids, to[gid])
 		}
-		out[i] = &PathPattern{Seq: p.Seq, Embs: embs, Support: p.Support}
+		hi := len(gids)
+		pats[i] = PathPattern{Seq: p.Seq, GIDs: gids[lo:hi:hi], Verts: p.Verts, Support: p.Support}
+		out[i] = &pats[i]
 	}
 	return out
 }
@@ -442,8 +493,8 @@ func RemapGIDs(ps []*PathPattern, to []int32) []*PathPattern {
 // its share of every materialized level, graph IDs renumbered to the
 // part's own order, so each part persists as a standalone v1 snapshot
 // stream. One part exports the level slices themselves. Inverse of
-// RestoreEngine. Nothing is copied — treat the data as read-only. It
-// waits for a materialization in progress and then includes its level.
+// RestoreEngine. Treat the data as read-only. It waits for a
+// materialization in progress and then includes its level.
 func (e *Engine) PartStates() []IndexState {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -462,9 +513,9 @@ func (e *Engine) PartStates() []IndexState {
 			toLocal[gid] = int32(i)
 			graphs[i] = e.graphs[gid]
 		}
-		levels := make(map[int][]*PathPattern, len(e.proj))
-		for l, parts := range e.proj {
-			levels[l] = RemapGIDs(parts[s], toLocal)
+		levels := make(map[int][]*PathPattern, len(e.levels))
+		for l, level := range e.levels {
+			levels[l] = RemapGIDs(e.share(level, s), toLocal)
 		}
 		out[s] = IndexState{Graphs: graphs, Sigma: e.sigma, Levels: levels}
 	}
@@ -477,8 +528,8 @@ func (e *Engine) PartStates() []IndexState {
 // is validated against its part's graphs. One part's levels are then
 // stored as they are. Several parts must partition the database and
 // agree on σ and on the materialized levels, and their shares are
-// re-merged into the global levels: a stored pattern whose merged
-// support falls below σ is corruption, not data.
+// recounted into the global levels (mergeLevel): a stored pattern whose
+// recounted support falls below σ is corruption, not data.
 func RestoreEngine(states []IndexState, parts [][]int32, sigma int, runner Runner) (*Engine, error) {
 	if len(states) == 0 || (parts != nil && len(states) != len(parts)) {
 		return nil, fmt.Errorf("core: %d states for %d parts", len(states), len(parts))
@@ -499,7 +550,7 @@ func RestoreEngine(states []IndexState, parts [][]int32, sigma int, runner Runne
 			return nil, err
 		}
 		for l, ps := range states[0].Levels {
-			e.store(l, ps, [][]*PathPattern{ps})
+			e.store(l, ps)
 		}
 		return e, nil
 	}
@@ -536,20 +587,29 @@ func RestoreEngine(states []IndexState, parts [][]int32, sigma int, runner Runne
 		for s, st := range states {
 			shares[s] = RemapGIDs(st.Levels[l], parts[s])
 		}
-		level, local := mergeLevel(shares, sigma)
-		for s := range shares {
-			if n := len(shares[s]) - len(local[s]); n > 0 {
+		level := mergeLevel(shares, sigma, e.Concurrency())
+		for s, share := range shares {
+			n := 0
+			for _, p := range share {
+				if _, ok := slices.BinarySearchFunc(level, p.Seq, func(g *PathPattern, seq []graph.Label) int {
+					return graph.CompareLabelSeqs(g.Seq, seq)
+				}); !ok {
+					n++
+				}
+			}
+			if n > 0 {
 				return nil, fmt.Errorf("core: part %d level %d holds %d patterns below the σ=%d threshold: snapshot is corrupted", s, l, n, sigma)
 			}
 		}
-		e.store(l, level, local)
+		e.store(l, level)
 	}
 	return e, nil
 }
 
 // ValidateLevel checks that ps is a well-formed level l over graphs,
-// as the joins build one. Every pattern has l+1 labels. Every embedding
-// references an in-range graph and l+1 of its vertices. A pattern's
+// as the joins build one. Every pattern has l+1 labels, and its vertex
+// column holds exactly l+1 vertices per graph ID. Every embedding
+// references an in-range graph and vertices of it. A pattern's
 // embeddings ascend strictly by (graph ID, vertex sequence), so none
 // repeats. Its Support is its number of canonical-forward embeddings,
 // which is half of them, because every path is stored in both
@@ -566,29 +626,29 @@ func ValidateLevel(graphs []*graph.Graph, l int, ps []*PathPattern) error {
 		if len(p.Seq) != l+1 {
 			return fmt.Errorf("core: level %d pattern %d has %d labels, want %d", l, i, len(p.Seq), l+1)
 		}
+		if len(p.Verts) != len(p.GIDs)*(l+1) {
+			return fmt.Errorf("core: level %d pattern %d has %d vertices for %d embeddings, want %d each", l, i, len(p.Verts), len(p.GIDs), l+1)
+		}
 		forward := 0
-		for j, e := range p.Embs {
-			if int(e.GID) < 0 || int(e.GID) >= len(graphs) {
-				return fmt.Errorf("core: level %d embedding references graph %d of %d", l, e.GID, len(graphs))
+		for j, gid := range p.GIDs {
+			if int(gid) < 0 || int(gid) >= len(graphs) {
+				return fmt.Errorf("core: level %d embedding references graph %d of %d", l, gid, len(graphs))
 			}
-			g := graphs[e.GID]
-			if len(e.Seq) != l+1 {
-				return fmt.Errorf("core: level %d embedding has %d vertices, want %d", l, len(e.Seq), l+1)
-			}
-			for _, v := range e.Seq {
+			g, e := graphs[gid], p.Emb(j)
+			for _, v := range e {
 				if int(v) < 0 || int(v) >= g.N() {
-					return fmt.Errorf("core: level %d embedding vertex %d out of range for graph %d", l, v, e.GID)
+					return fmt.Errorf("core: level %d embedding vertex %d out of range for graph %d", l, v, gid)
 				}
 			}
-			if j > 0 && comparePathEmbs(p.Embs[j-1], e) >= 0 {
+			if j > 0 && compareRows(p.GIDs[j-1], p.Emb(j-1), gid, e) >= 0 {
 				return fmt.Errorf("core: level %d pattern %d embedding %d repeats or precedes the one before it", l, i, j)
 			}
-			if e.canonicalForward() {
+			if canonicalForward(e) {
 				forward++
 			}
 		}
-		if p.Support != forward || 2*forward != len(p.Embs) {
-			return fmt.Errorf("core: level %d pattern %d has support %d, but %d of its %d embeddings read canonically forward", l, i, p.Support, forward, len(p.Embs))
+		if p.Support != forward || 2*forward != len(p.GIDs) {
+			return fmt.Errorf("core: level %d pattern %d has support %d, but %d of its %d embeddings read canonically forward", l, i, p.Support, forward, len(p.GIDs))
 		}
 	}
 	return nil

@@ -131,11 +131,12 @@ func TestStageIDeterminismAcrossConcurrency(t *testing.T) {
 				t.Fatalf("l=%d path %d: (seq %v sup %d) vs (par %v sup %d)",
 					l, i, a.Seq, a.Support, b.Seq, b.Support)
 			}
-			if len(a.Embs) != len(b.Embs) {
-				t.Fatalf("l=%d path %d: %d embeddings vs %d", l, i, len(a.Embs), len(b.Embs))
+			ae, be := embsOf(a), embsOf(b)
+			if len(ae) != len(be) {
+				t.Fatalf("l=%d path %d: %d embeddings vs %d", l, i, len(ae), len(be))
 			}
-			for j := range a.Embs {
-				if a.Embs[j].key() != b.Embs[j].key() {
+			for j := range ae {
+				if ae[j].key() != be[j].key() {
 					t.Fatalf("l=%d path %d: embedding order diverges at %d", l, i, j)
 				}
 			}

@@ -95,9 +95,9 @@ func newPatternFromPath(pp *PathPattern, graphs []*graph.Graph, maxEmb int) *Pat
 		p.DT[i] = int32(l - i)
 	}
 	p.Embs = support.NewSet(g.Edges(), maxEmb)
-	for _, e := range pp.Embs {
-		if labelSeqMatches(graphs[e.GID], e.Seq, pp.Seq) {
-			p.Embs.Insert(support.Embedding{GID: e.GID, Map: e.Seq})
+	for i, gid := range pp.GIDs {
+		if e := pp.Emb(i); labelSeqMatches(graphs[gid], e, pp.Seq) {
+			p.Embs.Insert(support.Embedding{GID: gid, Map: e})
 		}
 	}
 	return p

@@ -13,10 +13,10 @@ import (
 )
 
 // This file retains the string-keyed, map-based implementation of
-// Stage I that the hash-keyed buckets and join indexes replaced — the
-// pre-refactor code, sequential form — and asserts the two produce
-// identical PathPattern sets (sequences, supports, AND full oriented
-// embedding sets) on randomized synthetic graphs. The reference dedups
+// Stage I that the columnar joins replaced — the pre-refactor code,
+// sequential form, one struct per embedding — and asserts the two
+// produce identical PathPattern sets (sequences, supports, AND full
+// oriented embedding sets) on randomized synthetic graphs. The reference dedups
 // every oriented embedding and counts distinct subgraphs by key; the
 // mining code does neither, because its joins assemble each oriented
 // path once and store both orientations, so support is the
@@ -26,6 +26,33 @@ import (
 // pipeline are exercised under -race by parallel_test.go and the
 // parallel guard below, which drive the epoch-stamped scratch tables
 // from multiple workers.
+
+// PathEmb is one oriented embedding as a row: the graph it lives in and
+// its vertex sequence. The reference miner stores these, and the tests
+// compare levels through them.
+type PathEmb struct {
+	GID int32
+	Seq graph.Path
+}
+
+// embsOf returns a pattern's embeddings as rows, in stored order.
+func embsOf(p *PathPattern) []PathEmb {
+	out := make([]PathEmb, len(p.GIDs))
+	for i, gid := range p.GIDs {
+		out[i] = PathEmb{GID: gid, Seq: p.Emb(i)}
+	}
+	return out
+}
+
+// patternOf builds a pattern's columns from rows.
+func patternOf(seq []graph.Label, embs []PathEmb, sup int) *PathPattern {
+	p := &PathPattern{Seq: seq, Support: sup}
+	for _, e := range embs {
+		p.GIDs = append(p.GIDs, e.GID)
+		p.Verts = append(p.Verts, e.Seq...)
+	}
+	return p
+}
 
 // key returns an exact string key for the oriented sequence.
 func (p PathEmb) key() string {
@@ -156,7 +183,7 @@ func (m *refMiner) concat(prev []*PathPattern) []*PathPattern {
 	}
 	byFirst := make(map[vkey][]PathEmb)
 	for _, p := range prev {
-		for _, e := range p.Embs {
+		for _, e := range embsOf(p) {
 			k := vkey{e.GID, e.Seq[0]}
 			byFirst[k] = append(byFirst[k], e)
 		}
@@ -164,7 +191,7 @@ func (m *refMiner) concat(prev []*PathPattern) []*PathPattern {
 	buckets := make(map[string]*refBucket)
 	inA := make(map[graph.V]struct{}, 16)
 	for _, p := range prev {
-		for _, a := range p.Embs {
+		for _, a := range embsOf(p) {
 			cands := byFirst[vkey{a.GID, a.Seq[len(a.Seq)-1]}]
 			if len(cands) == 0 {
 				continue
@@ -209,7 +236,7 @@ func (m *refMiner) merge(pool []*PathPattern, l, pm int) []*PathPattern {
 	}
 	byPrefix := make(map[pkey][]PathEmb)
 	for _, p := range pool {
-		for _, e := range p.Embs {
+		for _, e := range embsOf(p) {
 			k := pkey{e.GID, tupleKey(e.Seq[:o+1])}
 			byPrefix[k] = append(byPrefix[k], e)
 		}
@@ -217,7 +244,7 @@ func (m *refMiner) merge(pool []*PathPattern, l, pm int) []*PathPattern {
 	buckets := make(map[string]*refBucket)
 	inA := make(map[graph.V]struct{}, 16)
 	for _, p := range pool {
-		for _, a := range p.Embs {
+		for _, a := range embsOf(p) {
 			suffix := a.Seq[len(a.Seq)-o-1:]
 			cands := byPrefix[pkey{a.GID, tupleKey(suffix)}]
 			if len(cands) == 0 {
@@ -261,7 +288,7 @@ func (m *refMiner) collect(buckets map[string]*refBucket) []*PathPattern {
 			}
 			return slices.Compare(b.embs[i].Seq, b.embs[j].Seq) < 0
 		})
-		out = append(out, &PathPattern{Seq: b.seq, Embs: b.embs, Support: sup})
+		out = append(out, patternOf(b.seq, b.embs, sup))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return graph.CompareLabelSeqs(out[i].Seq, out[j].Seq) < 0
@@ -282,14 +309,15 @@ func assertSamePatterns(t *testing.T, label string, got, want []*PathPattern) {
 		if g.Support != w.Support {
 			t.Fatalf("%s: pattern %d (%v) support %d, reference %d", label, i, g.Seq, g.Support, w.Support)
 		}
-		if len(g.Embs) != len(w.Embs) {
-			t.Fatalf("%s: pattern %d (%v) stores %d embeddings, reference %d",
-				label, i, g.Seq, len(g.Embs), len(w.Embs))
+		ge, we := embsOf(g), embsOf(w)
+		if len(ge) != len(we) || len(g.Verts) != len(w.Verts) {
+			t.Fatalf("%s: pattern %d (%v) stores %d embeddings (%d vertices), reference %d (%d)",
+				label, i, g.Seq, len(ge), len(g.Verts), len(we), len(w.Verts))
 		}
-		for j := range w.Embs {
-			if g.Embs[j].key() != w.Embs[j].key() {
+		for j := range we {
+			if ge[j].key() != we[j].key() {
 				t.Fatalf("%s: pattern %d embedding %d is %v@g%d, reference %v@g%d",
-					label, i, j, g.Embs[j].Seq, g.Embs[j].GID, w.Embs[j].Seq, w.Embs[j].GID)
+					label, i, j, ge[j].Seq, ge[j].GID, we[j].Seq, we[j].GID)
 			}
 		}
 	}

@@ -297,20 +297,18 @@ func Mine(g *graph.Graph, opt Options) (*Result, error) {
 // this is the graph-transaction setting; with the default embedding
 // count, supports aggregate across graphs.
 func MineDB(graphs []*graph.Graph, opt Options) (*Result, error) {
-	//lint:allow ctxflow context-free library entry point; callers with a context use MineParts
-	return MineParts(context.Background(), graphs, nil, opt)
+	//lint:allow ctxflow context-free library entry point; callers with a context use MineContext
+	return MineContext(context.Background(), graphs, opt)
 }
 
-// MineParts is MineDB on a request-private engine whose Stage I runs
-// the database split into parts (nil means one part; see Engine). The
-// engine is private, so PrunePath prunes inside every part's joins
-// without corrupting a shared level cache. The result is
-// byte-identical at every part count.
-func MineParts(ctx context.Context, graphs []*graph.Graph, parts [][]int32, opt Options) (*Result, error) {
+// MineContext is MineDB on a request-private engine. The engine is
+// private, so PrunePath prunes inside its joins without corrupting a
+// shared level cache.
+func MineContext(ctx context.Context, graphs []*graph.Graph, opt Options) (*Result, error) {
 	if err := validate(ctx, graphs, &opt); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(graphs, opt.Support, parts, nil, opt.PrunePath)
+	e, err := newEngine(graphs, opt.Support, nil, nil, opt.PrunePath)
 	if err != nil {
 		return nil, err
 	}

@@ -193,9 +193,8 @@ func TestGrowthIndicesInvariant(t *testing.T) {
 func TestConstraintExamples(t *testing.T) {
 	// Seed: canonical diameter a-a-b (labels 0,0,1), l=2.
 	seed := func() *Pattern {
-		pp := &PathPattern{Seq: []graph.Label{0, 0, 1}}
+		pp := &PathPattern{Seq: []graph.Label{0, 0, 1}, GIDs: []int32{0}, Verts: []graph.V{0, 1, 2}}
 		data := testutil.PathGraph(0, 0, 1)
-		pp.Embs = []PathEmb{{Seq: graph.Path{0, 1, 2}}}
 		return newPatternFromPath(pp, []*graph.Graph{data}, 0)
 	}
 	c := checker{mode: CheckFast, stats: &statCounters{}}
@@ -213,9 +212,8 @@ func TestConstraintExamples(t *testing.T) {
 	}
 
 	// Constraint II: chord 0-2 shortens head-tail distance on an l=2... use l=3.
-	pp := &PathPattern{Seq: []graph.Label{0, 0, 0, 1}}
+	pp := &PathPattern{Seq: []graph.Label{0, 0, 0, 1}, GIDs: []int32{0}, Verts: []graph.V{0, 1, 2, 3}}
 	data := testutil.PathGraph(0, 0, 0, 1)
-	pp.Embs = []PathEmb{{Seq: graph.Path{0, 1, 2, 3}}}
 	p3 := newPatternFromPath(pp, []*graph.Graph{data}, 0)
 	g3 := p3.G.Clone()
 	g3.MustAddEdge(0, 2)

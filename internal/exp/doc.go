@@ -17,6 +17,12 @@
 // numbers are not expected to match the authors' 2013 C++/testbed
 // figures.
 //
+// framework.go holds the generalized direct mining framework of Section
+// 5: the reducibility and continuity properties a constraint needs
+// (CheckReducible, CheckContinuous, IsMinimalPattern), checked
+// empirically over small pattern universes for the paper's skinny
+// constraint and its two counterexamples.
+//
 // # Concurrency and ownership
 //
 // Each Run* call is self-contained — it seeds its own generators from

@@ -46,9 +46,9 @@ func FuzzLevelRoundTrip(f *testing.F) {
 					t.Fatalf("decoded label %d outside table of %d", lab, numLabels)
 				}
 			}
-			for _, e := range p.Embs {
-				if int(e.GID) >= numGraphs {
-					t.Fatalf("decoded embedding graph %d of %d", e.GID, numGraphs)
+			for _, gid := range p.GIDs {
+				if int(gid) >= numGraphs {
+					t.Fatalf("decoded embedding graph %d of %d", gid, numGraphs)
 				}
 			}
 		}

@@ -27,6 +27,11 @@
 // version and the trailing checksum, and range-checks all cross
 // references, rejecting corrupted or truncated streams with an error
 // that names what failed.
+//
+// Neither direction allocates per value. Save appends each varint into
+// the buffered writer's free space, and the readers buffer the stream
+// themselves, folding the CRC over whole consumed spans and decoding
+// each level straight into its columns (core.PathPattern).
 package indexio
 
 import (
@@ -35,9 +40,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 
 	"skinnymine/internal/core"
@@ -130,10 +135,15 @@ func Save(w io.Writer, st core.IndexState, lt *graph.LabelTable) error {
 	return err
 }
 
+// writeUvarint appends v into the writer's free space, flushing first
+// when fewer than MaxVarintLen64 bytes are free, so no varint is
+// staged in a buffer of its own. A failed flush sticks in bw and
+// surfaces at the final Flush.
 func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n])
+	if bw.Available() < binary.MaxVarintLen64 {
+		bw.Flush()
+	}
+	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 }
 
 // writePatterns writes one level's pattern records, every label and
@@ -146,17 +156,17 @@ func writePatterns(bw *bufio.Writer, ps []*core.PathPattern, seqLen int) error {
 		if len(p.Seq) != seqLen {
 			return fmt.Errorf("indexio: pattern %d has %d labels, want %d", i, len(p.Seq), seqLen)
 		}
+		if len(p.Verts) != len(p.GIDs)*seqLen {
+			return fmt.Errorf("indexio: pattern %d has %d vertices for %d embeddings, want %d each", i, len(p.Verts), len(p.GIDs), seqLen)
+		}
 		for _, lab := range p.Seq {
 			writeUvarint(bw, uint64(lab))
 		}
 		writeUvarint(bw, uint64(p.Support))
-		writeUvarint(bw, uint64(len(p.Embs)))
-		for _, e := range p.Embs {
-			if len(e.Seq) != seqLen {
-				return fmt.Errorf("indexio: pattern %d embedding has %d vertices, want %d", i, len(e.Seq), seqLen)
-			}
-			writeUvarint(bw, uint64(e.GID))
-			for _, v := range e.Seq {
+		writeUvarint(bw, uint64(len(p.GIDs)))
+		for j, gid := range p.GIDs {
+			writeUvarint(bw, uint64(gid))
+			for _, v := range p.Verts[j*seqLen : (j+1)*seqLen] {
 				writeUvarint(bw, uint64(v))
 			}
 		}
@@ -169,7 +179,7 @@ func writePatterns(bw *bufio.Writer, ps []*core.PathPattern, seqLen int) error {
 // versions, truncation, checksum mismatch, or internally inconsistent
 // content.
 func Load(r io.Reader) (core.IndexState, *graph.LabelTable, error) {
-	sr := &sumReader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	sr := newSumReader(r)
 	var st core.IndexState
 
 	head := make([]byte, len(magic))
@@ -282,41 +292,101 @@ func Load(r io.Reader) (core.IndexState, *graph.LabelTable, error) {
 		st.Levels[l] = ps
 	}
 
-	want := sr.crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(sr.r, tail[:]); err != nil {
-		return st, nil, fmt.Errorf("indexio: reading checksum: %w", clean(err))
+	got, want, err := sr.checksum()
+	if err != nil {
+		return st, nil, fmt.Errorf("indexio: reading checksum: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
+	if got != want {
 		return st, nil, fmt.Errorf("indexio: checksum mismatch (stored %08x, computed %08x): snapshot is corrupted", got, want)
 	}
 	return st, lt, nil
 }
 
-// sumReader reads from a buffered stream while folding every consumed
-// payload byte into the CRC. Hashing happens on consumption rather than
-// via an io.TeeReader around the bufio.Reader, whose readahead would
-// hash bytes past the payload (including the checksum itself).
+// sumReader buffers a stream and folds every consumed payload byte into
+// an IEEE CRC-32, a consumed span at a time: bytes are hashed when the
+// buffer is refilled or the sum is taken, never one call per byte, and
+// readahead past the payload (the checksum itself) is never hashed
+// before the sum is taken.
 type sumReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
+	r        io.Reader
+	buf      []byte
+	pos, end int // unread bytes are buf[pos:end]
+	hashed   int // buf[hashed:pos] is consumed but not yet in crc
+	crc      uint32
+	err      error // the error that ended the underlying stream
+}
+
+func newSumReader(r io.Reader) *sumReader {
+	return &sumReader{r: r, buf: make([]byte, 64<<10)}
+}
+
+// fill folds the consumed bytes into the CRC and refills the buffer,
+// returning the stream's error once it is exhausted.
+func (s *sumReader) fill() error {
+	s.sum()
+	s.pos, s.end, s.hashed = 0, 0, 0
+	for tries := 0; s.end == 0 && s.err == nil; tries++ {
+		if tries == 100 {
+			s.err = io.ErrNoProgress
+			break
+		}
+		s.end, s.err = s.r.Read(s.buf)
+	}
+	if s.end > 0 {
+		return nil
+	}
+	return s.err
+}
+
+// sum returns the CRC of every byte consumed so far.
+func (s *sumReader) sum() uint32 {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf[s.hashed:s.pos])
+	s.hashed = s.pos
+	return s.crc
 }
 
 func (s *sumReader) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
-	s.crc.Write(p[:n])
-	return n, err
+	if s.pos == s.end {
+		if err := s.fill(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, s.buf[s.pos:s.end])
+	s.pos += n
+	return n, nil
 }
 
 func (s *sumReader) ReadByte() (byte, error) {
-	b, err := s.r.ReadByte()
-	if err == nil {
-		s.crc.Write([]byte{b})
+	if s.pos == s.end {
+		if err := s.fill(); err != nil {
+			return 0, err
+		}
 	}
-	return b, err
+	b := s.buf[s.pos]
+	s.pos++
+	return b, nil
+}
+
+// checksum reads the trailing little-endian CRC-32 and returns it with
+// the CRC of the payload consumed before it.
+func (s *sumReader) checksum() (stored, computed uint32, err error) {
+	computed = s.sum()
+	var tail [4]byte
+	if _, err := io.ReadFull(s, tail[:]); err != nil {
+		return 0, 0, clean(err)
+	}
+	return binary.LittleEndian.Uint32(tail[:]), computed, nil
 }
 
 func (s *sumReader) uvarint(what string) (uint64, error) {
+	// Decode in place when a whole varint is surely buffered; the slow
+	// path reads byte by byte across a refill and reports every error.
+	if s.end-s.pos >= binary.MaxVarintLen64 {
+		if v, n := binary.Uvarint(s.buf[s.pos:s.end]); n > 0 {
+			s.pos += n
+			return v, nil
+		}
+	}
 	v, err := binary.ReadUvarint(s)
 	if err != nil {
 		return 0, fmt.Errorf("indexio: reading %s: %w", what, clean(err))
@@ -338,8 +408,11 @@ func (s *sumReader) count(what string) (int, error) {
 
 // readPatterns reads the records writePatterns wrote, seqLen <=
 // maxLevelLen+1, rejecting labels outside a table of numLabels and
-// graph IDs outside a database of numGraphs. Vertex IDs are checked by
-// the consumer, which owns the graphs (core.ValidateLevel).
+// graph IDs outside a database of numGraphs. It decodes into
+// level-wide label, graph-ID and vertex columns, which grow by doubling
+// from a capacity capped by allocHint, and slices the patterns out of
+// them once the level is read. Vertex IDs are checked by the consumer,
+// which owns the graphs (core.ValidateLevel).
 func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.PathPattern, error) {
 	n, err := s.count("pattern count")
 	if err != nil {
@@ -348,10 +421,15 @@ func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.Path
 	if n > 0 && seqLen == 0 {
 		return nil, fmt.Errorf("indexio: %d patterns of zero labels", n)
 	}
-	ps := make([]*core.PathPattern, 0, allocHint(n))
+	seqLen = min(seqLen, maxLevelLen+1)
+	type span struct{ rows, support int } // per pattern: end row, support
+	spans := make([]span, 0, allocHint(n))
+	labels := make([]graph.Label, 0, allocHint(n*seqLen))
+	var gids []int32
+	var verts []graph.V
 	for pi := 0; pi < n; pi++ {
-		p := &core.PathPattern{Seq: make([]graph.Label, min(seqLen, maxLevelLen+1))}
-		for j := range p.Seq {
+		labels = grow(labels, seqLen)
+		for j := 0; j < seqLen; j++ {
 			lab, err := s.count("pattern label")
 			if err != nil {
 				return nil, err
@@ -359,16 +437,18 @@ func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.Path
 			if lab >= numLabels {
 				return nil, fmt.Errorf("indexio: pattern %d label %d outside table of %d", pi, lab, numLabels)
 			}
-			p.Seq[j] = graph.Label(lab)
+			labels = append(labels, graph.Label(lab))
 		}
-		if p.Support, err = s.count("pattern support"); err != nil {
+		support, err := s.count("pattern support")
+		if err != nil {
 			return nil, err
 		}
 		nEmb, err := s.count("embedding count")
 		if err != nil {
 			return nil, err
 		}
-		p.Embs = make([]core.PathEmb, 0, allocHint(nEmb))
+		gids = grow(gids, allocHint(nEmb))
+		verts = grow(verts, allocHint(nEmb*seqLen))
 		for ei := 0; ei < nEmb; ei++ {
 			gid, err := s.count("embedding graph ID")
 			if err != nil {
@@ -377,19 +457,43 @@ func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.Path
 			if gid >= numGraphs {
 				return nil, fmt.Errorf("indexio: pattern %d embedding references graph %d of %d", pi, gid, numGraphs)
 			}
-			seq := make(graph.Path, len(p.Seq))
-			for j := range seq {
+			gids = append(grow(gids, 1), int32(gid))
+			verts = grow(verts, seqLen)
+			for j := 0; j < seqLen; j++ {
 				v, err := s.count("embedding vertex")
 				if err != nil {
 					return nil, err
 				}
-				seq[j] = graph.V(v)
+				verts = append(verts, graph.V(v))
 			}
-			p.Embs = append(p.Embs, core.PathEmb{GID: int32(gid), Seq: seq})
 		}
-		ps = append(ps, p)
+		spans = append(spans, span{rows: len(gids), support: support})
+	}
+	pats := make([]core.PathPattern, len(spans))
+	ps := make([]*core.PathPattern, len(spans))
+	lo := 0
+	for i, sp := range spans {
+		hi := sp.rows
+		pats[i] = core.PathPattern{
+			Seq:     labels[i*seqLen : (i+1)*seqLen : (i+1)*seqLen],
+			GIDs:    gids[lo:hi:hi],
+			Verts:   verts[lo*seqLen : hi*seqLen : hi*seqLen],
+			Support: sp.support,
+		}
+		ps[i] = &pats[i]
+		lo = hi
 	}
 	return ps, nil
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it has to move, so a decoded column is copied O(1)
+// times per element.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
 }
 
 // clean maps a bare EOF in the middle of a record to ErrUnexpectedEOF

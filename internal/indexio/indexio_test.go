@@ -93,16 +93,15 @@ func TestRoundTrip(t *testing.T) {
 		}
 		for i, p := range ps {
 			w := want[i]
-			if p.Support != w.Support || len(p.Embs) != len(w.Embs) {
+			if p.Support != w.Support || len(p.GIDs) != len(w.GIDs) {
 				t.Errorf("level %d pattern %d: sup=%d embs=%d, want sup=%d embs=%d",
-					l, i, p.Support, len(p.Embs), w.Support, len(w.Embs))
+					l, i, p.Support, len(p.GIDs), w.Support, len(w.GIDs))
 			}
 			if graph.CompareLabelSeqs(p.Seq, w.Seq) != 0 {
 				t.Errorf("level %d pattern %d: label sequence mismatch", l, i)
 			}
-			for j, e := range p.Embs {
-				we := w.Embs[j]
-				if e.GID != we.GID || comparePathsEq(e.Seq, we.Seq) != true {
+			for j, gid := range p.GIDs {
+				if gid != w.GIDs[j] || comparePathsEq(p.Emb(j), w.Emb(j)) != true {
 					t.Errorf("level %d pattern %d embedding %d mismatch", l, i, j)
 				}
 			}

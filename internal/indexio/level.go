@@ -75,7 +75,7 @@ func SaveLevel(w io.Writer, ps []*core.PathPattern) error {
 // the graphs). A truncated, corrupted or out-of-range stream is
 // rejected with a descriptive error, never a partial slice.
 func LoadLevel(r io.Reader, numLabels, numGraphs int) ([]*core.PathPattern, error) {
-	sr := &sumReader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	sr := newSumReader(r)
 	head := make([]byte, len(LevelMagic))
 	if _, err := io.ReadFull(sr, head); err != nil {
 		return nil, fmt.Errorf("indexio: reading level magic: %w", clean(err))
@@ -101,12 +101,11 @@ func LoadLevel(r io.Reader, numLabels, numGraphs int) ([]*core.PathPattern, erro
 	if err != nil {
 		return nil, err
 	}
-	want := sr.crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(sr.r, tail[:]); err != nil {
-		return nil, fmt.Errorf("indexio: reading level checksum: %w", clean(err))
+	got, want, err := sr.checksum()
+	if err != nil {
+		return nil, fmt.Errorf("indexio: reading level checksum: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
+	if got != want {
 		return nil, fmt.Errorf("indexio: level checksum mismatch (stored %08x, computed %08x): stream is corrupted", got, want)
 	}
 	return ps, nil

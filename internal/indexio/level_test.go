@@ -13,17 +13,10 @@ import (
 // sampleLevel builds a small but non-trivial level set: several
 // patterns sharing one sequence length, multi-embedding, multi-graph.
 func sampleLevel() []*core.PathPattern {
-	mk := func(seq []graph.Label, sup int, embs ...core.PathEmb) *core.PathPattern {
-		return &core.PathPattern{Seq: seq, Support: sup, Embs: embs}
-	}
 	return []*core.PathPattern{
-		mk([]graph.Label{0, 1, 0}, 3,
-			core.PathEmb{GID: 0, Seq: graph.Path{0, 1, 2}},
-			core.PathEmb{GID: 0, Seq: graph.Path{2, 1, 0}},
-			core.PathEmb{GID: 2, Seq: graph.Path{5, 4, 3}}),
-		mk([]graph.Label{1, 1, 2}, 1,
-			core.PathEmb{GID: 1, Seq: graph.Path{0, 3, 4}}),
-		mk([]graph.Label{2, 0, 2}, 0),
+		{Seq: []graph.Label{0, 1, 0}, Support: 3, GIDs: []int32{0, 0, 2}, Verts: []graph.V{0, 1, 2, 2, 1, 0, 5, 4, 3}},
+		{Seq: []graph.Label{1, 1, 2}, Support: 1, GIDs: []int32{1}, Verts: []graph.V{0, 3, 4}},
+		{Seq: []graph.Label{2, 0, 2}, Support: 0},
 	}
 }
 
@@ -40,8 +33,8 @@ func renderLevel(ps []*core.PathPattern) string {
 	var b strings.Builder
 	for _, p := range ps {
 		fmt.Fprintf(&b, "seq=%v sup=%d embs=", p.Seq, p.Support)
-		for _, e := range p.Embs {
-			fmt.Fprintf(&b, "(%d:%v)", e.GID, e.Seq)
+		for i, gid := range p.GIDs {
+			fmt.Fprintf(&b, "(%d:%v)", gid, p.Emb(i))
 		}
 		b.WriteString("\n")
 	}
@@ -85,7 +78,8 @@ func TestSaveLevelRejectsMixedLengths(t *testing.T) {
 	bad := []*core.PathPattern{{
 		Seq:     []graph.Label{0, 1},
 		Support: 1,
-		Embs:    []core.PathEmb{{GID: 0, Seq: graph.Path{0, 1, 2}}},
+		GIDs:    []int32{0},
+		Verts:   []graph.V{0, 1, 2},
 	}}
 	if err := SaveLevel(&bytes.Buffer{}, bad); err == nil {
 		t.Error("embedding length mismatch accepted")

@@ -157,7 +157,7 @@ func SaveManifest(w io.Writer, m Manifest) error {
 // shard file names, and shard graph IDs that fail to partition the
 // database exactly.
 func LoadManifest(r io.Reader) (Manifest, error) {
-	sr := &sumReader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	sr := newSumReader(r)
 	var m Manifest
 
 	head := make([]byte, len(ManifestMagic))
@@ -246,12 +246,11 @@ func LoadManifest(r io.Reader) (Manifest, error) {
 		return m, fmt.Errorf("indexio: shards cover %d of %d graphs", len(seen), m.NumGraphs)
 	}
 
-	want := sr.crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(sr.r, tail[:]); err != nil {
-		return m, fmt.Errorf("indexio: reading manifest checksum: %w", clean(err))
+	got, want, err := sr.checksum()
+	if err != nil {
+		return m, fmt.Errorf("indexio: reading manifest checksum: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
+	if got != want {
 		return m, fmt.Errorf("indexio: manifest checksum mismatch (stored %08x, computed %08x): snapshot is corrupted", got, want)
 	}
 	return m, nil

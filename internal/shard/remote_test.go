@@ -465,12 +465,8 @@ func TestRemoteMalformedReplyIsPermanent(t *testing.T) {
 			indexio.SaveLevel(w, []*core.PathPattern{{
 				Seq:     []graph.Label{0, 1},
 				Support: 2,
-				Embs: []core.PathEmb{
-					{GID: 0, Seq: graph.Path{0, 9999}},
-					{GID: 0, Seq: graph.Path{1, 9999}},
-					{GID: 0, Seq: graph.Path{9999, 0}},
-					{GID: 0, Seq: graph.Path{9999, 1}},
-				},
+				GIDs:    []int32{0, 0, 0, 0},
+				Verts:   []graph.V{0, 9999, 1, 9999, 9999, 0, 9999, 1},
 			}})
 		})
 	}
@@ -653,7 +649,8 @@ func TestWorkerHTTPContract(t *testing.T) {
 	level := func(embs ...graph.Path) string {
 		p := &core.PathPattern{Seq: []graph.Label{db[0].Label(e.U), db[0].Label(e.W)}, Support: 1}
 		for _, seq := range embs {
-			p.Embs = append(p.Embs, core.PathEmb{GID: 0, Seq: seq})
+			p.GIDs = append(p.GIDs, 0)
+			p.Verts = append(p.Verts, seq...)
 		}
 		var buf bytes.Buffer
 		if err := indexio.SaveLevel(&buf, []*core.PathPattern{p}); err != nil {

@@ -48,8 +48,8 @@ func renderPaths(ps []*core.PathPattern) string {
 	var b strings.Builder
 	for _, p := range ps {
 		fmt.Fprintf(&b, "seq=%v sup=%d embs=", p.Seq, p.Support)
-		for _, e := range p.Embs {
-			fmt.Fprintf(&b, "(%d:%v)", e.GID, e.Seq)
+		for i, gid := range p.GIDs {
+			fmt.Fprintf(&b, "(%d:%v)", gid, p.Emb(i))
 		}
 		b.WriteString("\n")
 	}
@@ -372,16 +372,16 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 
 	// An out-of-range embedding vertex must be rejected at Restore, not
 	// crash a later materialization that joins the restored projections
-	// (the Seq is cloned so the live engine's data stays intact).
+	// (the vertex column is cloned so the live engine's data stays
+	// intact).
 	for l, ps := range states[0].Levels {
-		if len(ps) == 0 || len(ps[0].Embs) == 0 {
+		if len(ps) == 0 || len(ps[0].GIDs) == 0 {
 			continue
 		}
 		tampered := eng.PartStates()
-		e0 := tampered[0].Levels[l][0].Embs[0]
-		seq := append(graph.Path(nil), e0.Seq...)
-		seq[0] = 9999
-		tampered[0].Levels[l][0].Embs[0] = core.PathEmb{GID: e0.GID, Seq: seq}
+		p := tampered[0].Levels[l][0]
+		p.Verts = slices.Clone(p.Verts)
+		p.Verts[0] = 9999
 		if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {
 			t.Errorf("level %d: out-of-range embedding vertex accepted", l)
 		}
@@ -396,14 +396,23 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		name string
 		edit func(p *core.PathPattern)
 	}{
-		{"repeated embedding", func(p *core.PathPattern) { p.Embs = slices.Insert(p.Embs, 1, p.Embs[0]) }},
-		{"embeddings out of order", func(p *core.PathPattern) { p.Embs[0], p.Embs[1] = p.Embs[1], p.Embs[0] }},
+		{"repeated embedding", func(p *core.PathPattern) {
+			p.GIDs = slices.Insert(slices.Clone(p.GIDs), 1, p.GIDs[0])
+			p.Verts = slices.Insert(slices.Clone(p.Verts), len(p.Seq), p.Emb(0)...)
+		}},
+		{"embeddings out of order", func(p *core.PathPattern) {
+			s := len(p.Seq)
+			p.GIDs = slices.Clone(p.GIDs)
+			p.GIDs[0], p.GIDs[1] = p.GIDs[1], p.GIDs[0]
+			p.Verts = slices.Concat(p.Verts[s:2*s], p.Verts[:s], p.Verts[2*s:])
+		}},
+		{"a vertex column one embedding short", func(p *core.PathPattern) { p.Verts = p.Verts[:len(p.Verts)-len(p.Seq)] }},
 		{"support off the canonical-forward count", func(p *core.PathPattern) { p.Support++ }},
 	} {
 		tampered := eng.PartStates() // fresh copies: the edit leaves eng intact
 		p := tampered[0].Levels[1][0]
-		if len(p.Embs) < 2 {
-			t.Fatalf("level 1 pattern %v has %d embeddings, want both orientations", p.Seq, len(p.Embs))
+		if len(p.GIDs) < 2 {
+			t.Fatalf("level 1 pattern %v has %d embeddings, want both orientations", p.Seq, len(p.GIDs))
 		}
 		tc.edit(p)
 		if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {

@@ -317,7 +317,7 @@ func (w *Worker) readLevel(r *http.Request, l int) ([]*core.PathPattern, error) 
 func countEmbeddings(ps []*core.PathPattern) int64 {
 	var n int64
 	for _, p := range ps {
-		n += int64(len(p.Embs))
+		n += int64(len(p.GIDs))
 	}
 	return n
 }

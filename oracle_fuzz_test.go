@@ -156,13 +156,10 @@ func minePlans(t *testing.T, c fuzzCase) []minedPlan {
 	}
 	res, err := MineDB(c.db, c.opt)
 	add("MineDB", res, err)
-	sharded := c.opt
-	sharded.Shards = 3
-	res, err = MineDB(c.db, sharded)
-	add("MineDB Shards=3", res, err)
-	sharded.Trace = NewTrace()
-	res, err = MineDB(c.db, sharded)
-	add("MineDB Shards=3 traced", res, err)
+	traced := c.opt
+	traced.Trace = NewTrace()
+	res, err = MineDB(c.db, traced)
+	add("MineDB traced", res, err)
 
 	for _, shards := range []int{1, 3} {
 		ix, err := BuildShardedIndex(c.db, c.opt.Support, shards)

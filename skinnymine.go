@@ -240,17 +240,6 @@ type Options struct {
 	// both modes equally: the output filter always precedes the closed
 	// filter.)
 	NoPushdown bool
-	// Shards partitions the transaction database across that many
-	// shards (hash-by-gid with size balancing, clamped to the graph
-	// count): Stage I candidate generation runs shard-parallel with an
-	// exact cross-shard support merge per path level, and Stage II
-	// grows the merged seeds. 0 or 1 means unsharded. The result is
-	// byte-identical at every shard count — sharding changes the
-	// execution plan, never the output (see internal/shard and the
-	// README's "Sharding and batch serving" section). Only Mine and
-	// MineDB honor the field; an Index is sharded (or not) at build
-	// time via BuildShardedIndex, and Index.Mine ignores it.
-	Shards int
 	// Trace, when non-nil, records per-stage spans for this request:
 	// Stage I candidate generation per level, the cross-shard support
 	// recount, Stage II growth, and worker RPCs on a distributed index.
@@ -453,10 +442,8 @@ func MineDB(graphs []*Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A request-private engine: Stage I runs shard-parallel when asked
-	// (Partition clamps to the graph count; 0 or 1 is one part) and
-	// PrunePath prunes inside every shard's joins.
-	res, err := core.MineParts(context.Background(), raw, shard.Partition(raw, opt.Shards), copt)
+	// A request-private engine, so PrunePath prunes inside the joins.
+	res, err := core.MineContext(context.Background(), raw, copt)
 	if err != nil {
 		return nil, err
 	}

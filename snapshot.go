@@ -151,8 +151,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // writeShardFile streams one shard's snapshot to a temporary file while
 // folding the bytes into the CRC-32C and size the manifest records —
-// the stream is never buffered in memory — then renames it to its
-// content-addressed name.
+// the stream is never buffered in memory — then syncs it and renames it
+// to its content-addressed name.
 func writeShardFile(dir, base string, s int, write func(io.Writer) error) (indexio.ShardRef, error) {
 	var ref indexio.ShardRef
 	tmp, err := os.CreateTemp(dir, ".skinnymine-*.shard")
@@ -166,7 +166,7 @@ func writeShardFile(dir, base string, s int, write func(io.Writer) error) (index
 		tmp.Close()
 		return ref, err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := syncClose(tmp); err != nil {
 		return ref, err
 	}
 	ref = indexio.ShardRef{
@@ -186,7 +186,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // writeFileAtomic writes via a temporary file in the destination
-// directory and renames it over the target.
+// directory, syncs it and renames it over the target.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".skinnymine-*.idx")
 	if err != nil {
@@ -197,10 +197,21 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := syncClose(tmp); err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// syncClose flushes a written temporary file to stable storage and
+// closes it. Renaming an unsynced file over a snapshot could leave an
+// empty or partial file at the target after a crash.
+func syncClose(f *os.File) error {
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // LoadIndex restores an index from a v1 snapshot stream written by

@@ -25,8 +25,6 @@ var (
 	ErrMeasure = errors.New(`measure must be EmbeddingCount ("embeddings") or GraphCount ("graphs")`)
 	// ErrMaxPatterns reports a negative MaxPatterns.
 	ErrMaxPatterns = errors.New("max_patterns must be >= 0")
-	// ErrShards reports a negative Shards.
-	ErrShards = errors.New("shards must be >= 0")
 	// ErrSeedLengths reports a SeedLengths entry outside the band
 	// [MinLength or Length, Length].
 	ErrSeedLengths = errors.New("seed lengths must lie within the band")
@@ -53,9 +51,6 @@ func (o Options) Validate() error {
 	}
 	if o.MaxPatterns < 0 {
 		return fmt.Errorf("skinnymine: %w (got %d)", ErrMaxPatterns, o.MaxPatterns)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("skinnymine: %w (got %d)", ErrShards, o.Shards)
 	}
 	if len(o.SeedLengths) > 0 {
 		lo := o.Length
