@@ -12,7 +12,7 @@ import (
 )
 
 // LevelMagic opens every level-set stream — the wire encoding of one
-// per-shard candidate (or projection) set, exchanged between the
+// shard's candidate set or its share of a level, exchanged between the
 // distributed coordinator and its shard workers.
 //
 // The format follows the v1 snapshot discipline — versioned, canonical,

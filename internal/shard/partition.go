@@ -7,23 +7,26 @@
 // cache, the cross-shard recount and Stage II — is core.Engine, the
 // same one that mines unsharded, so output is byte-identical at every
 // shard count and over every transport: sharding is an execution
-// strategy, never a semantics change.
+// strategy, never a semantics change. In one process the engine joins
+// each level once over all graphs, whatever the shard count; the
+// partition decides how a snapshot splits into shard files and which
+// graphs each worker of a fleet serves.
 //
 // # Why the merge is exact
 //
 // Stage I joins only ever combine embeddings that live in the same data
 // graph, and each graph belongs to exactly one shard. Per level, each
-// shard therefore assembles exactly the unsharded candidate set
-// restricted to its own graphs (threshold 1), and the engine's
-// cross-shard recount — the joins' own bucket-and-collect step over the
-// shards' disjoint candidates, counting canonical-forward embeddings
-// and applying the global σ — reproduces the unsharded level byte for
-// byte. The surviving patterns are projected back per shard as the next
-// level's join input, so pruning power at the global threshold is never
-// lost. Both directions of the wire are checked by core.ValidateLevel:
-// a worker validates the level it is posted, and the coordinator the
-// level each worker replies with, so a malformed level is a permanent
-// error and never reaches a join or Stage II.
+// shard worker therefore assembles exactly the unsharded candidate set
+// restricted to its own graphs (threshold 1), and the coordinator's
+// cross-shard recount — the joins' own collect step over the shards'
+// disjoint candidates, counting canonical-forward embeddings and
+// applying the global σ — reproduces the unsharded level byte for byte.
+// Each shard's input to the next step is its share of the recounted
+// level, the level split by graph ID, so pruning power at the global
+// threshold is never lost. Both directions of the wire are checked by
+// core.ValidateLevel: a worker validates the level it is posted, and
+// the coordinator the level each worker replies with, so a malformed
+// level is a permanent error and never reaches a join or Stage II.
 //
 // # Concurrency and ownership
 //

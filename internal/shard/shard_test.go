@@ -371,7 +371,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	}
 
 	// An out-of-range embedding vertex must be rejected at Restore, not
-	// crash a later materialization that joins the restored projections
+	// crash a later materialization that joins the restored shares
 	// (the vertex column is cloned so the live engine's data stays
 	// intact).
 	for l, ps := range states[0].Levels {

@@ -53,13 +53,13 @@
 //
 // # Sharding
 //
-// A transaction database can be mined sharded: Options.Shards (or
-// BuildShardedIndex for the serving deployment) partitions the graphs,
-// runs Stage I shard-parallel with an exact cross-shard support merge,
-// and grows the merged seeds — byte-identical output at every shard
-// count (internal/shard). A sharded index persists to per-shard
-// snapshot files under a CRC'd manifest; LoadIndexFile restores either
-// snapshot kind.
+// A transaction database can be indexed sharded: BuildShardedIndex
+// partitions the graphs, and the index persists to per-shard snapshot
+// files under a CRC'd manifest that a fleet of shard workers can serve,
+// with an exact cross-shard support recount on the coordinator
+// (internal/shard). In one process the engine joins once over every
+// graph; output is byte-identical at every shard count. LoadIndexFile
+// restores either snapshot kind.
 //
 // # Declarative constraints
 //
@@ -241,8 +241,10 @@ type Options struct {
 	// filter.)
 	NoPushdown bool
 	// Trace, when non-nil, records per-stage spans for this request:
-	// Stage I candidate generation per level, the cross-shard support
-	// recount, Stage II growth, and worker RPCs on a distributed index.
+	// Stage I candidate generation per level, Stage II growth, and on a
+	// distributed index the worker RPCs and the cross-shard support
+	// recount after each level step. An in-process index joins once
+	// over all its graphs at every shard count and has no recount.
 	// Tracing never changes the mined bytes — only what is visible
 	// about the run. See NewTrace.
 	Trace *Trace
@@ -535,8 +537,9 @@ func BuildIndex(graphs []*Graph, sigma int) (*Index, error) {
 
 // BuildShardedIndex pre-computes a sharded index: the database is
 // partitioned across the given shard count (clamped to the graph
-// count), Stage I levels materialize shard-parallel with an exact
-// cross-shard support merge, and every request mines byte-identically
+// count), which WriteSnapshotFile persists as one file per shard for a
+// fleet of shard workers to serve. Stage I joins once over every
+// graph, as for one shard, and every request mines byte-identically
 // to the unsharded index. One shard is a plain index.
 func BuildShardedIndex(graphs []*Graph, sigma, shards int) (*Index, error) {
 	lt, raw, err := rawGraphs(graphs)

@@ -39,9 +39,9 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 }
 
 // WriteSnapshotFile persists the snapshot to path atomically: every
-// file is written to a temporary name in the destination directory and
-// renamed over the target, so a crash mid-write never clobbers an
-// existing good snapshot.
+// file is written to a temporary name in the destination directory,
+// synced to stable storage and renamed over the target, so a crash
+// mid-write never clobbers an existing good snapshot.
 //
 // An unsharded index writes one v1 snapshot stream at path. A sharded
 // index streams one v1 stream per shard next to path — named
