@@ -196,28 +196,6 @@ func (c *cands) addRow(b, gid int32) {
 	}
 }
 
-// levelCands loads a level's patterns, all of one sequence length, into
-// candidate columns, one bucket per label sequence: the cross-part
-// recount's input to collect.
-func levelCands(ps []*PathPattern) *cands {
-	c := newCands(len(ps[0].Seq))
-	n := 0
-	for _, p := range ps {
-		n += len(p.GIDs)
-	}
-	c.bucket = make([]int32, 0, n)
-	c.gid = make([]int32, 0, n)
-	c.verts = make([]graph.V, 0, n*c.s)
-	for _, p := range ps {
-		b := c.find(p.Seq, true, hashLabelsDir(p.Seq, true))
-		for i, gid := range p.GIDs {
-			c.verts = append(c.verts, p.Emb(i)...)
-			c.addRow(b, gid)
-		}
-	}
-	return c
-}
-
 // rowRef names row i of worker w's candidate columns.
 type rowRef struct{ w, i int32 }
 

@@ -341,7 +341,7 @@ func (e *Engine) step(ctx context.Context, tr obs.Tracer, name string, l, base i
 	}
 	sp.TagInt("candidates", int64(n)).End()
 	rs := tr.Start("stage1.recount").TagInt("level", int64(l)).TagInt("candidates", int64(n))
-	level := mergeLevel(parts, e.sigma, workers)
+	level := mergeLevel(parts, e.sigma)
 	rs.TagInt("patterns", int64(len(level))).End()
 	e.store(l, level)
 	return nil
@@ -402,21 +402,83 @@ func (e *Engine) store(l int, level []*PathPattern) {
 	e.matMu.Unlock()
 }
 
-// mergeLevel is the cross-part recount: it collects the parts'
-// candidate lists for one path level, counting each pattern's support
-// over every part's embeddings, and applies σ. The lists need no dedup,
-// because every embedding lives in one graph and every graph in one
-// part, and no per-part support is summed. The result is byte-identical
-// to the level the in-process joins materialize (pinned by the sharding
-// refguards).
-func mergeLevel(parts [][]*PathPattern, sigma, workers int) []*PathPattern {
-	var ws []*cands
-	for _, ps := range parts {
-		if len(ps) > 0 {
-			ws = append(ws, levelCands(ps))
+// mergeLevel is the cross-part recount: it merges the parts'
+// candidate lists for one path level, each ascending by label sequence
+// with every pattern's embeddings ascending by (graph ID, vertex
+// sequence), as ValidateLevel checks, into one level in the same order,
+// written into level-wide columns. A pattern's support is the sum of
+// its parts' canonical-forward counts, exact because every embedding
+// lives in one graph and every graph in one part; patterns below σ are
+// dropped. The result is byte-identical to the level the in-process
+// joins materialize (pinned by the sharding refguards).
+func mergeLevel(parts [][]*PathPattern, sigma int) []*PathPattern {
+	// First pass: group the parts' patterns by label sequence, keeping
+	// the frequent groups' members in order.
+	next := make([]int, len(parts)) // per part: its next pattern
+	var members []*PathPattern
+	var ends, supports []int // per kept group
+	rows := 0
+	for {
+		var seq []graph.Label
+		for s, ps := range parts {
+			if next[s] < len(ps) && (seq == nil || graph.CompareLabelSeqs(ps[next[s]].Seq, seq) < 0) {
+				seq = ps[next[s]].Seq
+			}
 		}
+		if seq == nil {
+			break
+		}
+		lo, sup, n := len(members), 0, 0
+		for s, ps := range parts {
+			if next[s] < len(ps) && graph.CompareLabelSeqs(ps[next[s]].Seq, seq) == 0 {
+				members = append(members, ps[next[s]])
+				sup += ps[next[s]].Support
+				n += len(ps[next[s]].GIDs)
+				next[s]++
+			}
+		}
+		if sup < sigma {
+			members = members[:lo]
+			continue
+		}
+		ends = append(ends, len(members))
+		supports = append(supports, sup)
+		rows += n
 	}
-	return collect(ws, sigma, workers)
+	if len(ends) == 0 {
+		return nil
+	}
+	// Second pass: merge each group's rows into the level's columns.
+	s := len(members[0].Seq)
+	gids := make([]int32, 0, rows)
+	verts := make([]graph.V, 0, rows*s)
+	pats := make([]PathPattern, len(ends))
+	out := make([]*PathPattern, len(ends))
+	cur := make([]int, len(parts))
+	lo := 0
+	for k, end := range ends {
+		group, first := members[lo:end], len(gids)
+		clear(cur)
+		for {
+			m := -1
+			for i, p := range group {
+				if cur[i] < len(p.GIDs) && (m < 0 || compareRows(p.GIDs[cur[i]], p.Emb(cur[i]), group[m].GIDs[cur[m]], group[m].Emb(cur[m])) < 0) {
+					m = i
+				}
+			}
+			if m < 0 {
+				break
+			}
+			gids = append(gids, group[m].GIDs[cur[m]])
+			verts = append(verts, group[m].Emb(cur[m])...)
+			cur[m]++
+		}
+		hi := len(gids)
+		pats[k] = PathPattern{Seq: group[0].Seq, GIDs: gids[first:hi:hi], Verts: verts[first*s : hi*s : hi*s], Support: supports[k]}
+		out[k] = &pats[k]
+		lo = end
+	}
+	return out
 }
 
 // share returns part s's share of a level: each pattern's embeddings in
@@ -587,7 +649,7 @@ func RestoreEngine(states []IndexState, parts [][]int32, sigma int, runner Runne
 		for s, st := range states {
 			shares[s] = RemapGIDs(st.Levels[l], parts[s])
 		}
-		level := mergeLevel(shares, sigma, e.Concurrency())
+		level := mergeLevel(shares, sigma)
 		for s, share := range shares {
 			n := 0
 			for _, p := range share {
@@ -607,8 +669,9 @@ func RestoreEngine(states []IndexState, parts [][]int32, sigma int, runner Runne
 }
 
 // ValidateLevel checks that ps is a well-formed level l over graphs,
-// as the joins build one. Every pattern has l+1 labels, and its vertex
-// column holds exactly l+1 vertices per graph ID. Every embedding
+// as the joins build one. Patterns ascend strictly by label sequence.
+// Every pattern has l+1 labels, and its vertex column holds exactly l+1
+// vertices per graph ID. Every embedding
 // references an in-range graph and vertices of it. A pattern's
 // embeddings ascend strictly by (graph ID, vertex sequence), so none
 // repeats. Its Support is its number of canonical-forward embeddings,
@@ -625,6 +688,9 @@ func ValidateLevel(graphs []*graph.Graph, l int, ps []*PathPattern) error {
 	for i, p := range ps {
 		if len(p.Seq) != l+1 {
 			return fmt.Errorf("core: level %d pattern %d has %d labels, want %d", l, i, len(p.Seq), l+1)
+		}
+		if i > 0 && graph.CompareLabelSeqs(ps[i-1].Seq, p.Seq) >= 0 {
+			return fmt.Errorf("core: level %d pattern %d repeats or precedes the label sequence before it", l, i)
 		}
 		if len(p.Verts) != len(p.GIDs)*(l+1) {
 			return fmt.Errorf("core: level %d pattern %d has %d vertices for %d embeddings, want %d each", l, i, len(p.Verts), len(p.GIDs), l+1)

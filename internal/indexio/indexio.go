@@ -146,6 +146,20 @@ func writeUvarint(bw *bufio.Writer, v uint64) {
 	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 }
 
+// writeRow writes v and then every value of row as uvarints, appended
+// into the writer's free space as one write; a row too long for the
+// buffer is still written correctly, through a staged copy.
+func writeRow(bw *bufio.Writer, v uint64, row []graph.V) {
+	if bw.Available() < (1+len(row))*binary.MaxVarintLen64 {
+		bw.Flush()
+	}
+	b := binary.AppendUvarint(bw.AvailableBuffer(), v)
+	for _, x := range row {
+		b = binary.AppendUvarint(b, uint64(x))
+	}
+	bw.Write(b)
+}
+
 // writePatterns writes one level's pattern records, every label and
 // vertex sequence seqLen long: the layout the snapshot and the level
 // stream share. A sequence of another length is an error, because the
@@ -165,10 +179,7 @@ func writePatterns(bw *bufio.Writer, ps []*core.PathPattern, seqLen int) error {
 		writeUvarint(bw, uint64(p.Support))
 		writeUvarint(bw, uint64(len(p.GIDs)))
 		for j, gid := range p.GIDs {
-			writeUvarint(bw, uint64(gid))
-			for _, v := range p.Verts[j*seqLen : (j+1)*seqLen] {
-				writeUvarint(bw, uint64(v))
-			}
+			writeRow(bw, uint64(gid), p.Verts[j*seqLen:(j+1)*seqLen])
 		}
 	}
 	return nil

@@ -419,4 +419,16 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
+
+	// A level's patterns ascend strictly by label sequence: the
+	// cross-part recount merges the parts' levels in that order.
+	tampered := eng.PartStates()
+	ps := tampered[0].Levels[1]
+	if len(ps) < 2 {
+		t.Fatalf("level 1 of part 0 holds %d patterns, want two to swap", len(ps))
+	}
+	ps[0], ps[1] = ps[1], ps[0]
+	if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {
+		t.Error("patterns out of label-sequence order accepted")
+	}
 }
