@@ -58,7 +58,7 @@ type Runner interface {
 // level split by graph ID (share), taken only for PartStates. With a
 // remote runner every part reports threshold-1 candidates from its
 // share of the previous level, and the cross-part recount (mergeLevel)
-// collects them by label sequence, counts canonical-forward embeddings
+// merges them by label sequence, sums their canonical-forward counts
 // and applies σ, so parts only ever extend globally frequent paths.
 // Both routes give the same bytes.
 //
@@ -348,12 +348,11 @@ func (e *Engine) step(ctx context.Context, tr obs.Tracer, name string, l, base i
 }
 
 // runParts runs one remote level step on every part within the worker
-// budget:
-// at most workers parts run at once (Concurrency=1 stays sequential),
-// and a budget beyond the part count fans out inside each part's
-// joins. parts[s] is part s's output, so the result is independent of
-// scheduling, and the lowest failing part's error is reported, so one
-// outage yields one deterministic message.
+// budget: at most workers parts run at once (Concurrency=1 stays
+// sequential), and a budget beyond the part count fans out inside each
+// part's joins. parts[s] is part s's output, so the result is
+// independent of scheduling, and the lowest failing part's error is
+// reported, so one outage yields one deterministic message.
 func (e *Engine) runParts(ctx context.Context, workers int, run func(ctx context.Context, s, w int) ([]*PathPattern, error)) ([][]*PathPattern, error) {
 	n := len(e.parts)
 	if n == 1 {

@@ -18,9 +18,10 @@
 // graph, and each graph belongs to exactly one shard. Per level, each
 // shard worker therefore assembles exactly the unsharded candidate set
 // restricted to its own graphs (threshold 1), and the coordinator's
-// cross-shard recount — the joins' own collect step over the shards'
-// disjoint candidates, counting canonical-forward embeddings and
-// applying the global σ — reproduces the unsharded level byte for byte.
+// cross-shard recount — a merge of the shards' disjoint candidate
+// lists, each sorted like a level, summing their canonical-forward
+// counts and applying the global σ — reproduces the unsharded level
+// byte for byte.
 // Each shard's input to the next step is its share of the recounted
 // level, the level split by graph ID, so pruning power at the global
 // threshold is never lost. Both directions of the wire are checked by
