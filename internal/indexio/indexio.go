@@ -421,8 +421,8 @@ func (s *sumReader) count(what string) (int, error) {
 // maxLevelLen+1, rejecting labels outside a table of numLabels and
 // graph IDs outside a database of numGraphs. It decodes into
 // level-wide label, graph-ID and vertex columns, which grow by doubling
-// from a capacity capped by allocHint, and slices the patterns out of
-// them once the level is read. Vertex IDs are checked by the consumer,
+// as values arrive, so no decoded count sizes them, and slices the
+// patterns out of them once the level is read. Vertex IDs are checked by the consumer,
 // which owns the graphs (core.ValidateLevel).
 func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.PathPattern, error) {
 	n, err := s.count("pattern count")
@@ -435,7 +435,7 @@ func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.Path
 	seqLen = min(seqLen, maxLevelLen+1)
 	type span struct{ rows, support int } // per pattern: end row, support
 	spans := make([]span, 0, allocHint(n))
-	labels := make([]graph.Label, 0, allocHint(n*seqLen))
+	var labels []graph.Label
 	var gids []int32
 	var verts []graph.V
 	for pi := 0; pi < n; pi++ {
@@ -458,8 +458,6 @@ func (s *sumReader) readPatterns(seqLen, numLabels, numGraphs int) ([]*core.Path
 		if err != nil {
 			return nil, err
 		}
-		gids = grow(gids, allocHint(nEmb))
-		verts = grow(verts, allocHint(nEmb*seqLen))
 		for ei := 0; ei < nEmb; ei++ {
 			gid, err := s.count("embedding graph ID")
 			if err != nil {
