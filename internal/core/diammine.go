@@ -33,9 +33,8 @@
 // and a level's patterns share level-wide backing arrays that hold no
 // pointers. The joins append candidate rows to per-worker columns,
 // bucketed by an id over a flat label arena, so nothing is allocated
-// per candidate or per bucket, and a finished step's columns are
-// reused by the next; collect keeps the frequent buckets and scatters
-// only their rows into the level's columns.
+// per candidate or per bucket; collect keeps the frequent buckets and
+// scatters only their rows into the level's columns.
 //
 // The joins assemble every oriented path exactly once, from one pair of
 // shorter stored paths, and store both orientations. So candidates are
@@ -130,14 +129,6 @@ type cands struct {
 
 func newCands(s int) *cands {
 	return &cands{s: s, table: make([]uint64, 64)}
-}
-
-// reset empties c for a step of sequence length s, keeping its
-// columns' capacity.
-func (c *cands) reset(s int) {
-	clear(c.table)
-	*c = cands{s: s, labels: c.labels[:0], hash: c.hash[:0], rows: c.rows[:0], fwd: c.fwd[:0],
-		table: c.table, bucket: c.bucket[:0], gid: c.gid[:0], verts: c.verts[:0]}
 }
 
 // tableEntry packs a bucket into a slot: the high half of its hash, so
@@ -353,7 +344,6 @@ type localRunner struct {
 	minSup int
 	prune  func(seq []graph.Label) bool
 	pruned atomic.Int64 // join candidates cut by prune, folded into Stats
-	spare  sync.Pool    // *cands a finished step left, for the next step's joins
 }
 
 func newLocalRunner(graphs []*graph.Graph, minSup int, prune func([]graph.Label) bool) *localRunner {
@@ -484,27 +474,11 @@ func (r *localRunner) joinRows(n, workers, s int, run func(lo, hi int32, c *cand
 	scs := make([]*joinScratch, workers)
 	fanOut(n, workers, max(n/(workers*8), 1), func(w, lo, hi int) {
 		if ws[w] == nil {
-			ws[w], scs[w] = r.cands(s), r.newJoinScratch()
+			ws[w], scs[w] = newCands(s), r.newJoinScratch()
 		}
 		run(int32(lo), int32(hi), ws[w], scs[w])
 	})
-	ws = slices.DeleteFunc(ws, func(c *cands) bool { return c == nil })
-	level := collect(ws, r.minSup, workers)
-	for _, c := range ws {
-		r.spare.Put(c)
-	}
-	return level
-}
-
-// cands returns empty candidate columns for sequence length s, reusing
-// a finished step's when the pool still holds them: consecutive steps
-// fill columns of similar size.
-func (r *localRunner) cands(s int) *cands {
-	if c, ok := r.spare.Get().(*cands); ok {
-		c.reset(s)
-		return c
-	}
-	return newCands(s)
+	return collect(slices.DeleteFunc(ws, func(c *cands) bool { return c == nil }), r.minSup, workers)
 }
 
 // concat joins pairs of frequent paths of length L end-to-end into
