@@ -99,7 +99,7 @@ func TestLevelGrowDropsChildThatFailedToReserve(t *testing.T) {
 	m := newTestMiner([]*graph.Graph{g}, opt, 1)
 	sc := m.newGrowScratch()
 	p0 := newPatternFromPath(seed, m.graphs, 0)
-	if !m.dedup(p0) {
+	if !m.dedup(p0, sc) {
 		t.Fatal("fresh pattern failed dedup")
 	}
 	// Budget of 1: the first child takes the slot, the second is

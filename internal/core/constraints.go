@@ -55,7 +55,7 @@ type checker struct {
 // checkForward validates attaching new vertex u (the last vertex of g)
 // to v. dh/dt must already hold u's indices (computed as D_H[v]+1 and
 // D_T[v]+1, exact because u's only edge is to v).
-func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V) rejectReason {
+func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V, sc *growScratch) rejectReason {
 	fast := func() rejectReason {
 		d := diamLen
 		if r := forwardBounds(d, dh[u], dt[u]); r != passed {
@@ -65,12 +65,12 @@ func (c *checker) checkForward(g *graph.Graph, diamLen int32, dh, dt []int32, u,
 		// vertex is at distance D from an endpoint and a new diameter
 		// path may exist.
 		if dh[u] == d {
-			if c.newDiamBeatsL(g, diamLen, u, 0) {
+			if c.newDiamBeatsL(g, diamLen, u, 0, sc) {
 				return rejectIII
 			}
 		}
 		if dt[u] == d {
-			if c.newDiamBeatsL(g, diamLen, u, graph.V(diamLen)) {
+			if c.newDiamBeatsL(g, diamLen, u, graph.V(diamLen), sc) {
 				return rejectIII
 			}
 		}
@@ -95,7 +95,7 @@ func forwardBounds(diamLen, dhu, dtu int32) rejectReason {
 // checkBackward validates adding an edge between existing vertices u, v.
 // dh/dt must already be updated for the child graph (distances only
 // shrink, so a BFS refresh from head and tail suffices).
-func (c *checker) checkBackward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V) rejectReason {
+func (c *checker) checkBackward(g *graph.Graph, diamLen int32, dh, dt []int32, u, v graph.V, sc *growScratch) rejectReason {
 	fast := func() rejectReason {
 		d := diamLen
 		// Constraint I holds automatically: edges between existing
@@ -106,7 +106,7 @@ func (c *checker) checkBackward(g *graph.Graph, diamLen int32, dh, dt []int32, u
 		// Theorem 3 trigger for case (2): a fresh head–tail path of
 		// length exactly D runs through (u,v).
 		if dh[u]+1+dt[v] == d || dh[v]+1+dt[u] == d {
-			if c.newDiamBeatsL(g, diamLen, 0, graph.V(diamLen)) {
+			if c.newDiamBeatsL(g, diamLen, 0, graph.V(diamLen), sc) {
 				return rejectIII
 			}
 		}
@@ -135,11 +135,13 @@ func (c *checker) run(g *graph.Graph, diamLen int32, fast func() rejectReason) r
 // between a and b has a label sequence strictly smaller than L's. Label
 // ties never reject: the diameter occupies vertices 0..DiamLen in ID
 // order, and any distinct path must use a vertex with a larger ID at its
-// first deviation, so L always wins the Definition-3 ID tie-break.
-func (c *checker) newDiamBeatsL(g *graph.Graph, diamLen int32, a, b graph.V) bool {
+// first deviation, so L always wins the Definition-3 ID tie-break. The
+// two BFS distance arrays live in the worker's scratch.
+func (c *checker) newDiamBeatsL(g *graph.Graph, diamLen int32, a, b graph.V, sc *growScratch) bool {
 	lseq := g.Labels()[:diamLen+1] // L occupies vertices 0..DiamLen
-	da := g.BFS(a)
-	db := g.BFS(b)
+	sc.da = sc.bfs(g, a, sc.da)
+	sc.db = sc.bfs(g, b, sc.db)
+	da, db := sc.da, sc.db
 	if da[b] != diamLen {
 		return false
 	}

@@ -60,7 +60,7 @@ func walkGreedyExtensions(t *testing.T, g *graph.Graph, opt Options, visit func(
 					}
 					visit(child)
 					if next == nil {
-						next = child
+						next = child.clone()
 					}
 				}
 				if next == nil {

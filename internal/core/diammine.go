@@ -46,6 +46,18 @@
 // that enters from outside the joins: restored snapshots and both
 // directions of the shard wire.
 //
+// # Stage II growth in scratch
+//
+// Each Stage II worker builds every child in its own scratch: the
+// child's graph, indices and embedding set are reused buffers, so a
+// rejected child allocates nothing and a passing one is a view until
+// the worker's next extension. Enumeration copies out the children it
+// keeps. Greedy growth (Options.GreedyGrow) holds the pattern it is
+// growing in a second buffer, swapped with the child's on each
+// absorption, keeps its sorted candidate worklist across absorptions
+// instead of recomputing it, and copies out only the maximal pattern it
+// emits. Canonical codes are computed in the worker's dfscode.Scratch.
+//
 // # Support measures and result budgets
 //
 // Pattern frequency is counted by one of three measures
@@ -54,7 +66,7 @@
 // graphs containing the pattern; MNICount — minimum-image-based support.
 // Options.MaxEmbeddings caps how many embedding maps are *stored* per
 // pattern: Support() (the subgraph count) and GraphCount stay exact past
-// the cap because their key/GID sets are maintained on every Add, while
+// the cap because their key/GID sets are maintained on every insert, while
 // MNI and further growth work from the stored sample. Options.MaxPatterns
 // bounds how many patterns Stage II may generate: every emitted pattern
 // reserves one budget slot after canonical-code dedup, and the cap is

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"skinnymine/internal/dfscode"
 	"skinnymine/internal/graph"
 	"skinnymine/internal/support"
 )
@@ -34,10 +35,14 @@ import (
 // bwd over (pattern vertex pair) for backward edges. A new epoch per
 // call empties both in O(1).
 //
-// extend builds each child in the remaining fields: graph, edge list,
-// D_H/D_T and embedding set. Once they have grown, a child that fails a
-// constraint or the frequency threshold allocates nothing; only a child
-// that passes is copied out, at its exact size.
+// extend builds each child in child, a pattern whose graph, indices
+// and embedding set are reused buffers. Once they have grown, building
+// a child allocates nothing. Enumeration copies out each child it keeps;
+// greedy growth holds the pattern it has absorbed so far in held and
+// swaps the two on each absorption, so it copies out only the maximal
+// pattern it emits. The remaining fields serve the constraint checks
+// (BFS distances and queue), greedy growth's worklist and the canonical
+// code.
 type growScratch struct {
 	inv      *stampTable
 	fwd, bwd []uint32
@@ -46,15 +51,22 @@ type growScratch struct {
 	descBuf  []extDesc
 	mapBuf   []graph.V
 
-	g      *graph.Graph
-	set    *support.Set
-	edges  []graph.Edge
-	dh, dt []int32
-	queue  []graph.V
+	child, held *Pattern
+	edges       []graph.Edge
+	queue       []graph.V
+	da, db      []int32
+	todo        []greedyDesc
+	found       []bool
+	code        dfscode.Scratch
 }
 
 func (m *miner) newGrowScratch() *growScratch {
-	return &growScratch{inv: newStampTable(m.maxN), g: graph.New(0), set: &support.Set{}}
+	return &growScratch{inv: newStampTable(m.maxN), child: newPatternBuf(), held: newPatternBuf()}
+}
+
+// newPatternBuf returns an empty pattern for extend to build children in.
+func newPatternBuf() *Pattern {
+	return &Pattern{G: graph.New(0), Embs: &support.Set{}}
 }
 
 // stampTables starts a new epoch over descriptor tables of at least
@@ -146,7 +158,9 @@ func backwardValid(p *Pattern, a, b, level int32) bool {
 
 // extend applies descriptor d to p at the given level, checks the three
 // constraints and the frequency threshold, and returns the child pattern
-// or nil with the reason.
+// or nil with the reason. The child is sc.child: it is valid until the
+// next extend on sc, and a caller that keeps it copies it out with
+// clone. p must not be sc.child.
 func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pattern, rejectReason) {
 	if d.kind == 1 && m.check.mode == CheckFast {
 		// Theorems 1–2 read only the new vertex's D_H and D_T, so the
@@ -155,14 +169,15 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 			return nil, r
 		}
 	}
-	g := p.G.CloneInto(sc.g)
+	c := sc.child
+	g := p.G.CloneInto(c.G)
 	src := graph.V(d.src)
 	if d.kind == 1 {
 		u := g.AddVertex(d.label)
 		g.MustAddEdge(src, u)
-		sc.dh = append(append(sc.dh[:0], p.DH...), p.DH[src]+1)
-		sc.dt = append(append(sc.dt[:0], p.DT...), p.DT[src]+1)
-		if r := m.check.checkForward(g, p.DiamLen, sc.dh, sc.dt, u, src); r != passed {
+		c.DH = append(append(c.DH[:0], p.DH...), p.DH[src]+1)
+		c.DT = append(append(c.DT[:0], p.DT...), p.DT[src]+1)
+		if r := m.check.checkForward(g, p.DiamLen, c.DH, c.DT, u, src, sc); r != passed {
 			return nil, r
 		}
 	} else {
@@ -170,9 +185,9 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 		// Distances only shrink; refresh the two indices from scratch
 		// (the pattern is small). This is the paper's "local update" of
 		// D_H and D_T, as opposed to all-pairs recomputation.
-		sc.dh = sc.bfs(g, 0, sc.dh)
-		sc.dt = sc.bfs(g, graph.V(p.DiamLen), sc.dt)
-		if r := m.check.checkBackward(g, p.DiamLen, sc.dh, sc.dt, src, graph.V(d.dst)); r != passed {
+		c.DH = sc.bfs(g, 0, c.DH)
+		c.DT = sc.bfs(g, graph.V(p.DiamLen), c.DT)
+		if r := m.check.checkBackward(g, p.DiamLen, c.DH, c.DT, src, graph.V(d.dst), sc); r != passed {
 			return nil, r
 		}
 	}
@@ -180,20 +195,18 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 	// Frequency: derive the child's embeddings from the parent's maps.
 	// Every derived map is distinct: a forward map appends a vertex
 	// inMap has just shown is absent, and a backward map is a distinct
-	// parent map that passed the new-edge filter. Each child hash is
-	// the parent's plus the new edge's term. Extended maps are
+	// parent map that passed the new-edge filter. Extended maps are
 	// assembled in sc.mapBuf; Set.Add copies what it stores.
-	set := sc.set
+	set := c.Embs
 	sc.edges = g.AppendEdges(sc.edges[:0])
 	set.Reset(sc.edges, m.opt.MaxEmbeddings)
 	for ei := 0; ei < p.Embs.Len(); ei++ {
 		e := p.Embs.At(ei)
-		h := p.Embs.Hash(ei)
 		dg := m.graphs[e.GID]
 		if d.kind == 0 {
 			a, b := e.Map[d.src], e.Map[d.dst]
 			if dg.HasEdge(a, b) {
-				set.Add(e, h+support.EdgeTerm(e.GID, a, b)) // same map, richer edge set
+				set.Add(e, p.Embs, ei, a, b) // same map, richer edge set
 			}
 			continue
 		}
@@ -207,27 +220,42 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 			}
 			sc.mapBuf = append(sc.mapBuf[:0], e.Map...)
 			sc.mapBuf = append(sc.mapBuf, w)
-			set.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf}, h+support.EdgeTerm(e.GID, a, w))
+			set.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf}, p.Embs, ei, a, w)
 		}
 	}
 	if set.Count(m.opt.Measure) < m.opt.Support {
 		return nil, passed // frequency reject, signalled by nil child
 	}
-	child := &Pattern{
-		G:         g.Clone(),
-		DiamLen:   p.DiamLen,
-		DH:        slices.Clone(sc.dh),
-		DT:        slices.Clone(sc.dt),
-		Embs:      set.Clone(),
-		anchor:    d,
-		hasAnchor: true,
-	}
+	c.DiamLen = p.DiamLen
+	c.Level = append(c.Level[:0], p.Level...)
 	if d.kind == 1 {
-		child.Level = append(append(make([]int32, 0, len(p.Level)+1), p.Level...), level)
-	} else {
-		child.Level = slices.Clone(p.Level)
+		c.Level = append(c.Level, level)
 	}
-	return child, passed
+	c.anchor, c.hasAnchor, c.codeKey = d, true, ""
+	return c, passed
+}
+
+// supported reports whether some stored map of p supports descriptor d:
+// maps the backward pair onto a data edge, or maps the forward source
+// onto a vertex with an unmapped neighbor of the forward label. It
+// stops at the first such map.
+func (m *miner) supported(p *Pattern, d extDesc) bool {
+	for ei := 0; ei < p.Embs.Len(); ei++ {
+		e := p.Embs.At(ei)
+		dg := m.graphs[e.GID]
+		if d.kind == 0 {
+			if dg.HasEdge(e.Map[d.src], e.Map[d.dst]) {
+				return true
+			}
+			continue
+		}
+		for _, w := range dg.Neighbors(e.Map[d.src]) {
+			if dg.Label(w) == d.label && !inMap(e.Map, w) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // bfs fills dist (reusing its storage) with g's distances from src.
@@ -249,62 +277,149 @@ func inMap(m []graph.V, w graph.V) bool {
 	return false
 }
 
+// greedyDesc is an entry of greedy growth's worklist. bounded marks a
+// forward descriptor that Theorems 1–2 rejected under CheckFast. That
+// verdict reads only its source's D_H and D_T, which a forward
+// absorption never changes, so the descriptor is skipped until a
+// backward absorption shortens a distance.
+type greedyDesc struct {
+	extDesc
+	bounded bool
+}
+
 // greedyLevelGrow absorbs valid frequent level-i extensions into one
-// maximal pattern (Options.GreedyGrow).
+// maximal pattern (Options.GreedyGrow): it tries the candidates in
+// descriptor order, absorbs the first that passes, and starts over on
+// the grown pattern until none passes.
+//
+// The candidates of a grown pattern are those of the pattern it grew
+// from, less the absorbed backward edge and less any a child's maps no
+// longer support (each child map extends a parent map, so support only
+// falls), plus, after a forward absorption, the backward edges to the
+// new vertex. So the sorted worklist survives absorptions: a probe
+// drops an entry no stored map supports before it is tried, and a
+// forward absorption inserts the new vertex's backward descriptors in
+// order. The absorption sequence is that of recomputing the candidates
+// after every absorption; only the retries of Theorem 1–2 rejects are
+// saved.
 func (m *miner) greedyLevelGrow(p *Pattern, level int32, sc *growScratch) []*Pattern {
 	if m.budgetExhausted() {
 		return nil // don't grind a full greedy fixpoint just to drop it
 	}
-	cur := p
-	grew := false
-	for {
-		applied := false
-		for _, d := range m.candidates(cur, level, sc) {
-			m.stats.extensionsTried.Add(1)
-			child, reason := m.extend(cur, d, level, sc)
-			switch reason {
-			case rejectI:
-				m.stats.constraintRejects[0].Add(1)
-			case rejectII:
-				m.stats.constraintRejects[1].Add(1)
-			case rejectIII:
-				m.stats.constraintRejects[2].Add(1)
-			}
-			if child == nil {
-				if reason == passed {
-					m.stats.frequencyRejects.Add(1)
-				}
-				continue
-			}
-			// Constraint pushdown: greedy growth must not absorb an
-			// extension the constraint forbids — skipping it here is
-			// what makes MaximalOnly discover *constrained* maximal
-			// patterns instead of post-filtering everything away.
-			if m.rejectPushdown(child) {
-				m.stats.pushdownRejects.Add(1)
-				continue
-			}
-			cur = child
-			applied = true
-			grew = true
-			break // recompute candidates against the grown pattern
-		}
-		if !applied {
-			break
-		}
+	todo := sc.todo[:0]
+	for _, d := range m.candidates(p, level, sc) {
+		todo = append(todo, greedyDesc{extDesc: d})
 	}
-	if !grew {
+	cur := p
+	for i := 0; i < len(todo); {
+		d := todo[i].extDesc
+		if todo[i].bounded {
+			i++
+			continue
+		}
+		// Before the first absorption every entry came from candidates
+		// on these very maps, so only a grown pattern needs the probe.
+		if cur != p && !m.supported(cur, d) {
+			todo = slices.Delete(todo, i, i+1)
+			continue
+		}
+		m.stats.extensionsTried.Add(1)
+		child, reason := m.extend(cur, d, level, sc)
+		m.countReject(reason)
+		if child == nil {
+			if reason == passed {
+				m.stats.frequencyRejects.Add(1)
+			} else if d.kind == 1 && reason != rejectIII && m.check.mode == CheckFast {
+				todo[i].bounded = true
+			}
+			i++
+			continue
+		}
+		// Constraint pushdown: greedy growth must not absorb an
+		// extension the constraint forbids — skipping it here is
+		// what makes MaximalOnly discover *constrained* maximal
+		// patterns instead of post-filtering everything away.
+		if m.rejectPushdown(child) {
+			m.stats.pushdownRejects.Add(1)
+			i++
+			continue
+		}
+		sc.child, sc.held = sc.held, child
+		if d.kind == 0 {
+			todo = slices.Delete(todo, i, i+1)
+			if !slices.Equal(cur.DH, child.DH) || !slices.Equal(cur.DT, child.DT) {
+				for j := range todo {
+					todo[j].bounded = false
+				}
+			}
+		} else {
+			todo = m.insertBackward(todo, child, level, sc)
+		}
+		cur = child
+		i = 0
+	}
+	sc.todo = todo
+	if cur == p {
 		return nil
 	}
 	m.stats.generated.Add(1)
-	if !m.dedup(cur) {
+	if !m.dedup(cur, sc) {
 		m.stats.duplicates.Add(1)
 		return nil
 	}
 	if !m.consumeBudget() {
 		return nil // MaxPatterns budget exhausted; drop, don't emit
 	}
-	return []*Pattern{cur}
+	return []*Pattern{cur.clone()}
+}
+
+// insertBackward inserts into the sorted worklist the backward
+// descriptors of p's newest vertex u, just attached by a forward
+// absorption: one per vertex x that backwardValid admits and some
+// stored map joins to u's image by a data edge. One pass over the maps
+// finds them all.
+func (m *miner) insertBackward(todo []greedyDesc, p *Pattern, level int32, sc *growScratch) []greedyDesc {
+	u := int32(p.G.N() - 1)
+	found := sc.found[:0]
+	want := 0
+	for x := int32(0); x < u; x++ {
+		ok := backwardValid(p, x, u, level)
+		if ok {
+			want++
+		}
+		found = append(found, !ok) // settled: found, or never valid
+	}
+	sc.found = found
+	for ei := 0; ei < p.Embs.Len() && want > 0; ei++ {
+		e := p.Embs.At(ei)
+		sc.inv.reset()
+		for pi, dv := range e.Map[:u] {
+			sc.inv.set(dv, int32(pi))
+		}
+		for _, w := range m.graphs[e.GID].Neighbors(e.Map[u]) {
+			if x, mapped := sc.inv.get(w); mapped && !found[x] {
+				found[x] = true
+				want--
+				d := extDesc{kind: 0, src: x, dst: u}
+				j, _ := slices.BinarySearchFunc(todo, d, func(e greedyDesc, d extDesc) int { return compareDesc(e.extDesc, d) })
+				todo = slices.Insert(todo, j, greedyDesc{extDesc: d})
+			}
+		}
+	}
+	return todo
+}
+
+// countReject counts a constraint rejection by the constraint it
+// failed.
+func (m *miner) countReject(r rejectReason) {
+	switch r {
+	case rejectI:
+		m.stats.constraintRejects[0].Add(1)
+	case rejectII:
+		m.stats.constraintRejects[1].Add(1)
+	case rejectIII:
+		m.stats.constraintRejects[2].Add(1)
+	}
 }
 
 // levelGrow expands p with every valid non-empty set of level-i edges,
@@ -331,14 +446,7 @@ func (m *miner) levelGrow(p *Pattern, level int32, sc *growScratch) []*Pattern {
 				}
 				m.stats.extensionsTried.Add(1)
 				child, reason := m.extend(cur, d, level, sc)
-				switch reason {
-				case rejectI:
-					m.stats.constraintRejects[0].Add(1)
-				case rejectII:
-					m.stats.constraintRejects[1].Add(1)
-				case rejectIII:
-					m.stats.constraintRejects[2].Add(1)
-				}
+				m.countReject(reason)
 				if child == nil {
 					if reason == passed {
 						m.stats.frequencyRejects.Add(1)
@@ -354,7 +462,7 @@ func (m *miner) levelGrow(p *Pattern, level int32, sc *growScratch) []*Pattern {
 					continue
 				}
 				m.stats.generated.Add(1)
-				if !m.dedup(child) {
+				if !m.dedup(child, sc) {
 					m.stats.duplicates.Add(1)
 					continue
 				}
@@ -363,7 +471,7 @@ func (m *miner) levelGrow(p *Pattern, level int32, sc *growScratch) []*Pattern {
 					// slot, so it is NOT part of the result.
 					return append(out, next...)
 				}
-				next = append(next, child)
+				next = append(next, child.clone())
 			}
 		}
 		out = append(out, next...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"skinnymine/internal/graph"
 	"skinnymine/internal/support"
@@ -27,6 +28,22 @@ type Pattern struct {
 // CodeKey returns the pattern's canonical DFS code key (the dedup and
 // output-ordering key); empty for patterns never passed through dedup.
 func (p *Pattern) CodeKey() string { return p.codeKey }
+
+// clone copies p, typically a child built in growth scratch, into
+// storage of its own at its exact size.
+func (p *Pattern) clone() *Pattern {
+	return &Pattern{
+		G:         p.G.Clone(),
+		DiamLen:   p.DiamLen,
+		Level:     slices.Clone(p.Level),
+		DH:        slices.Clone(p.DH),
+		DT:        slices.Clone(p.DT),
+		Embs:      p.Embs.Clone(),
+		anchor:    p.anchor,
+		hasAnchor: p.hasAnchor,
+		codeKey:   p.codeKey,
+	}
+}
 
 // Diam returns the canonical diameter as a pattern path (vertices
 // 0..DiamLen).

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skinnymine/internal/dfscode"
 	"skinnymine/internal/graph"
 	"skinnymine/internal/obs"
 	"skinnymine/internal/support"
@@ -547,7 +546,7 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 		m.stats.pushdownRejects.Add(1)
 		return nil
 	}
-	if !m.dedup(p0) {
+	if !m.dedup(p0, sc) {
 		return nil
 	}
 	if !m.consumeBudget() {
@@ -583,8 +582,8 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 // that case requires a same-length fast-check over-acceptance, i.e. a
 // violation of Theorems 1–3, which is also the stated precondition of
 // the determinism guarantee (see the package doc).
-func (m *miner) dedup(p *Pattern) bool {
-	p.codeKey = dfscode.MinCodeKey(p.G)
+func (m *miner) dedup(p *Pattern, sc *growScratch) bool {
+	p.codeKey = sc.code.MinCodeKey(p.G)
 	return m.codes.insert(dedupKey{diamLen: p.DiamLen, code: p.codeKey})
 }
 

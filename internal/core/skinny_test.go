@@ -198,6 +198,7 @@ func TestConstraintExamples(t *testing.T) {
 		return newPatternFromPath(pp, []*graph.Graph{data}, 0)
 	}
 	c := checker{mode: CheckFast, stats: &statCounters{}}
+	sc := &growScratch{}
 
 	// Constraint I: new vertex hanging off the head is at distance 3 > 2
 	// from the tail -> diameter would grow.
@@ -207,7 +208,7 @@ func TestConstraintExamples(t *testing.T) {
 	g.MustAddEdge(0, u)
 	dh := append(append([]int32(nil), p.DH...), p.DH[0]+1)
 	dt := append(append([]int32(nil), p.DT...), p.DT[0]+1)
-	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 0); r != rejectI {
+	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 0, sc); r != rejectI {
 		t.Errorf("endpoint twig: got %d, want Constraint I reject", r)
 	}
 
@@ -219,7 +220,7 @@ func TestConstraintExamples(t *testing.T) {
 	g3.MustAddEdge(0, 2)
 	dh3 := g3.BFS(0)
 	dt3 := g3.BFS(3)
-	if r := c.checkBackward(g3, p3.DiamLen, dh3, dt3, 0, 2); r != rejectII {
+	if r := c.checkBackward(g3, p3.DiamLen, dh3, dt3, 0, 2, sc); r != rejectII {
 		t.Errorf("chord: got %d, want Constraint II reject", r)
 	}
 
@@ -231,7 +232,7 @@ func TestConstraintExamples(t *testing.T) {
 	g.MustAddEdge(1, u)
 	dh = append(append([]int32(nil), p.DH...), p.DH[1]+1)
 	dt = append(append([]int32(nil), p.DT...), p.DT[1]+1)
-	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1); r != rejectIII {
+	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1, sc); r != rejectIII {
 		t.Errorf("lex-smaller diameter: got %d, want Constraint III reject", r)
 	}
 
@@ -244,7 +245,7 @@ func TestConstraintExamples(t *testing.T) {
 	g.MustAddEdge(1, u)
 	dh = append(append([]int32(nil), p.DH...), p.DH[1]+1)
 	dt = append(append([]int32(nil), p.DT...), p.DT[1]+1)
-	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1); r != passed {
+	if r := c.checkForward(g, p.DiamLen, dh, dt, u, 1, sc); r != passed {
 		t.Errorf("larger-label twig: got %d, want pass", r)
 	}
 }

@@ -2,7 +2,6 @@ package dfscode
 
 import (
 	"fmt"
-	"strings"
 
 	"skinnymine/internal/graph"
 )
@@ -108,22 +107,23 @@ func (c Code) VertexCount() int {
 
 // Key encodes the code as a comparable string.
 func (c Code) Key() string {
-	var b strings.Builder
-	b.Grow(len(c) * 16)
-	for _, t := range c {
-		writeI32(&b, t.I)
-		writeI32(&b, t.J)
-		writeI32(&b, int32(t.LI))
-		writeI32(&b, int32(t.LJ))
-	}
-	return b.String()
+	return string(c.appendKey(make([]byte, 0, len(c)*16)))
 }
 
-func writeI32(b *strings.Builder, v int32) {
-	b.WriteByte(byte(v))
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v >> 16))
-	b.WriteByte(byte(v >> 24))
+// appendKey appends the Key bytes of c to dst: each tuple's I, J, LI and
+// LJ as four little-endian int32s.
+func (c Code) appendKey(dst []byte) []byte {
+	for _, t := range c {
+		dst = appendI32(dst, t.I)
+		dst = appendI32(dst, t.J)
+		dst = appendI32(dst, int32(t.LI))
+		dst = appendI32(dst, int32(t.LJ))
+	}
+	return dst
+}
+
+func appendI32(b []byte, v int32) []byte {
+	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // Graph reconstructs the pattern graph a code describes.

@@ -144,3 +144,24 @@ func TestCompareCodesPrefix(t *testing.T) {
 		t.Error("prefix ordering wrong")
 	}
 }
+
+// TestMinCodeAllocsPinned pins the reuse Scratch exists for: once its
+// slabs, edge table and buffers have grown to a set of graphs, keying
+// them again allocates only the returned strings, one per key.
+func TestMinCodeAllocsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var gs []*graph.Graph
+	for i := 0; i < 30; i++ {
+		gs = append(gs, testutil.RandomConnectedGraph(rng, 2+rng.Intn(14), rng.Intn(6), 2))
+	}
+	var s Scratch
+	keyAll := func() {
+		for _, g := range gs {
+			s.MinCodeKey(g)
+		}
+	}
+	keyAll()
+	if allocs := testing.AllocsPerRun(5, keyAll); allocs > float64(len(gs)) {
+		t.Errorf("keying %d graphs on a warmed Scratch allocated %.0f times; want at most one per key", len(gs), allocs)
+	}
+}

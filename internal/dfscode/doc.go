@@ -14,12 +14,23 @@
 // baselines additionally use DFS codes as their search-space canonical
 // form.
 //
+// # Reusable scratch
+//
+// A Scratch holds the minimal-code search's state between calls: the
+// surviving partial DFS traversals as fixed-stride records in two flat
+// slabs, one read and one written per step, a dense n×n edge-index
+// table for their used-edge bitsets, and the code and key buffers. A
+// warmed Scratch allocates only the key string it returns
+// (TestMinCodeAllocsPinned); slabs grown past 4 MiB for a graph with
+// very many automorphisms are dropped by the next call.
+//
 // # Concurrency and ownership
 //
-// MinCode/MinCodeKey are pure functions over their input graph: all
-// traversal state (vertex inverse maps, used-edge bitsets, the shared
-// code context) is function-local, so concurrent calls from the Stage
-// II worker pool need no synchronization. The invariance of the
-// minimal code under vertex permutation is pinned by
-// FuzzMinCodePermutation.
+// MinCode/MinCodeKey are pure functions over their input graph: each
+// runs on a fresh Scratch, so concurrent calls need no synchronization.
+// A Scratch belongs to one goroutine at a time; Stage II gives each
+// worker its own. The invariance of the minimal code under vertex
+// permutation is pinned by FuzzMinCodePermutation, and
+// FuzzMinCodeScratch holds a reused Scratch to the pointer-based search
+// it replaced, kept in reference_test.go.
 package dfscode

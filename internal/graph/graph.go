@@ -102,10 +102,18 @@ func (g *Graph) Neighbors(v V) []V { return g.adj[v] }
 func (g *Graph) Degree(v V) int { return len(g.adj[v]) }
 
 // AddVertex appends a vertex with the given label and returns its ID.
+// A graph that CloneInto shrank keeps the adjacency storage of the
+// vertices it dropped, and the vertex added in their place reuses it.
 func (g *Graph) AddVertex(l Label) V {
 	g.labels = append(g.labels, l)
-	g.adj = append(g.adj, nil)
-	return V(len(g.labels) - 1)
+	n := len(g.adj)
+	if n < cap(g.adj) {
+		g.adj = g.adj[:n+1]
+		g.adj[n] = g.adj[n][:0]
+	} else {
+		g.adj = append(g.adj, nil)
+	}
+	return V(n)
 }
 
 // HasEdge reports whether the undirected edge (u,w) exists.

@@ -1,6 +1,7 @@
 package support
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -85,7 +86,7 @@ func embeddingStream(rng *rand.Rand, p *graph.Graph, n int) []Embedding {
 }
 
 // distinctMaps drops exact repeats, keeping first occurrences in order:
-// the precondition of Set.Add.
+// the precondition of Set.Add and add.
 func distinctMaps(stream []Embedding) []Embedding {
 	seen := make(map[string]bool)
 	var out []Embedding
@@ -101,11 +102,12 @@ func distinctMaps(stream []Embedding) []Embedding {
 
 // TestSetMatchesReference diffs the hash-identity Set against the
 // byte-keyed RefSet on randomized embedding streams, capped and
-// uncapped, through every insert path: Insert (exact-map dedup, hash
-// from scratch) and Add with the subgraph hash computed from scratch,
+// uncapped: through Insert (exact-map dedup, hash from scratch) and
+// through untagged add with the subgraph hash computed from scratch,
 // derived incrementally as a parent hash plus the last edge's term, or
 // held constant — the last forces every insert after the first through
-// exact verification. The set is reused across trials through Reset,
+// exact verification. TestTaggedSetMatchesReference covers tagged
+// inserts. The set is reused across trials through Reset,
 // and its Clone must match too and keep matching under further adds.
 func TestSetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -146,13 +148,13 @@ func TestSetMatchesReference(t *testing.T) {
 			s.Reset(pes, limit)
 			ref := NewRefSet(pes, limit)
 			for _, e := range distinct[:split] {
-				s.Add(e, hash(pes, e))
+				s.add(e, hash(pes, e), noTag)
 				ref.Add(e)
 			}
 			c := s.Clone()
 			for _, e := range distinct[split:] {
-				s.Add(e, hash(pes, e))
-				c.Add(e, hash(pes, e))
+				s.add(e, hash(pes, e), noTag)
+				c.add(e, hash(pes, e), noTag)
 				ref.Add(e)
 			}
 			if d := diffRef(s, ref); d != "" {
@@ -182,5 +184,191 @@ func TestSubgraphHashIncremental(t *testing.T) {
 	}
 	if EdgeTerm(3, 7, 2) == EdgeTerm(4, 7, 2) {
 		t.Error("EdgeTerm ignores the graph ID")
+	}
+}
+
+// growStep is one extension of a pattern: a forward edge from src to a
+// new vertex, or a backward edge between existing vertices src and dst.
+type growStep struct {
+	forward  bool
+	src, dst graph.V
+}
+
+// randomStep picks an extension of p and returns it with the child's
+// pattern edges.
+func randomStep(rng *rand.Rand, p *graph.Graph) (growStep, *graph.Graph) {
+	c := p.Clone()
+	var missing []graph.Edge
+	for u := graph.V(0); int(u) < p.N(); u++ {
+		for w := u + 1; int(w) < p.N(); w++ {
+			if !p.HasEdge(u, w) {
+				missing = append(missing, graph.Edge{U: u, W: w})
+			}
+		}
+	}
+	if len(missing) > 0 && rng.Intn(3) == 0 {
+		e := missing[rng.Intn(len(missing))]
+		c.MustAddEdge(e.U, e.W)
+		return growStep{src: e.U, dst: e.W}, c
+	}
+	src := graph.V(rng.Intn(p.N()))
+	c.MustAddEdge(src, c.AddVertex(0))
+	return growStep{forward: true, src: src}, c
+}
+
+// derived is a child map with the stored parent map it was grown from
+// and the data edge it added.
+type derived struct {
+	e      Embedding
+	parent int
+	u, w   graph.V
+}
+
+// deriveMaps grows every stored map of parent by step, onto every data
+// vertex of [0, universe) outside the map for a forward step, and
+// returns the child maps shuffled, so maps of different parents
+// interleave. The maps are pairwise distinct, as extension makes them.
+func deriveMaps(rng *rand.Rand, parent *Set, step growStep, universe int) []derived {
+	var out []derived
+	for i := 0; i < parent.Len(); i++ {
+		e := parent.At(i)
+		if !step.forward {
+			out = append(out, derived{e.Clone(), i, e.Map[step.src], e.Map[step.dst]})
+			continue
+		}
+		for w := graph.V(0); int(w) < universe; w++ {
+			if !slices.Contains(e.Map, w) {
+				c := Embedding{GID: e.GID, Map: append(slices.Clone(e.Map), w)}
+				out = append(out, derived{c, i, e.Map[step.src], w})
+			}
+		}
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// checkSids reports whether s's subgraph-id column numbers the
+// subgraphs of its stored maps densely, in the order they first occur.
+func checkSids(s *Set) string {
+	ids := make(map[string]int32)
+	for i := 0; i < s.Len(); i++ {
+		k := SubgraphKey(s.patternEdges, s.At(i))
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(ids))
+			ids[k] = id
+		}
+		if s.sids[i] != id {
+			return fmt.Sprintf("stored map %d has subgraph id %d, want %d", i, s.sids[i], id)
+		}
+	}
+	return ""
+}
+
+// TestTaggedSetMatchesReference diffs Sets of derived maps, each tagged
+// with its parent map's subgraph id and the data edge it added, against
+// the RefSet. A parent Set is filled from a random embedding stream,
+// and a child and then a grandchild are grown from it by random forward
+// or backward steps: through Add, with incremental hashes, and through
+// add with one constant hash, which sends every insert after the first
+// along one probe chain. There a map meets the first maps of earlier
+// subgraphs until it reaches its own: maps of its own parent subgraph
+// with its own edge (one subgraph, decided by the tags), of its own
+// parent subgraph with another edge (a new subgraph, decided by the
+// tags) and of other parent subgraphs (decided by sameImage); the test
+// requires all three. The grandchild grows from a Clone of the
+// child taken halfway, so Clone must carry the subgraph-id column, and
+// the sets are reused through Reset, which must empty it.
+func TestTaggedSetMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	parent, child, grand := NewSet(nil, 0), NewSet(nil, 0), NewSet(nil, 0)
+	var met [3]int // same tag, same parent with another edge, other parent
+	for trial := 0; trial < 300; trial++ {
+		p := testutil.RandomConnectedGraph(rng, 2+rng.Intn(4), rng.Intn(3), 1)
+		limit := []int{0, 1, 3, 7}[trial%4]
+		universe := p.N() + 3
+		parent.Reset(p.Edges(), 0)
+		for _, e := range embeddingStream(rng, p, 1+rng.Intn(40)) {
+			parent.Insert(e)
+		}
+		if d := checkSids(parent); d != "" {
+			t.Fatalf("trial %d, parent: %s", trial, d)
+		}
+		step, cp := randomStep(rng, p)
+		step2, gp := randomStep(rng, cp)
+		kids := deriveMaps(rng, parent, step, universe)
+		for _, constant := range []bool{false, true} {
+			add := func(s, from *Set, d derived) {
+				if constant {
+					s.add(d.e, 42, tag{parent: from.sids[d.parent], edge: edgeKey(d.u, d.w)})
+				} else {
+					s.Add(d.e, from, d.parent, d.u, d.w)
+				}
+			}
+			name := fmt.Sprintf("trial %d, limit %d, constant hash %v", trial, limit, constant)
+			child.Reset(cp.Edges(), limit)
+			ref := NewRefSet(cp.Edges(), limit)
+			split := len(kids) / 2
+			// The first map of each subgraph, in order: the probe chain
+			// of the constant hash.
+			type rep struct {
+				tg  tag
+				key string
+			}
+			var reps []rep
+			var clone *Set
+			for i, d := range kids {
+				if i == split {
+					clone = child.Clone()
+				}
+				tg := tag{parent: parent.sids[d.parent], edge: edgeKey(d.u, d.w)}
+				k := SubgraphKey(cp.Edges(), d.e)
+				found := false
+				for _, r := range reps {
+					switch {
+					case r.tg == tg:
+						met[0]++
+					case r.tg.parent == tg.parent:
+						met[1]++
+					default:
+						met[2]++
+					}
+					if found = r.key == k; found {
+						break
+					}
+				}
+				if !found {
+					reps = append(reps, rep{tg, k})
+				}
+				add(child, parent, d)
+				if clone != nil {
+					add(clone, parent, d)
+				}
+				ref.Add(d.e)
+			}
+			if clone == nil {
+				clone = child.Clone()
+			}
+			for _, s := range []*Set{child, clone} {
+				if d := diffRef(s, ref); d != "" {
+					t.Fatalf("%s, child: %s", name, d)
+				}
+				if d := checkSids(s); d != "" {
+					t.Fatalf("%s, child: %s", name, d)
+				}
+			}
+			grand.Reset(gp.Edges(), limit)
+			gref := NewRefSet(gp.Edges(), limit)
+			for _, d := range deriveMaps(rng, clone, step2, universe) {
+				add(grand, clone, d)
+				gref.Add(d.e)
+			}
+			if d := diffRef(grand, gref); d != "" {
+				t.Fatalf("%s, grandchild: %s", name, d)
+			}
+		}
+	}
+	if met[0] == 0 || met[1] == 0 || met[2] == 0 {
+		t.Fatalf("tag comparisons %v: a branch was never reached", met)
 	}
 }

@@ -112,11 +112,13 @@ func appendMapKey(dst []byte, e Embedding) []byte {
 //
 // Storage is columnar: one flat []graph.V holding all stored maps back
 // to back with a fixed stride (the pattern's vertex count) plus
-// parallel GID and subgraph-hash columns, so a Set costs a few slices
-// rather than one heap slice per embedding. Subgraph identity is the
-// caller-supplied 64-bit hash (see EdgeTerm) in an open-addressing
-// index of distinct subgraphs, verified exactly with sameImage only
-// when two hashes are equal.
+// parallel GID, subgraph-hash and subgraph-id columns, so a Set costs a
+// few slices rather than one heap slice per embedding. Subgraph identity
+// is the caller-supplied 64-bit hash (see EdgeTerm) in an
+// open-addressing index of distinct subgraphs, numbered densely in the
+// order they are first recorded. Two equal hashes are decided by the
+// maps' parent tags when both were grown from one parent subgraph (see
+// Add), and verified exactly with sameImage otherwise.
 //
 // Use NewSet, or Reset a zero Set.
 type Set struct {
@@ -126,6 +128,7 @@ type Set struct {
 	gids         []int32   // per stored embedding
 	vals         []graph.V // flat columnar storage, n*stride values
 	hashes       []uint64  // per stored embedding: its subgraph hash
+	sids         []int32   // per stored embedding: its subgraph id
 	subs         []subSlot // index of distinct subgraphs, len 0 or a power of two
 	nsubs        int       // distinct subgraphs recorded: the support
 	// The first map of each subgraph first seen past the storage cap,
@@ -142,19 +145,33 @@ type Set struct {
 	scratchImg []uint64
 }
 
-// subSlot is one entry of the subgraph index: a subgraph hash and a
-// reference to a map occupying that subgraph — stored embedding ref-1
-// when ref > 0, overflow map -ref-1 when ref < 0; 0 marks an empty
-// slot.
+// subSlot is one entry of the subgraph index: a subgraph hash, a
+// reference to the first map recorded on that subgraph — stored
+// embedding ref-1 when ref > 0, overflow map -ref-1 when ref < 0; 0
+// marks an empty slot — and that map's parent tag.
 type subSlot struct {
 	h   uint64
 	ref int32
+	tag tag
 }
+
+// tag records how a map was grown: from a map on subgraph parent of the
+// parent pattern's Set, by the data edge with key edge (see edgeKey). A
+// child map's subgraph is its parent map's plus that edge, which the
+// parent subgraph does not contain, so two maps of one Set grown from
+// one parent subgraph occupy one subgraph exactly when they added the
+// same edge. parent is -1 for a map without a tag.
+type tag struct {
+	parent int32
+	edge   uint64
+}
+
+var noTag = tag{parent: -1}
 
 // NewSet returns an embedding set for a pattern with the given edges.
 // limit caps the number of *stored* embeddings (0 = unlimited). The
 // Support and GraphSupport counts stay exact past the cap — the
-// subgraph index and GID set are maintained on every Add — but
+// subgraph index and GID set are maintained on every insert — but
 // extension and MNI then work from the stored sample, which mirrors
 // practical miners under blow-up. The set keeps its own copy of the
 // edges.
@@ -179,6 +196,7 @@ func (s *Set) Reset(patternEdges []graph.Edge, limit int) {
 		gids:         s.gids[:0],
 		vals:         s.vals[:0],
 		hashes:       s.hashes[:0],
+		sids:         s.sids[:0],
 		subs:         subs,
 		overGIDs:     s.overGIDs[:0],
 		overVals:     s.overVals[:0],
@@ -197,6 +215,7 @@ func (s *Set) Clone() *Set {
 		gids:         slices.Clone(s.gids),
 		vals:         slices.Clone(s.vals),
 		hashes:       slices.Clone(s.hashes),
+		sids:         slices.Clone(s.sids),
 		overGIDs:     slices.Clone(s.overGIDs),
 		overVals:     slices.Clone(s.overVals),
 		gid0:         s.gid0,
@@ -223,16 +242,22 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Add records an embedding whose map differs from every map already in
-// the set, with h the hash of the subgraph it occupies: SubgraphHash,
-// or the hash of the map it was grown from plus EdgeTerm of the new
-// edge. Extension derives distinct maps by construction, so Add keeps
-// no map index; maps that may repeat go through Insert. The map is
-// copied into the columnar store unless the cap is reached. Its
+// Add records the map e grown from stored map i of parent by the data
+// edge (u, w): its subgraph hash is the parent map's plus EdgeTerm of
+// the edge, and it carries the parent map's subgraph id and the edge as
+// its tag. Extension derives distinct maps by construction, so Add
+// keeps no map index; maps that may repeat go through Insert. The map
+// is copied into the columnar store unless the cap is reached. Its
 // subgraph and graph count toward Support and GraphSupport either way
 // (storage may be capped; counting never is). e.Map may alias a caller
 // scratch buffer.
-func (s *Set) Add(e Embedding, h uint64) {
+func (s *Set) Add(e Embedding, parent *Set, i int, u, w graph.V) {
+	s.add(e, parent.hashes[i]+EdgeTerm(e.GID, u, w), tag{parent: parent.sids[i], edge: edgeKey(u, w)})
+}
+
+// add records a map that differs from every map in the set, with h the
+// hash of the subgraph it occupies and t its tag.
+func (s *Set) add(e Embedding, h uint64, t tag) {
 	if s.nsubs == 0 {
 		s.stride = len(e.Map)
 		s.gid0 = e.GID
@@ -244,7 +269,8 @@ func (s *Set) Add(e Embedding, h uint64) {
 	if !stored {
 		ref = -int32(len(s.overGIDs)) - 1
 	}
-	if s.insertSubgraph(e, h, ref) && !stored {
+	sid, isNew := s.insertSubgraph(e, subSlot{h: h, ref: ref, tag: t})
+	if isNew && !stored {
 		s.overGIDs = append(s.overGIDs, e.GID)
 		s.overVals = append(s.overVals, e.Map...)
 	}
@@ -260,51 +286,72 @@ func (s *Set) Add(e Embedding, h uint64) {
 	s.gids = append(s.gids, e.GID)
 	s.vals = append(s.vals, e.Map...)
 	s.hashes = append(s.hashes, h)
+	s.sids = append(s.sids, sid)
 	s.n++
 }
 
-// Insert is Add for maps that may repeat, where a pattern's embeddings
+// Insert records a map that may repeat, where a pattern's embeddings
 // are first built (seed paths, enumeration, baseline miners): it drops
 // a map the set already holds, reporting false, and computes the
-// subgraph hash itself. The exact-map index it keeps grows on every new
-// map, stored or not.
+// subgraph hash itself. The map carries no tag. The exact-map index it
+// keeps grows on every new map, stored or not.
 func (s *Set) Insert(e Embedding) bool {
 	s.scratchKey = appendMapKey(s.scratchKey[:0], e)
 	if !s.mapKeys.insert(s.scratchKey) {
 		return false
 	}
-	s.Add(e, SubgraphHash(s.patternEdges, e))
+	s.add(e, SubgraphHash(s.patternEdges, e), noTag)
 	return true
 }
 
-// insertSubgraph records the subgraph e occupies under hash h, with ref
-// naming the map that will represent it, and reports whether it was
-// new. Equal hashes are verified exactly; unequal subgraphs whose
-// hashes collide simply occupy further slots of the probe sequence.
-func (s *Set) insertSubgraph(e Embedding, h uint64, ref int32) bool {
+// insertSubgraph records the subgraph e occupies, under the index entry
+// sl naming the map that will represent it, and returns its subgraph id
+// and whether it was new. On equal hashes, equal parent tags prove one
+// subgraph and one parent with different edges proves two; only other
+// pairs are verified exactly. Unequal subgraphs whose hashes collide
+// simply occupy further slots of the probe sequence. The id of a
+// subgraph first recorded by an overflow map is never stored, so it is
+// not looked up.
+func (s *Set) insertSubgraph(e Embedding, sl subSlot) (int32, bool) {
 	if 2*(s.nsubs+1) > len(s.subs) {
 		s.growIndex()
 	}
 	mask := uint64(len(s.subs) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		sl := &s.subs[i]
-		if sl.ref == 0 {
-			*sl = subSlot{h: h, ref: ref}
+	for i := sl.h & mask; ; i = (i + 1) & mask {
+		old := &s.subs[i]
+		if old.ref == 0 {
+			*old = sl
 			s.nsubs++
-			return true
+			return int32(s.nsubs - 1), true
 		}
-		if sl.h == h {
-			gid, m := s.refMap(sl.ref)
-			if gid != e.GID {
-				continue
+		if old.h != sl.h {
+			continue
+		}
+		if sl.tag.parent >= 0 && old.tag.parent == sl.tag.parent {
+			if old.tag.edge == sl.tag.edge {
+				return s.sidOf(old.ref), false
 			}
-			var same bool
-			s.scratchImg, same = sameImage(s.patternEdges, e.Map, m, s.scratchImg)
-			if same {
-				return false
-			}
+			continue
+		}
+		gid, m := s.refMap(old.ref)
+		if gid != e.GID {
+			continue
+		}
+		var same bool
+		s.scratchImg, same = sameImage(s.patternEdges, e.Map, m, s.scratchImg)
+		if same {
+			return s.sidOf(old.ref), false
 		}
 	}
+}
+
+// sidOf returns the subgraph id of the map an index reference names, or
+// -1 for an overflow map.
+func (s *Set) sidOf(ref int32) int32 {
+	if ref < 0 {
+		return -1
+	}
+	return s.sids[ref-1]
 }
 
 // growIndex doubles the subgraph index (minimum 8 slots) and reinserts
@@ -351,7 +398,7 @@ func (s *Set) Support() int { return s.nsubs }
 
 // GraphSupport returns the number of distinct transaction graphs with at
 // least one embedding. Exact even past the storage cap: the GID set is
-// maintained at Add time regardless of whether the map was stored.
+// maintained at insert time regardless of whether the map was stored.
 func (s *Set) GraphSupport() int {
 	if s.gidSet != nil {
 		return len(s.gidSet)
@@ -393,10 +440,6 @@ func (s *Set) At(i int) Embedding {
 	lo, hi := i*s.stride, (i+1)*s.stride
 	return Embedding{GID: s.gids[i], Map: s.vals[lo:hi:hi]}
 }
-
-// Hash returns the subgraph hash the i-th stored embedding was added
-// with, the base a child embedding's hash is derived from.
-func (s *Set) Hash(i int) uint64 { return s.hashes[i] }
 
 // Embeddings returns the stored embeddings as views into the columnar
 // store (see At). Callers must not modify the maps; hot paths should

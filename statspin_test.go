@@ -9,6 +9,23 @@ import (
 	"skinnymine/internal/testutil"
 )
 
+// greedyWorkload returns the greedy profile graph, SynthWorkload(17,
+// 300), and its text round trip, the graph the mine-greedy benchmark
+// mines.
+func greedyWorkload(t *testing.T) (base, roundTrip *graph.Graph) {
+	t.Helper()
+	base = testutil.SynthWorkload(17, 300)
+	var buf bytes.Buffer
+	if err := graph.WriteText(&buf, base); err != nil {
+		t.Fatal(err)
+	}
+	db, err := ReadGraphs(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base, db[0].g
+}
+
 // TestGreedyWorkloadStatsPinned pins every Stats counter (timings
 // aside) and the pattern count of the greedy profile workload
 // (SynthWorkload(17, 300) at σ=2, l=4, δ=2), both as generated and
@@ -23,18 +40,13 @@ func TestGreedyWorkloadStatsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full greedy mines per mode; run without -short")
 	}
-	base := testutil.SynthWorkload(17, 300)
-	var buf bytes.Buffer
-	if err := graph.WriteText(&buf, base); err != nil {
-		t.Fatal(err)
-	}
-	db, err := ReadGraphs(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, roundTrip := greedyWorkload(t)
 	// The CheckVerify rows trust the from-scratch check, so they differ
 	// from the fast rows wherever the fast check over-accepts: that is
-	// CheckMismatches, and the fast path's OutputInvalid drops.
+	// CheckMismatches, and the fast path's OutputInvalid drops. The fast
+	// rows also try fewer extensions: greedy growth does not retry a
+	// forward extension Theorems 1–2 rejected until a distance shrinks,
+	// which the verify path, building every child, cannot know.
 	type pin struct {
 		stats    core.Stats
 		patterns int
@@ -46,8 +58,8 @@ func TestGreedyWorkloadStatsPinned(t *testing.T) {
 	}{
 		{"generated", base, map[core.CheckMode]pin{
 			core.CheckFast: {core.Stats{
-				PathsMined: 1093, ExtensionsTried: 67359, Generated: 1574,
-				ConstraintRejects: [3]int{42203, 197, 13029},
+				PathsMined: 1093, ExtensionsTried: 40584, Generated: 1574,
+				ConstraintRejects: [3]int{15428, 197, 13029},
 				FrequencyRejects:  4670, OutputInvalid: 57,
 			}, 2610},
 			core.CheckVerify: {core.Stats{
@@ -56,10 +68,10 @@ func TestGreedyWorkloadStatsPinned(t *testing.T) {
 				FrequencyRejects:  4647, CheckMismatches: 194,
 			}, 2659},
 		}},
-		{"text round trip", db[0].g, map[core.CheckMode]pin{
+		{"text round trip", roundTrip, map[core.CheckMode]pin{
 			core.CheckFast: {core.Stats{
-				PathsMined: 1093, ExtensionsTried: 67414, Generated: 1562,
-				ConstraintRejects: [3]int{42428, 188, 12778},
+				PathsMined: 1093, ExtensionsTried: 40381, Generated: 1562,
+				ConstraintRejects: [3]int{15395, 188, 12778},
 				FrequencyRejects:  4727, OutputInvalid: 58,
 			}, 2597},
 			core.CheckVerify: {core.Stats{
@@ -89,5 +101,39 @@ func TestGreedyWorkloadStatsPinned(t *testing.T) {
 				t.Errorf("%s, mode %d: %d patterns, want %d", in.name, mode, len(res.Patterns), want.patterns)
 			}
 		}
+	}
+}
+
+// TestStage2AllocsPinned bounds the allocations of one greedy mine of
+// the mine-greedy input per emitted pattern. Stage II builds every
+// child, its canonical code and its constraint checks in per-worker
+// scratch and copies out only the patterns it emits, so the count
+// follows the 2,597 patterns, not the 40,381 extensions tried: about
+// 78 allocations each, the largest share of them the output
+// validation's from-scratch canonical diameter. An allocation per extension, per
+// canonical-code traversal or per Theorem-3 check fails it. It is a
+// bound, not an exact pin, because allocation counts move with the Go
+// runtime.
+func TestStage2AllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full greedy mines; run without -short")
+	}
+	_, g := greedyWorkload(t)
+	opt := core.DefaultOptions(2, 4, 2)
+	opt.GreedyGrow = true
+	opt.Concurrency = 1
+	patterns := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		res, err := core.Mine(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patterns = len(res.Patterns)
+	})
+	if patterns != 2597 {
+		t.Fatalf("the workload mined %d patterns; the bound assumes 2,597", patterns)
+	}
+	if limit := 100 * float64(patterns); allocs > limit {
+		t.Errorf("one greedy mine allocated %.0f times for %d patterns; want at most %.0f (100 per pattern)", allocs, patterns, limit)
 	}
 }
