@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -71,19 +70,12 @@ type WorkerStatus struct {
 // ErrUnavailable after the retry budget, leaving every cache as it was.
 // Close the index to stop the health probes.
 func LoadDistributedIndexFile(path string, cfg DistributedConfig) (*Index, error) {
-	f, err := os.Open(path)
+	f, sharded, err := openSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	head := make([]byte, len(indexio.ManifestMagic))
-	if _, err := io.ReadFull(f, head); err != nil {
-		return nil, fmt.Errorf("skinnymine: reading snapshot magic: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if string(head) != indexio.ManifestMagic {
+	if !sharded {
 		return nil, fmt.Errorf("skinnymine: %s is not a sharded snapshot manifest; a distributed index loads the manifest WriteSnapshotFile writes for a sharded index", path)
 	}
 	parts, err := loadShardParts(f, path)
@@ -94,7 +86,7 @@ func LoadDistributedIndexFile(path string, cfg DistributedConfig) (*Index, error
 	for s, ref := range parts.m.Shards {
 		crcs[s] = ref.CRC
 	}
-	eng, err := shard.RestoreRemote(parts.states, parts.assign, parts.m.Sigma, crcs, len(parts.lt.Names()), shard.RemoteConfig{
+	eng, err := shard.RestoreRemote(parts.st, parts.assign, crcs, len(parts.lt.Names()), shard.RemoteConfig{
 		Workers:       cfg.Workers,
 		Timeout:       cfg.WorkerTimeout,
 		Retries:       cfg.WorkerRetries,
@@ -105,7 +97,7 @@ func LoadDistributedIndexFile(path string, cfg DistributedConfig) (*Index, error
 	if err != nil {
 		return nil, err
 	}
-	return &Index{eng: eng, lt: parts.lt}, nil
+	return &Index{eng: eng, lt: parts.lt, parts: parts.assign}, nil
 }
 
 // MineContext is Mine with a caller-supplied context. A distributed

@@ -57,7 +57,7 @@ func BenchmarkAblation_DiamMineDoubling(b *testing.B) {
 	g := ablationGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := NewEngine([]*graph.Graph{g}, 2, nil)
+		e, err := NewEngine([]*graph.Graph{g}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,20 +13,20 @@ import (
 var stage1Levels = []int{1, 2, 4, 8, 12}
 
 // stage1DB is perfbench's index-build database, six
-// SynthWorkload(20+i, 120) graphs, with a fixed two-part split.
-func stage1DB() ([]*graph.Graph, [][]int32) {
+// SynthWorkload(20+i, 120) graphs.
+func stage1DB() []*graph.Graph {
 	db := make([]*graph.Graph, 6)
 	for i := range db {
 		db[i] = testutil.SynthWorkload(20+int64(i), 120)
 	}
-	return db, [][]int32{{0, 2, 4}, {1, 3, 5}}
+	return db
 }
 
-// materializeStage1 builds an engine at σ=6 over two parts and
-// materializes stage1Levels with two workers, returning the number of
-// patterns it stored.
-func materializeStage1(tb testing.TB, db []*graph.Graph, parts [][]int32) int {
-	e, err := NewEngine(db, 6, parts)
+// materializeStage1 builds an engine at σ=6 and materializes
+// stage1Levels with two workers, returning the number of patterns it
+// stored.
+func materializeStage1(tb testing.TB, db []*graph.Graph) int {
+	e, err := NewEngine(db, 6)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func materializeStage1(tb testing.TB, db []*graph.Graph, parts [][]int32) int {
 }
 
 // TestStage1AllocsPinned bounds the allocations of materializing
-// perfbench's index-build levels at two parts: the joins append
+// perfbench's index-build levels: the joins append
 // candidates to per-worker columns and collect writes each level into
 // level-wide ones, so the count grows with the patterns stored, not
 // with the millions of candidate embeddings the joins assemble. An
@@ -53,9 +53,9 @@ func TestStage1AllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("materializes levels up to l=12; run without -short")
 	}
-	db, parts := stage1DB()
+	db := stage1DB()
 	patterns := 0
-	allocs := testing.AllocsPerRun(1, func() { patterns = materializeStage1(t, db, parts) })
+	allocs := testing.AllocsPerRun(1, func() { patterns = materializeStage1(t, db) })
 	if patterns < 10000 {
 		t.Fatalf("the workload stored %d patterns; the bound assumes over 10,000", patterns)
 	}
@@ -64,12 +64,12 @@ func TestStage1AllocsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkStage1Levels materializes perfbench's index-build levels at
-// two parts with two workers.
+// BenchmarkStage1Levels materializes perfbench's index-build levels
+// with two workers.
 func BenchmarkStage1Levels(b *testing.B) {
-	db, parts := stage1DB()
+	db := stage1DB()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		materializeStage1(b, db, parts)
+		materializeStage1(b, db)
 	}
 }

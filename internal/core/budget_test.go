@@ -14,7 +14,7 @@ import (
 // with an explicit budget, so budget accounting can be probed at the
 // growSeed/levelGrow granularity.
 func newTestMiner(graphs []*graph.Graph, opt Options, budget int64) *miner {
-	dm, err := NewEngine(graphs, 1, nil)
+	dm, err := NewEngine(graphs, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -31,7 +31,7 @@ func newTestMiner(graphs []*graph.Graph, opt Options, budget int64) *miner {
 // slot, or duplicate seeds silently shrink the usable budget.
 func TestBudgetNotLeakedOnDuplicateSeed(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2)
-	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
+	dm, err := NewEngine([]*graph.Graph{g}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestLevelGrowDropsChildThatFailedToReserve(t *testing.T) {
 	g.MustAddEdge(1, 3)
 	g.MustAddEdge(1, 4)
 
-	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
+	dm, err := NewEngine([]*graph.Graph{g}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func internLikeReadGraphs(g *graph.Graph) *graph.Graph {
 // candidate along the way and hands each returned child to visit.
 func walkGreedyExtensions(t *testing.T, g *graph.Graph, opt Options, visit func(child *Pattern)) {
 	t.Helper()
-	dm, err := NewEngine([]*graph.Graph{g}, opt.Support, nil)
+	dm, err := NewEngine([]*graph.Graph{g}, opt.Support)
 	if err != nil {
 		t.Fatal(err)
 	}

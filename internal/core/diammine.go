@@ -12,17 +12,16 @@
 //
 // # One Stage I engine
 //
-// Engine is the only Stage I scheduler and level cache. It owns the one
-// doubling schedule and stores every level it materializes; Stage II
-// reads its seeds straight from that cache. The database may be split
-// into parts (internal/shard partitions it). An in-process engine runs
-// each step's joins once over all its graphs, whatever its part count,
-// and applies σ as it collects the candidates; a part's share of a
-// level is the level split by graph ID, needed only where a part is
-// persisted or shipped. The HTTP Runner of internal/shard asks one
-// worker per part instead, and the engine merges the parts'
-// threshold-1 candidates in a cross-part recount, which snapshot
-// restore reuses. Mine and MineDB build a request-private engine per
+// Engine is the only Stage I scheduler and level cache, over one
+// database. It owns the one doubling schedule and stores every level it
+// materializes; Stage II reads its seeds straight from that cache. Each
+// step asks a Runner for the next level: the in-process joins run once
+// over all the engine's graphs and apply σ as they collect the
+// candidates. The shard assignment lives outside core: internal/shard
+// splits a level by graph ID for snapshot files and shard workers, and
+// its cross-shard recount rebuilds the level from the shards' shares,
+// both for snapshot restore and for the HTTP Runner, which asks one
+// worker per shard. Mine and MineDB build a request-private engine per
 // call, which may prune inside its joins; a shared engine (the serving
 // index) never does.
 //
@@ -39,9 +38,7 @@
 // The joins assemble every oriented path exactly once, from one pair of
 // shorter stored paths, and store both orientations. So candidates are
 // collected without dedup, and support, the number of distinct path
-// subgraphs, is the number of canonical-forward rows (collect). The
-// cross-part recount merges the parts' sorted candidate lists, whose
-// embeddings are disjoint, and sums their supports (mergeLevel).
+// subgraphs, is the number of canonical-forward rows (collect).
 // ValidateLevel checks those rules, with vertex ranges, on every level
 // that enters from outside the joins: restored snapshots and both
 // directions of the shard wire.
@@ -204,7 +201,7 @@ func (c *cands) addRow(b, gid int32) {
 	c.bucket = append(grow(c.bucket, 1), b)
 	c.gid = append(grow(c.gid, 1), gid)
 	c.rows[b]++
-	if canonicalForward(c.verts[len(c.verts)-c.s:]) {
+	if CanonicalForward(c.verts[len(c.verts)-c.s:]) {
 		c.fwd[b]++
 	}
 }
@@ -344,12 +341,12 @@ func (r *localRunner) newJoinScratch() *joinScratch {
 }
 
 // localRunner is the in-process Runner: DiamMine's path joins
-// (Algorithm 2) over all its graphs, whatever part a call names.
-// collect applies minSup: σ for an in-process engine, whose step output
-// is the level itself, and 1 for a shard worker, whose candidates the
-// coordinator recounts. prune is the Stage I pushdown hook
-// (Options.PrunePath) of a request-private engine. Every call owns its
-// columns and scratch, so concurrent calls are safe.
+// (Algorithm 2) over all its graphs. collect applies minSup: σ for an
+// in-process engine, whose step output is the level itself, and 1 for
+// a shard worker, whose candidates the coordinator recounts. prune is
+// the Stage I pushdown hook (Options.PrunePath) of a request-private
+// engine. Every call owns its columns and scratch, so concurrent calls
+// are safe.
 type localRunner struct {
 	graphs []*graph.Graph
 	maxN   int // largest vertex count across graphs; sizes stamp sets
@@ -364,24 +361,24 @@ func newLocalRunner(graphs []*graph.Graph, minSup int, prune func([]graph.Label)
 
 // NewJoinRunner returns the in-process Runner over graphs at threshold
 // 1: it reports every candidate its joins assemble, with local
-// supports, and leaves σ to the coordinator's cross-part recount. A
+// supports, and leaves σ to the coordinator's cross-shard recount. A
 // shard worker (internal/shard) serves it over HTTP.
 func NewJoinRunner(graphs []*graph.Graph) Runner {
 	return newLocalRunner(graphs, 1, nil)
 }
 
 // Edges implements Runner.
-func (r *localRunner) Edges(_ context.Context, _, _ int) ([]*PathPattern, error) {
+func (r *localRunner) Edges(context.Context, int) ([]*PathPattern, error) {
 	return r.edges(), nil
 }
 
 // Concat implements Runner.
-func (r *localRunner) Concat(_ context.Context, _ int, prev []*PathPattern, workers int) ([]*PathPattern, error) {
+func (r *localRunner) Concat(_ context.Context, prev []*PathPattern, workers int) ([]*PathPattern, error) {
 	return r.concat(prev, workers), nil
 }
 
 // Merge implements Runner.
-func (r *localRunner) Merge(_ context.Context, _ int, pool []*PathPattern, l, m, workers int) ([]*PathPattern, error) {
+func (r *localRunner) Merge(_ context.Context, pool []*PathPattern, l, m, workers int) ([]*PathPattern, error) {
 	return r.merge(pool, l, m, workers), nil
 }
 

@@ -55,7 +55,7 @@ func bruteFrequentPaths(graphs []*graph.Graph, l, sigma int) map[string]int {
 
 func minePathsMap(t *testing.T, graphs []*graph.Graph, l, sigma int) map[string]int {
 	t.Helper()
-	dm, err := NewEngine(graphs, sigma, nil)
+	dm, err := NewEngine(graphs, sigma)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestDiamMineCycleSelfOverlapRejected(t *testing.T) {
 
 func TestDiamMineCaching(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 0, 1, 0)
-	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
+	dm, err := NewEngine([]*graph.Graph{g}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +183,14 @@ func TestDiamMineCaching(t *testing.T) {
 }
 
 func TestDiamMineErrors(t *testing.T) {
-	if _, err := NewEngine(nil, 2, nil); err == nil {
+	if _, err := NewEngine(nil, 2); err == nil {
 		t.Error("no graphs should error")
 	}
 	g := testutil.PathGraph(0, 1)
-	if _, err := NewEngine([]*graph.Graph{g}, 0, nil); err == nil {
+	if _, err := NewEngine([]*graph.Graph{g}, 0); err == nil {
 		t.Error("support 0 should error")
 	}
-	dm, _ := NewEngine([]*graph.Graph{g}, 1, nil)
+	dm, _ := NewEngine([]*graph.Graph{g}, 1)
 	if _, err := dm.Level(context.Background(), 0); err == nil {
 		t.Error("length 0 should error")
 	}
@@ -200,7 +200,7 @@ func TestDiamMineErrors(t *testing.T) {
 // graph has length 4, and every longer level is empty.
 func TestMaxFrequentLength(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2, 3, 4)
-	dm, _ := NewEngine([]*graph.Graph{g}, 1, nil)
+	dm, _ := NewEngine([]*graph.Graph{g}, 1)
 	best := 0
 	for l := 1; l <= 10; l++ {
 		ps, err := dm.Level(context.Background(), l)
@@ -233,7 +233,7 @@ func TestPathEmbKeys(t *testing.T) {
 
 func TestDirectIndexServesManyRequests(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2, 3, 4, 5)
-	ix, err := NewEngine([]*graph.Graph{g}, 1, nil)
+	ix, err := NewEngine([]*graph.Graph{g}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestDirectIndexServesManyRequests(t *testing.T) {
 }
 
 func TestBuildIndexErrors(t *testing.T) {
-	if _, err := NewEngine(nil, 1, nil); err == nil {
+	if _, err := NewEngine(nil, 1); err == nil {
 		t.Error("empty graph list should error")
 	}
 }

@@ -91,7 +91,7 @@ func (m *miner) refGrowSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*P
 // sort and output validation.
 func refMine(t *testing.T, db []*graph.Graph, opt Options) *Result {
 	t.Helper()
-	e, err := newEngine(db, opt.Support, nil, nil, nil)
+	e, err := newEngine(db, opt.Support, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func refMine(t *testing.T, db []*graph.Graph, opt Options) *Result {
 		out = append(out, ps...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].codeKey < out[j].codeKey })
-	res := &Result{Patterns: m.validateOutput(out, opt.Length), Stats: Stats{PathsMined: len(seeds)}}
+	res := &Result{Patterns: m.validateOutput(out), Stats: Stats{PathsMined: len(seeds)}}
 	m.stats.snapshot(&res.Stats)
 	return res
 }

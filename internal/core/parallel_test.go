@@ -60,7 +60,7 @@ func TestDeterminismAcrossConcurrency(t *testing.T) {
 // identical.
 func TestConcurrentIndexRequests(t *testing.T) {
 	g := testutil.SynthWorkload(42, 40)
-	ix, err := NewEngine([]*graph.Graph{g}, 2, nil)
+	ix, err := NewEngine([]*graph.Graph{g}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestConcurrentIndexRequests(t *testing.T) {
 func TestStageIDeterminismAcrossConcurrency(t *testing.T) {
 	g := testutil.SynthWorkload(7, 250)
 	for _, l := range []int{2, 3, 5, 7} {
-		seq, err := NewEngine([]*graph.Graph{g}, 2, nil)
+		seq, err := NewEngine([]*graph.Graph{g}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewEngine([]*graph.Graph{g}, 2, nil)
+		par, err := NewEngine([]*graph.Graph{g}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

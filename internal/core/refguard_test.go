@@ -331,7 +331,7 @@ func TestHashBucketsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomConnectedGraph(rng, 24+rng.Intn(16), 12, 3)
 		for _, sigma := range []int{1, 2} {
-			dm, err := NewEngine([]*graph.Graph{g}, sigma, nil)
+			dm, err := NewEngine([]*graph.Graph{g}, sigma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +358,7 @@ func TestHashBucketsMatchReferenceTransaction(t *testing.T) {
 		testutil.RandomConnectedGraph(rng, 25, 10, 2),
 		testutil.RandomConnectedGraph(rng, 15, 6, 2),
 	}
-	dm, err := NewEngine(db, 2, nil)
+	dm, err := NewEngine(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestHashBucketsMatchReferenceTransaction(t *testing.T) {
 func TestHashBucketsMatchReferenceParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testutil.RandomConnectedGraph(rng, 40, 20, 3)
-	dm, err := NewEngine([]*graph.Graph{g}, 2, nil)
+	dm, err := NewEngine([]*graph.Graph{g}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

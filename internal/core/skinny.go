@@ -43,7 +43,7 @@ type Options struct {
 	// (0 = unlimited); a safety valve for exploratory runs. Every
 	// emitted pattern reserves one budget slot after canonical-code
 	// dedup (duplicates never consume budget), and the cap is applied
-	// to the final result only after ValidateOutput/ClosedOnly
+	// to the final result only after output validation and ClosedOnly
 	// filtering, so the run returns min(MaxPatterns, generated) of the
 	// filtered patterns. Filtering can still leave fewer than
 	// MaxPatterns results: slots consumed by patterns the filters later
@@ -61,10 +61,6 @@ type Options struct {
 	// 40-vertex injected pattern is exponential while their reported
 	// runtimes are sub-second.
 	GreedyGrow bool
-	// ValidateOutput re-verifies every emitted pattern against the
-	// definition with a from-scratch canonical-diameter computation.
-	// Cheap relative to mining; on by default via DefaultOptions.
-	ValidateOutput bool
 	// Concurrency bounds the worker pool used by both mining stages:
 	// Stage I fans the per-label-sequence bucket joins of path doubling
 	// and merging across workers, Stage II grows different canonical
@@ -131,12 +127,11 @@ type Options struct {
 // DefaultOptions returns the recommended defaults for (l,δ)-SPM.
 func DefaultOptions(sigma, length, delta int) Options {
 	return Options{
-		Support:        sigma,
-		Length:         length,
-		Delta:          delta,
-		CheckMode:      CheckFast,
-		Measure:        support.EmbeddingCount,
-		ValidateOutput: true,
+		Support:   sigma,
+		Length:    length,
+		Delta:     delta,
+		CheckMode: CheckFast,
+		Measure:   support.EmbeddingCount,
 	}
 }
 
@@ -307,7 +302,7 @@ func MineContext(ctx context.Context, graphs []*graph.Graph, opt Options) (*Resu
 	if err := validate(ctx, graphs, &opt); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(graphs, opt.Support, nil, nil, opt.PrunePath)
+	e, err := newEngine(graphs, opt.Support, nil, opt.PrunePath)
 	if err != nil {
 		return nil, err
 	}
@@ -500,9 +495,7 @@ func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
 		return out[i].codeKey < out[j].codeKey
 	})
 
-	if opt.ValidateOutput {
-		out = m.validateOutput(out, lo)
-	}
+	out = m.validateOutput(out)
 	if opt.OutputFilter != nil {
 		out = m.filterOutput(out)
 	}
@@ -616,26 +609,17 @@ func (m *miner) filterOutput(ps []*Pattern) []*Pattern {
 
 // validateOutput drops patterns whose canonical diameter deviated from
 // the growth invariant (possible only if the fast checks over-accepted;
-// see constraints.go). The recomputed diameter must equal the length
-// the pattern was stamped with at its seed — not merely fall inside the
-// band — so a pattern never survives under a length it does not
+// see constraints.go), by the naive check: the recomputed canonical
+// diameter must be the path 0..DiamLen, at the length the pattern was
+// stamped with at its seed. That length is one of the request's seed
+// lengths, so a pattern never survives under a length it does not
 // realize; this is also what makes a band mine exactly the union of
 // its per-length mines (the partition SeedLengths and the serving
 // layer's shared-plan forking rely on).
-func (m *miner) validateOutput(ps []*Pattern, lo int) []*Pattern {
+func (m *miner) validateOutput(ps []*Pattern) []*Pattern {
 	out := ps[:0]
 	for _, p := range ps {
-		cd, diam := p.G.CanonicalDiameter()
-		ok := diam == p.DiamLen && int(diam) >= lo && int(diam) <= m.opt.Length
-		if ok {
-			for i, v := range cd {
-				if v != graph.V(i) {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
+		if m.check.naive(p.G, p.DiamLen) != passed {
 			m.stats.outputInvalid.Add(1)
 			continue
 		}

@@ -414,7 +414,7 @@ func TestStatsPopulated(t *testing.T) {
 
 func TestMineWithIndexReuse(t *testing.T) {
 	g := testutil.PathGraph(0, 1, 2, 3, 4)
-	dm, err := NewEngine([]*graph.Graph{g}, 1, nil)
+	dm, err := NewEngine([]*graph.Graph{g}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,6 @@ func TestMaxPatternsBudgetBindsInsideGrowth(t *testing.T) {
 	g := testutil.RandomConnectedGraph(rng, 30, 20, 2)
 	opt := DefaultOptions(1, 3, 3)
 	opt.MaxPatterns = 50
-	opt.ValidateOutput = false
 	res, err := Mine(g, opt)
 	if err != nil {
 		t.Fatal(err)

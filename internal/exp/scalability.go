@@ -168,7 +168,7 @@ func RunDiameterConstraint(cfg Config, maxL int) ([]ConstraintPoint, error) {
 	n := cfg.scaled(10000, 400)
 	rng := cfg.rng()
 	g := synth.ER(rng, n, 3, 10)
-	ix, err := core.NewEngine([]*graph.Graph{g}, 2, nil)
+	ix, err := core.NewEngine([]*graph.Graph{g}, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +233,7 @@ func RunSkinninessConstraint(cfg Config, maxDelta int) ([]DeltaPoint, error) {
 		})
 		synth.Inject(rng, g, p, 5, 0)
 	}
-	ix, err := core.NewEngine([]*graph.Graph{g}, 2, nil)
+	ix, err := core.NewEngine([]*graph.Graph{g}, 2)
 	if err != nil {
 		return nil, err
 	}

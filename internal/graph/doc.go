@@ -10,8 +10,9 @@
 // level) are implemented by the BFS/diameter routines here;
 // IsLLongDeltaSkinny decides Definition 7 directly. The canonical
 // diameter computed here is the ground truth the mining engine's fast
-// constraint checks are validated against (core.Options.ValidateOutput)
-// and the skeleton every pattern's vertices 0..l are laid out along.
+// constraint checks are validated against (every emitted pattern is
+// checked against it) and the skeleton every pattern's vertices 0..l
+// are laid out along.
 //
 // # Representation and determinism
 //

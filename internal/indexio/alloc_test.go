@@ -15,7 +15,7 @@ import (
 func synthState(t *testing.T, levels ...int) (core.IndexState, *graph.LabelTable) {
 	t.Helper()
 	g := testutil.SynthWorkload(20, 120)
-	e, err := core.NewEngine([]*graph.Graph{g}, 2, nil)
+	e, err := core.NewEngine([]*graph.Graph{g}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func synthState(t *testing.T, levels ...int) (core.IndexState, *graph.LabelTable
 			lt.Intern(string(rune('a' + lt.Len())))
 		}
 	}
-	return e.PartStates()[0], lt
+	return e.State(), lt
 }
 
 // TestSaveAllocsPinned bounds Save's allocations by a constant: the

@@ -2,6 +2,7 @@ package indexio
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -98,6 +99,55 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		if second := snapshotBytes(t, st2, lt2); !bytes.Equal(first, second) {
 			t.Fatalf("Save∘Load is not a fixed point: %d bytes vs %d bytes", len(first), len(second))
+		}
+	})
+}
+
+// FuzzManifestRoundTrip feeds arbitrary bytes to the manifest reader.
+// Hostile input must fail cleanly, with no panic and no unbounded
+// allocation. Whatever decodes must be a checked assignment, each
+// shard's graph IDs ascending and the shards partitioning [0,
+// NumGraphs), since the cross-shard recount trusts LoadManifest for
+// exactly that, and a fixed point of Save∘Load.
+func FuzzManifestRoundTrip(f *testing.F) {
+	f.Add(rawManifestBytes(sampleManifest()))
+	f.Add([]byte(ManifestMagic))
+	f.Add([]byte("SKMINESMxxxxxxxxxxxxxxxx"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadManifest(bytes.NewReader(data))
+		if err != nil {
+			return // rejected cleanly: the property we want on junk
+		}
+		seen := make([]bool, m.NumGraphs)
+		for i, s := range m.Shards {
+			for j, gid := range s.GIDs {
+				if gid < 0 || int(gid) >= m.NumGraphs || seen[gid] {
+					t.Fatalf("shard %d graph %d is out of range or assigned twice", i, gid)
+				}
+				if j > 0 && gid <= s.GIDs[j-1] {
+					t.Fatalf("shard %d graph IDs %v do not ascend", i, s.GIDs)
+				}
+				seen[gid] = true
+			}
+		}
+		if slices.Contains(seen, false) {
+			t.Fatalf("shards %v leave a graph of %d unassigned", m.Shards, m.NumGraphs)
+		}
+		var first bytes.Buffer
+		if err := SaveManifest(&first, m); err != nil {
+			t.Fatalf("saving a loaded manifest: %v", err)
+		}
+		m2, err := LoadManifest(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("loading our own save: %v", err)
+		}
+		var second bytes.Buffer
+		if err := SaveManifest(&second, m2); err != nil {
+			t.Fatalf("second save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save∘Load is not a fixed point: %d bytes vs %d bytes", first.Len(), second.Len())
 		}
 	})
 }

@@ -29,7 +29,7 @@ func buildState(t testing.TB) (core.IndexState, *graph.LabelTable) {
 		g.MustAddEdge(0, 5)
 		return g
 	}
-	ix, err := core.NewEngine([]*graph.Graph{mk(), mk()}, 2, nil)
+	ix, err := core.NewEngine([]*graph.Graph{mk(), mk()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func buildState(t testing.TB) (core.IndexState, *graph.LabelTable) {
 			t.Fatal(err)
 		}
 	}
-	return ix.PartStates()[0], lt
+	return ix.State(), lt
 }
 
 func snapshotBytes(t testing.TB, st core.IndexState, lt *graph.LabelTable) []byte {

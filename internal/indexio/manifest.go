@@ -39,7 +39,10 @@ import (
 // generations — or serving a manifest whose shard count no longer
 // matches the files on disk — is rejected before any shard stream is
 // parsed. LoadManifest additionally verifies that the shard graph IDs
-// partition [0, graphs) exactly.
+// partition [0, graphs) exactly and ascend within each shard: it is the
+// one check of a loaded shard assignment, and the cross-shard recount's
+// graph-ID translation keeps embedding order only because each shard's
+// IDs ascend.
 
 const (
 	// ManifestMagic opens every sharded-snapshot manifest stream.
@@ -69,7 +72,7 @@ type Manifest struct {
 // Size and CRC are the exact byte length and whole-file CRC-32C
 // (Castagnoli — see the format comment for why not IEEE) of the file
 // the manifest was written against, and GIDs lists the shard's global
-// graph IDs in shard-local order.
+// graph IDs, ascending, in shard-local order.
 type ShardRef struct {
 	Name string
 	Size int64
@@ -111,12 +114,15 @@ func SaveManifest(w io.Writer, m Manifest) error {
 		if len(s.GIDs) == 0 {
 			return fmt.Errorf("indexio: shard %d holds no graphs", i)
 		}
-		for _, gid := range s.GIDs {
+		for j, gid := range s.GIDs {
 			if int(gid) < 0 || int(gid) >= m.NumGraphs {
 				return fmt.Errorf("indexio: shard %d graph ID %d outside database of %d", i, gid, m.NumGraphs)
 			}
 			if seen[gid] {
 				return fmt.Errorf("indexio: graph %d assigned to two shards", gid)
+			}
+			if j > 0 && gid < s.GIDs[j-1] {
+				return fmt.Errorf("indexio: shard %d lists graph %d after graph %d: graph IDs out of order", i, gid, s.GIDs[j-1])
 			}
 			seen[gid] = true
 		}
@@ -236,6 +242,9 @@ func LoadManifest(r io.Reader) (Manifest, error) {
 			}
 			if seen[int32(gid)] {
 				return m, fmt.Errorf("indexio: graph %d assigned to two shards", gid)
+			}
+			if j > 0 && int32(gid) < s.GIDs[j-1] {
+				return m, fmt.Errorf("indexio: shard %d lists graph %d after graph %d: graph IDs out of order", i, gid, s.GIDs[j-1])
 			}
 			seen[int32(gid)] = true
 			s.GIDs = append(s.GIDs, int32(gid))

@@ -122,6 +122,7 @@ func TestManifestRejectsInconsistency(t *testing.T) {
 		{"gid out of range", func(m *Manifest) { m.Shards[2].GIDs[0] = 99 }},
 		{"coverage gap", func(m *Manifest) { m.NumGraphs = 6 }},
 		{"empty shard", func(m *Manifest) { m.Shards[2].GIDs = nil }},
+		{"gids out of order", func(m *Manifest) { m.Shards[0].GIDs = []int32{3, 0} }},
 	}
 	for _, tc := range cases {
 		m := sampleManifest()

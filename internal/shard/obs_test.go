@@ -175,7 +175,7 @@ func TestWorkerRPCStatsHedges(t *testing.T) {
 func TestWorkerRPCStatsNilForLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	db := randomDB(rng, 4, 8, 12, 3)
-	eng, err := core.NewEngine(db, 2, Partition(db, 2))
+	eng, err := core.NewEngine(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,39 +1,44 @@
 // Package shard holds the sharded side of SkinnyMine's Stage I: it
 // partitions a transaction database into P shards (hash-by-gid with a
-// size-balancing pass, Partition), serves one shard's Stage I
-// candidates over HTTP (Worker and its wire protocol), and implements
-// the HTTP core.Runner a coordinator drives those workers with
-// (RestoreRemote). The engine itself — the doubling schedule, the level
-// cache, the cross-shard recount and Stage II — is core.Engine, the
-// same one that mines unsharded, so output is byte-identical at every
-// shard count and over every transport: sharding is an execution
-// strategy, never a semantics change. In one process the engine joins
-// each level once over all graphs, whatever the shard count; the
+// size-balancing pass, Partition), splits the levels into the shards'
+// shares and joins them back by the cross-shard recount (Split and
+// Join, which a sharded snapshot's files go through), serves one
+// shard's Stage I candidates over HTTP (Worker and its wire protocol),
+// and implements the HTTP core.Runner a coordinator drives those
+// workers with (RestoreRemote). The engine itself — the doubling
+// schedule, the level cache and Stage II — is core.Engine over the
+// whole database, the same one that mines unsharded, so output is
+// byte-identical at every shard count and over every transport:
+// sharding is an execution strategy, never a semantics change. In one
+// process the engine joins each level once over all graphs; the
 // partition decides how a snapshot splits into shard files and which
 // graphs each worker of a fleet serves.
 //
-// # Why the merge is exact
+// # Why the recount is exact
 //
 // Stage I joins only ever combine embeddings that live in the same data
-// graph, and each graph belongs to exactly one shard. Per level, each
-// shard worker therefore assembles exactly the unsharded candidate set
-// restricted to its own graphs (threshold 1), and the coordinator's
-// cross-shard recount — a merge of the shards' disjoint candidate
-// lists, each sorted like a level, summing their canonical-forward
-// counts and applying the global σ — reproduces the unsharded level
-// byte for byte.
-// Each shard's input to the next step is its share of the recounted
-// level, the level split by graph ID, so pruning power at the global
-// threshold is never lost. Both directions of the wire are checked by
-// core.ValidateLevel: a worker validates the level it is posted, and
-// the coordinator the level each worker replies with, so a malformed
-// level is a permanent error and never reaches a join or Stage II.
+// graph, and each graph belongs to exactly one shard, so a level splits
+// exactly by graph ID. Per level, each shard worker therefore assembles
+// exactly the unsharded candidate set restricted to its own graphs
+// (threshold 1), and the coordinator's cross-shard recount — a merge of
+// the shards' disjoint candidate lists, each sorted like a level,
+// summing their canonical-forward counts and applying the global σ —
+// reproduces the unsharded level byte for byte. Each shard's input to
+// the next step is its share of the recounted level, so pruning power
+// at the global threshold is never lost. The split and the recount
+// share one graph-ID layout; each shard's IDs ascend, so translating
+// them keeps every pattern's rows in order. Both directions of the
+// wire are checked by core.ValidateLevel: a worker validates the level
+// it is posted, and the coordinator the level each worker replies
+// with, so a malformed level is a permanent error and never reaches a
+// join or Stage II. A restored snapshot's joined levels pass it in
+// core.RestoreEngine.
 //
 // # Concurrency and ownership
 //
 // A Worker is stateless across requests and safe for concurrent use,
-// including a coordinator's hedged duplicates. The HTTP runner is safe
-// for the engine's one call per shard per level step; its health and
+// including a coordinator's hedged duplicates. The HTTP runner asks at
+// most a level step's worker budget of shards at once; its health and
 // RPC counters are read concurrently by WorkerHealth and
 // WorkerRPCStats.
 package shard

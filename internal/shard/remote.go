@@ -98,30 +98,28 @@ type WorkerRPCStats struct {
 	Latency           obs.HistogramSnapshot `json:"latency_ms"`
 }
 
-// RestoreRemote rebuilds an engine from a loaded sharded snapshot —
-// exactly like core.RestoreEngine, including every cached level — whose
-// NEW levels materialize by scatter/gathering candidate generation
-// across the HTTP workers in cfg instead of in-process. crcs[i] is
-// shard i's snapshot-file checksum from the manifest (the identity
-// every RPC is pinned to) and numLabels the label-vocabulary size
-// (bounds wire decoding).
+// RestoreRemote rebuilds an engine from a sharded snapshot's joined
+// state (Join) — exactly like core.RestoreEngine, including every
+// cached level — whose NEW levels materialize by scatter/gathering
+// candidate generation across the HTTP workers in cfg instead of
+// in-process. assign is the snapshot's shard assignment, crcs[i] shard
+// i's snapshot-file checksum from the manifest (the identity every RPC
+// is pinned to) and numLabels the label-vocabulary size (bounds wire
+// decoding).
 //
 // Workers are not contacted here: a coordinator starts (and serves
 // every already-cached level) with the whole fleet down. The first
 // materialization that needs a dead shard fails with ErrUnavailable
 // after the retry budget, leaving the caches untouched.
-func RestoreRemote(states []core.IndexState, assign [][]int32, sigma int, crcs []uint32, numLabels int, cfg RemoteConfig) (*core.Engine, error) {
+func RestoreRemote(st core.IndexState, assign [][]int32, crcs []uint32, numLabels int, cfg RemoteConfig) (*core.Engine, error) {
 	if len(cfg.Workers) != len(assign) {
 		return nil, fmt.Errorf("shard: %d workers for %d shards", len(cfg.Workers), len(assign))
 	}
 	if len(crcs) != len(assign) {
 		return nil, fmt.Errorf("shard: %d shard checksums for %d shards", len(crcs), len(assign))
 	}
-	r, err := newRemoteRunner(states, assign, crcs, numLabels, cfg.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	e, err := core.RestoreEngine(states, assign, sigma, r)
+	r := newRemoteRunner(st, assign, crcs, numLabels, cfg.withDefaults())
+	e, err := core.RestoreEngine(st, r)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -153,31 +151,32 @@ func WorkerStats(e *core.Engine) []WorkerRPCStats {
 }
 
 // remoteRunner implements core.Runner over one HTTP worker per shard.
-// The runner owns the global↔shard-local graph-ID remap at the wire
-// boundary: assignment GIDs ascend within each shard, so the remap is
-// monotone and embedding order — which the byte-identical merge
-// depends on — survives the round trip untouched. Every reply is
-// validated against the shard's graphs before it is remapped.
+// Each step splits its input level into the shards' shares, graph IDs
+// shard-local, runs the op on every shard's worker at threshold 1, and
+// recounts the replies into the level at σ (layout.join), so embedding
+// order, which the byte-identical recount depends on, survives the
+// round trip. Every reply is validated against the shard's graphs
+// before the recount reads it.
 type remoteRunner struct {
 	cfg       RemoteConfig
 	client    *http.Client
 	numLabels int
-	toLocal   []int32 // global GID -> index within its shard
+	sigma     int
+	lay       *layout
 	workers   []*remoteWorker
 	stop      chan struct{}
 	wg        sync.WaitGroup
 }
 
 // remoteWorker is the per-shard client state: address, pinned CRC, the
-// shard's graphs and GID table, the advisory health flag, and the
-// per-worker RPC accounting surfaced by WorkerStats.
+// shard's graphs, the advisory health flag, and the per-worker RPC
+// accounting surfaced by WorkerStats.
 type remoteWorker struct {
-	addr     string
-	base     string // normalized http://host:port
-	shard    int
-	crc      string         // 8 hex digits, pinned in every request
-	graphs   []*graph.Graph // the shard's graphs, in shard-local order
-	toGlobal []int32        // shard-local index -> global GID
+	addr   string
+	base   string // normalized http://host:port
+	shard  int
+	crc    string         // 8 hex digits, pinned in every request
+	graphs []*graph.Graph // the shard's graphs, in shard-local order
 
 	mu      sync.Mutex
 	healthy bool
@@ -198,23 +197,7 @@ type remoteWorker struct {
 	rpcLat      *obs.Histogram
 }
 
-func newRemoteRunner(states []core.IndexState, assign [][]int32, crcs []uint32, numLabels int, cfg RemoteConfig) (*remoteRunner, error) {
-	if len(states) != len(assign) {
-		return nil, fmt.Errorf("shard: %d shard states for %d shards", len(states), len(assign))
-	}
-	total := 0
-	for _, gids := range assign {
-		total += len(gids)
-	}
-	toLocal := make([]int32, total)
-	for _, gids := range assign {
-		for i, gid := range gids {
-			if gid < 0 || int(gid) >= total {
-				return nil, fmt.Errorf("shard: graph ID %d outside database of %d", gid, total)
-			}
-			toLocal[gid] = int32(i)
-		}
-	}
+func newRemoteRunner(st core.IndexState, assign [][]int32, crcs []uint32, numLabels int, cfg RemoteConfig) *remoteRunner {
 	r := &remoteRunner{
 		cfg: cfg,
 		// One shared transport: keep-alive connections across levels
@@ -223,7 +206,8 @@ func newRemoteRunner(states []core.IndexState, assign [][]int32, crcs []uint32, 
 		// attempt that spawned them.
 		client:    &http.Client{},
 		numLabels: numLabels,
-		toLocal:   toLocal,
+		sigma:     st.Sigma,
+		lay:       newLayout(assign),
 		workers:   make([]*remoteWorker, len(assign)),
 		stop:      make(chan struct{}),
 	}
@@ -232,16 +216,18 @@ func newRemoteRunner(states []core.IndexState, assign [][]int32, crcs []uint32, 
 		if !hasScheme(base) {
 			base = "http://" + base
 		}
-		w := &remoteWorker{
-			addr:     cfg.Workers[s],
-			base:     base,
-			shard:    s,
-			crc:      fmt.Sprintf("%08x", crcs[s]),
-			graphs:   states[s].Graphs,
-			toGlobal: gids,
-			rpcLat:   obs.NewHistogram(nil),
+		graphs := make([]*graph.Graph, len(gids))
+		for i, gid := range gids {
+			graphs[i] = st.Graphs[gid]
 		}
-		r.workers[s] = w
+		r.workers[s] = &remoteWorker{
+			addr:   cfg.Workers[s],
+			base:   base,
+			shard:  s,
+			crc:    fmt.Sprintf("%08x", crcs[s]),
+			graphs: graphs,
+			rpcLat: obs.NewHistogram(nil),
+		}
 	}
 	if cfg.ProbeInterval > 0 {
 		for s := range r.workers {
@@ -249,7 +235,7 @@ func newRemoteRunner(states []core.IndexState, assign [][]int32, crcs []uint32, 
 			go r.probe(s)
 		}
 	}
-	return r, nil
+	return r
 }
 
 func hasScheme(addr string) bool {
@@ -350,33 +336,85 @@ func (r *remoteRunner) Close() error {
 }
 
 // Edges implements core.Runner.
-func (r *remoteRunner) Edges(ctx context.Context, s, workers int) ([]*core.PathPattern, error) {
-	return r.call(ctx, s, "edges", 1, 0, workers, nil)
+func (r *remoteRunner) Edges(ctx context.Context, workers int) ([]*core.PathPattern, error) {
+	return r.step(ctx, "edges", 1, 0, nil, workers)
 }
 
-// Concat implements core.Runner. The reply is level 2L for a share of
-// level L; an empty share has no length and must get no candidates.
-func (r *remoteRunner) Concat(ctx context.Context, s int, prev []*core.PathPattern, workers int) ([]*core.PathPattern, error) {
-	l := 0
-	if len(prev) > 0 {
-		l = 2 * prev[0].Length()
+// Concat implements core.Runner. An empty level doubles to an empty one.
+func (r *remoteRunner) Concat(ctx context.Context, prev []*core.PathPattern, workers int) ([]*core.PathPattern, error) {
+	if len(prev) == 0 {
+		return nil, nil
 	}
-	return r.call(ctx, s, "concat", l, 0, workers, prev)
+	return r.step(ctx, "concat", 2*prev[0].Length(), 0, prev, workers)
 }
 
 // Merge implements core.Runner.
-func (r *remoteRunner) Merge(ctx context.Context, s int, pool []*core.PathPattern, l, m, workers int) ([]*core.PathPattern, error) {
-	return r.call(ctx, s, "merge", l, m, workers, pool)
+func (r *remoteRunner) Merge(ctx context.Context, pool []*core.PathPattern, l, m, workers int) ([]*core.PathPattern, error) {
+	return r.step(ctx, "merge", l, m, pool, workers)
+}
+
+// step runs one op toward level l on every shard within the worker
+// budget, each shard's worker reading its share of in (none for edges;
+// a shard with an empty share has no candidates and is not asked), and
+// recounts the replies at σ. At most workers shards run at once
+// (Concurrency=1 stays sequential), and a budget beyond the shard count
+// fans out inside each shard's joins. Replies are recounted in shard
+// order, so the level is independent of scheduling, and the lowest
+// failing shard's error is reported, so one outage yields one
+// deterministic message. The recount gets its own span because it is
+// the coordinator-side cost a distributed deployment cannot shard away.
+func (r *remoteRunner) step(ctx context.Context, op string, l, m int, in []*core.PathPattern, workers int) ([]*core.PathPattern, error) {
+	n := len(r.workers)
+	shares := make([][]*core.PathPattern, n)
+	if op != "edges" {
+		shares = r.lay.split(in)
+	}
+	per, extra := workers/n, workers%n
+	if per < 1 {
+		per, extra = 1, 0
+	}
+	replies := make([][]*core.PathPattern, n)
+	errs := make([]error, n)
+	inFlight := make(chan struct{}, max(workers, 1))
+	var wg sync.WaitGroup
+	for s := range r.workers {
+		if op != "edges" && len(shares[s]) == 0 {
+			continue
+		}
+		w := per
+		if s < extra { // spread the budget remainder over the first shards
+			w++
+		}
+		wg.Add(1)
+		inFlight <- struct{}{}
+		go func(s, w int) {
+			defer wg.Done()
+			defer func() { <-inFlight }()
+			replies[s], errs[s] = r.call(ctx, s, op, l, m, w, shares[s])
+		}(s, w)
+	}
+	wg.Wait()
+	candidates := 0
+	for s, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		candidates += len(replies[s])
+	}
+	rs := obs.FromContext(ctx).Start("stage1.recount").TagInt("level", int64(l)).TagInt("candidates", int64(candidates))
+	level, _ := r.lay.join(replies, r.sigma)
+	rs.TagInt("patterns", int64(len(level))).End()
+	return level, nil
 }
 
 // call runs one candidate op against shard s's worker with the full
 // reliability stack: per-attempt timeout, bounded retries with
-// exponential backoff, and straggler hedging. The request body is
-// encoded once (with GIDs remapped global→local) and reused across
-// attempts; the reply, level l's candidates, is decoded, validated and
-// remapped local→global. One span covers the whole logical call, tagged
-// with its attempt/retry/hedge counts and outcome — observation only,
-// the control flow is untouched.
+// exponential backoff, and straggler hedging. The request body, the
+// shard's share in, is encoded once and reused across attempts; the
+// reply, level l's candidates with shard-local graph IDs, is decoded
+// and validated. One span covers the whole logical call, tagged with
+// its attempt/retry/hedge counts and outcome — observation only, the
+// control flow is untouched.
 func (r *remoteRunner) call(ctx context.Context, s int, op string, l, m, workers int, in []*core.PathPattern) (_ []*core.PathPattern, err error) {
 	w := r.workers[s]
 	sp := obs.FromContext(ctx).Start("worker.rpc").TagInt("shard", int64(s)).Tag("op", op)
@@ -401,7 +439,7 @@ func (r *remoteRunner) call(ctx context.Context, s int, op string, l, m, workers
 	var body []byte
 	if in != nil {
 		var buf bytes.Buffer
-		if err := indexio.SaveLevel(&buf, core.RemapGIDs(in, r.toLocal)); err != nil {
+		if err := indexio.SaveLevel(&buf, in); err != nil {
 			return nil, fmt.Errorf("shard: encoding level for shard %d: %w", s, err)
 		}
 		body = buf.Bytes()
@@ -577,12 +615,10 @@ func (r *remoteRunner) rpc(ctx context.Context, w *remoteWorker, u string, body 
 	if err != nil {
 		return nil, err
 	}
-	if len(ps) > 0 {
-		if err := core.ValidateLevel(w.graphs, l, ps); err != nil {
-			return nil, &permanentError{msg: "invalid worker reply: " + err.Error()}
-		}
+	if err := core.ValidateLevel(w.graphs, l, ps); err != nil {
+		return nil, &permanentError{msg: "invalid worker reply: " + err.Error()}
 	}
-	return core.RemapGIDs(ps, w.toGlobal), nil
+	return ps, nil
 }
 
 // graftWorkerSpans stitches a worker's spans (compact JSON from the

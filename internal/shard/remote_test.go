@@ -34,12 +34,9 @@ type remoteFixture struct {
 // retries, 5ms backoff, no hedging, no probing) before RestoreRemote.
 func newRemoteFixture(t *testing.T, db []*graph.Graph, sigma, P, numLabels int, mod func(*RemoteConfig), wrap func(shard int, h http.Handler) http.Handler) *remoteFixture {
 	t.Helper()
-	eng0, err := core.NewEngine(db, sigma, Partition(db, P))
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := eng0.PartStates()
-	assign := eng0.Assignment()
+	st := core.IndexState{Graphs: db, Sigma: sigma}
+	assign := Partition(db, P)
+	states := Split(st, assign)
 	crcs := make([]uint32, len(assign))
 	urls := make([]string, len(assign))
 	servers := make([]*httptest.Server, len(assign))
@@ -67,7 +64,7 @@ func newRemoteFixture(t *testing.T, db []*graph.Graph, sigma, P, numLabels int, 
 	if mod != nil {
 		mod(&cfg)
 	}
-	re, err := RestoreRemote(states, assign, sigma, crcs, numLabels, cfg)
+	re, err := RestoreRemote(st, assign, crcs, numLabels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +152,7 @@ func TestRemoteConstrainedMatchesInProcess(t *testing.T) {
 	opt.PrunePattern = func(g *graph.Graph, _ int32, _ int) bool { return g.N() > 8 }
 	opt.OutputFilter = func(g *graph.Graph, _ int32, _ int) bool { return g.M() >= 3 }
 
-	ix, err := core.NewEngine(db, opt.Support, nil)
+	ix, err := core.NewEngine(db, opt.Support)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestRemoteConstrainedMatchesInProcess(t *testing.T) {
 func TestRemoteMinimalPatternsMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := randomDB(rng, 7, 12, 20, 3)
-	ix, err := core.NewEngine(db, 2, nil)
+	ix, err := core.NewEngine(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +196,39 @@ func TestRemoteMinimalPatternsMatchesDirect(t *testing.T) {
 			t.Errorf("l=%d: merged level diverges\ndistributed:\n%s\nunsharded:\n%s",
 				l, renderPaths(got), renderPaths(want))
 		}
+	}
+}
+
+// TestRemoteEmptyShare: a shard holding no row of a level has no
+// candidates for the next step. The coordinator must not ask its
+// worker, which rejects an empty body as a malformed level; the mine
+// still matches the unsharded result.
+func TestRemoteEmptyShare(t *testing.T) {
+	path := func(labels ...graph.Label) *graph.Graph {
+		g := graph.New(len(labels))
+		for i, l := range labels {
+			g.AddVertex(l)
+			if i > 0 {
+				g.MustAddEdge(graph.V(i-1), graph.V(i))
+			}
+		}
+		return g
+	}
+	// The third graph's only edge is infrequent, so its shard's share
+	// of level 1 is empty.
+	db := []*graph.Graph{path(0, 1, 2, 0, 1), path(0, 1, 2, 0, 1), path(3, 3)}
+	opt := core.DefaultOptions(2, 3, 1)
+	want, err := core.MineDB(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newRemoteFixture(t, db, 2, 3, 4, nil, nil)
+	got, err := fx.eng.Mine(context.Background(), opt)
+	if err != nil {
+		t.Fatalf("distributed Mine: %v", err)
+	}
+	if renderPatterns(got.Patterns) != renderPatterns(want.Patterns) {
+		t.Errorf("distributed result diverges\ndistributed:\n%s\nunsharded:\n%s", renderPatterns(got.Patterns), renderPatterns(want.Patterns))
 	}
 }
 
@@ -389,12 +419,9 @@ func TestRemoteRetriesTransientFailures(t *testing.T) {
 func TestRemoteCRCMismatchIsPermanent(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	db := randomDB(rng, 6, 8, 12, 3)
-	eng0, err := core.NewEngine(db, 2, Partition(db, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := eng0.PartStates()
-	assign := eng0.Assignment()
+	st := core.IndexState{Graphs: db, Sigma: 2}
+	assign := Partition(db, 2)
+	states := Split(st, assign)
 	var reqs atomic.Int64
 	urls := make([]string, len(assign))
 	crcs := make([]uint32, len(assign))
@@ -415,7 +442,7 @@ func TestRemoteCRCMismatchIsPermanent(t *testing.T) {
 		urls[s] = ts.URL
 	}
 	crcs[0]++ // coordinator believes a different shard 0 file
-	re, err := RestoreRemote(states, assign, 2, crcs, 3, RemoteConfig{
+	re, err := RestoreRemote(st, assign, crcs, 3, RemoteConfig{
 		Workers: urls, Timeout: 5 * time.Second, Retries: 2, RetryBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
@@ -559,18 +586,14 @@ func TestRemoteProbeRefreshesHealth(t *testing.T) {
 func TestRestoreRemoteValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	db := randomDB(rng, 4, 8, 12, 3)
-	eng0, err := core.NewEngine(db, 2, Partition(db, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := eng0.PartStates()
-	assign := eng0.Assignment()
+	st := core.IndexState{Graphs: db, Sigma: 2}
+	assign := Partition(db, 2)
 	cfg := RemoteConfig{Workers: []string{"localhost:1"}}
-	if _, err := RestoreRemote(states, assign, 2, []uint32{1, 2}, 3, cfg); err == nil {
+	if _, err := RestoreRemote(st, assign, []uint32{1, 2}, 3, cfg); err == nil {
 		t.Error("worker/shard count mismatch accepted")
 	}
 	cfg.Workers = []string{"localhost:1", "localhost:2"}
-	if _, err := RestoreRemote(states, assign, 2, []uint32{1}, 3, cfg); err == nil {
+	if _, err := RestoreRemote(st, assign, []uint32{1}, 3, cfg); err == nil {
 		t.Error("checksum/shard count mismatch accepted")
 	}
 }

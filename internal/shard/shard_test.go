@@ -56,11 +56,28 @@ func renderPaths(ps []*core.PathPattern) string {
 	return b.String()
 }
 
+// splitJoin restores an engine from e's levels split into the shards
+// parts and joined back: the snapshot path of a sharded index, without
+// the files.
+func splitJoin(t *testing.T, e *core.Engine, parts [][]int32) *core.Engine {
+	t.Helper()
+	st, err := Join(Split(e.State(), parts), parts, e.Sigma())
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := core.RestoreEngine(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re
+}
+
 // TestShardedMatchesUnshardedRefguard is the sharding determinism
-// refguard: on randomized transaction databases, sharded mining at
-// P ∈ {1, 3, 8} must reproduce the unsharded result — pattern set,
-// structure, every support measure, output order — under both support
-// measures, diameter bands, and both concurrency modes.
+// refguard: on randomized transaction databases, an engine restored
+// from the levels split into P ∈ {1, 3, 8} shards and joined back must
+// reproduce the unsharded result — pattern set, structure, every
+// support measure, output order — under both support measures,
+// diameter bands, and both concurrency modes.
 func TestShardedMatchesUnshardedRefguard(t *testing.T) {
 	type variant struct {
 		name string
@@ -93,12 +110,16 @@ func TestShardedMatchesUnshardedRefguard(t *testing.T) {
 				t.Fatalf("trial %d %s: unsharded: %v", trial, v.name, err)
 			}
 			wantS := renderPatterns(want.Patterns)
+			// A shared engine materializes the levels the request reads.
+			eng, err := core.NewEngine(db, opt.Support)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Mine(context.Background(), opt); err != nil {
+				t.Fatal(err)
+			}
 			for _, p := range []int{1, 3, 8} {
-				eng, err := core.NewEngine(db, opt.Support, Partition(db, p))
-				if err != nil {
-					t.Fatalf("trial %d %s P=%d: New: %v", trial, v.name, p, err)
-				}
-				got, err := eng.Mine(context.Background(), opt)
+				got, err := splitJoin(t, eng, Partition(db, p)).Mine(context.Background(), opt)
 				if err != nil {
 					t.Fatalf("trial %d %s P=%d: Mine: %v", trial, v.name, p, err)
 				}
@@ -116,8 +137,8 @@ func TestShardedMatchesUnshardedRefguard(t *testing.T) {
 }
 
 // TestShardedConstrainedMatchesUnsharded checks that the pushdown hooks
-// flow through the sharded engine unchanged: seed-selection pruning on
-// the shared levels, growth pruning, output filtering.
+// flow through an engine restored from shards unchanged: seed-selection
+// pruning on the shared levels, growth pruning, output filtering.
 func TestShardedConstrainedMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := randomDB(rng, 8, 14, 22, 3)
@@ -134,7 +155,7 @@ func TestShardedConstrainedMatchesUnsharded(t *testing.T) {
 	opt.PrunePattern = func(g *graph.Graph, _ int32, _ int) bool { return g.N() > 8 }
 	opt.OutputFilter = func(g *graph.Graph, _ int32, _ int) bool { return g.M() >= 3 }
 
-	ix, err := core.NewEngine(db, opt.Support, nil)
+	ix, err := core.NewEngine(db, opt.Support)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +163,7 @@ func TestShardedConstrainedMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(db, opt.Support, Partition(db, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Mine(context.Background(), opt)
+	got, err := splitJoin(t, ix, Partition(db, 3)).Mine(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,21 +173,24 @@ func TestShardedConstrainedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestMinimalPatternsMatchesDiamMiner pins the merged Stage I levels —
+// TestMinimalPatternsMatchesDiamMiner pins the joined Stage I levels —
 // including embeddings — against the one-part engine's, whose joins
 // apply σ themselves.
 func TestMinimalPatternsMatchesDiamMiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := randomDB(rng, 7, 12, 20, 3)
-	ix, err := core.NewEngine(db, 2, nil)
+	ix, err := core.NewEngine(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(db, 2, Partition(db, 3))
-	if err != nil {
-		t.Fatal(err)
+	lengths := []int{1, 2, 3, 5}
+	for _, l := range lengths {
+		if _, err := ix.Level(context.Background(), l); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, l := range []int{1, 2, 3, 5} {
+	eng := splitJoin(t, ix, Partition(db, 3))
+	for _, l := range lengths {
 		want, err := ix.Level(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +200,7 @@ func TestMinimalPatternsMatchesDiamMiner(t *testing.T) {
 			t.Fatal(err)
 		}
 		if renderPaths(got) != renderPaths(want) {
-			t.Errorf("l=%d: merged level diverges\nsharded:\n%s\nunsharded:\n%s",
+			t.Errorf("l=%d: joined level diverges\nsharded:\n%s\nunsharded:\n%s",
 				l, renderPaths(got), renderPaths(want))
 		}
 	}
@@ -301,7 +321,7 @@ func TestRunShardsHonorsWorkerBudget(t *testing.T) {
 }
 
 func TestNewRejectsEmptyDatabase(t *testing.T) {
-	if _, err := core.NewEngine(nil, 2, Partition(nil, 3)); err == nil {
+	if _, err := core.NewEngine(nil, 2); err == nil {
 		t.Fatal("empty database accepted")
 	}
 	if got := Partition(nil, 3); got != nil {
@@ -313,7 +333,7 @@ func TestEngineRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomDB(rng, 6, 12, 20, 3)
 	opt := core.DefaultOptions(2, 3, 1)
-	eng, err := core.NewEngine(db, 2, Partition(db, 3))
+	eng, err := core.NewEngine(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +342,7 @@ func TestEngineRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := core.RestoreEngine(eng.PartStates(), eng.Assignment(), eng.Sigma(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := splitJoin(t, eng, Partition(db, 3))
 	if fmt.Sprint(re.MaterializedLevels()) != fmt.Sprint(eng.MaterializedLevels()) {
 		t.Fatalf("restored levels %v, want %v", re.MaterializedLevels(), eng.MaterializedLevels())
 	}
@@ -348,41 +365,52 @@ func TestEngineRestoreRoundTrip(t *testing.T) {
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := randomDB(rng, 4, 10, 14, 3)
-	eng, err := core.NewEngine(db, 2, Partition(db, 2))
+	eng, err := core.NewEngine(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Mine(context.Background(), core.DefaultOptions(2, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	states := eng.PartStates()
-	assign := eng.Assignment()
+	assign := Partition(db, 2)
+	// split returns fresh shares: an edit leaves eng intact.
+	split := func() []core.IndexState { return Split(eng.State(), assign) }
+	restore := func(states []core.IndexState, sigma int) error {
+		st, err := Join(states, assign, sigma)
+		if err == nil {
+			_, err = core.RestoreEngine(st, nil)
+		}
+		return err
+	}
+	states := split()
 
-	if _, err := core.RestoreEngine(states[:1], assign, 2, nil); err == nil {
+	if err := restore(states[:1], 2); err == nil {
 		t.Error("state/assignment count mismatch accepted")
 	}
-	if _, err := core.RestoreEngine(states, assign, 3, nil); err == nil {
+	if err := restore(states, 3); err == nil {
 		t.Error("sigma mismatch accepted")
 	}
-	bad := eng.Assignment()
-	bad[0][0] = bad[1][0] // duplicate gid
-	if _, err := core.RestoreEngine(states, bad, 2, nil); err == nil {
-		t.Error("duplicate graph assignment accepted")
+
+	// A stored pattern whose recounted support falls below σ is
+	// corruption, and the error names the shard holding it.
+	below := split()
+	for s := range below {
+		below[s].Sigma = 3
+	}
+	if err := restore(below, 3); err == nil || !strings.Contains(err.Error(), "below the σ=3 threshold") {
+		t.Errorf("patterns below σ accepted or misreported: %v", err)
 	}
 
 	// An out-of-range embedding vertex must be rejected at Restore, not
-	// crash a later materialization that joins the restored shares
-	// (the vertex column is cloned so the live engine's data stays
-	// intact).
+	// crash a later materialization that joins the restored levels.
 	for l, ps := range states[0].Levels {
 		if len(ps) == 0 || len(ps[0].GIDs) == 0 {
 			continue
 		}
-		tampered := eng.PartStates()
+		tampered := split()
 		p := tampered[0].Levels[l][0]
-		p.Verts = slices.Clone(p.Verts)
 		p.Verts[0] = 9999
-		if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {
+		if err := restore(tampered, 2); err == nil {
 			t.Errorf("level %d: out-of-range embedding vertex accepted", l)
 		}
 		break
@@ -397,38 +425,38 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		edit func(p *core.PathPattern)
 	}{
 		{"repeated embedding", func(p *core.PathPattern) {
-			p.GIDs = slices.Insert(slices.Clone(p.GIDs), 1, p.GIDs[0])
-			p.Verts = slices.Insert(slices.Clone(p.Verts), len(p.Seq), p.Emb(0)...)
+			p.GIDs = slices.Insert(p.GIDs, 1, p.GIDs[0])
+			p.Verts = slices.Insert(p.Verts, len(p.Seq), p.Emb(0)...)
 		}},
 		{"embeddings out of order", func(p *core.PathPattern) {
 			s := len(p.Seq)
-			p.GIDs = slices.Clone(p.GIDs)
 			p.GIDs[0], p.GIDs[1] = p.GIDs[1], p.GIDs[0]
 			p.Verts = slices.Concat(p.Verts[s:2*s], p.Verts[:s], p.Verts[2*s:])
 		}},
 		{"a vertex column one embedding short", func(p *core.PathPattern) { p.Verts = p.Verts[:len(p.Verts)-len(p.Seq)] }},
 		{"support off the canonical-forward count", func(p *core.PathPattern) { p.Support++ }},
+		{"a graph ID outside the shard", func(p *core.PathPattern) { p.GIDs[0] = int32(len(assign[0])) }},
 	} {
-		tampered := eng.PartStates() // fresh copies: the edit leaves eng intact
+		tampered := split()
 		p := tampered[0].Levels[1][0]
 		if len(p.GIDs) < 2 {
 			t.Fatalf("level 1 pattern %v has %d embeddings, want both orientations", p.Seq, len(p.GIDs))
 		}
 		tc.edit(p)
-		if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {
+		if err := restore(tampered, 2); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
 
 	// A level's patterns ascend strictly by label sequence: the
-	// cross-part recount merges the parts' levels in that order.
-	tampered := eng.PartStates()
+	// cross-shard recount merges the shards' levels in that order.
+	tampered := split()
 	ps := tampered[0].Levels[1]
 	if len(ps) < 2 {
-		t.Fatalf("level 1 of part 0 holds %d patterns, want two to swap", len(ps))
+		t.Fatalf("level 1 of shard 0 holds %d patterns, want two to swap", len(ps))
 	}
 	ps[0], ps[1] = ps[1], ps[0]
-	if _, err := core.RestoreEngine(tampered, assign, 2, nil); err == nil {
+	if err := restore(tampered, 2); err == nil {
 		t.Error("patterns out of label-sequence order accepted")
 	}
 }

@@ -28,8 +28,8 @@ import (
 //	      workers=N                     join fan-out inside the shard
 //
 // Candidate sets travel both ways as indexio level-set streams
-// (LevelMagic) with SHARD-LOCAL graph IDs — the coordinator owns the
-// global↔local remap, which preserves embedding order because each
+// (LevelMagic) with SHARD-LOCAL graph IDs — the coordinator's split and
+// recount translate them, which preserves embedding order because each
 // shard's global IDs ascend. Every candidate request must carry the
 // coordinator's idea of this worker's shard file CRC in the
 // ShardCRCHeader; a mismatch is answered 409 so a miswired fleet fails
@@ -230,14 +230,14 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 	var runOp func() ([]*core.PathPattern, error)
 	switch op {
 	case "edges":
-		runOp = func() ([]*core.PathPattern, error) { return w.joins.Edges(ctx, 0, workers) }
+		runOp = func() ([]*core.PathPattern, error) { return w.joins.Edges(ctx, workers) }
 	case "concat":
 		prev, err := decode(0)
 		if err != nil {
 			fail(http.StatusBadRequest, err.Error())
 			return
 		}
-		runOp = func() ([]*core.PathPattern, error) { return w.joins.Concat(ctx, 0, prev, workers) }
+		runOp = func() ([]*core.PathPattern, error) { return w.joins.Concat(ctx, prev, workers) }
 	case "merge":
 		l, err := queryInt(q.Get("l"), 0)
 		if err != nil {
@@ -258,7 +258,7 @@ func (w *Worker) handleCandidates(rw http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, err.Error())
 			return
 		}
-		runOp = func() ([]*core.PathPattern, error) { return w.joins.Merge(ctx, 0, pool, l, m, workers) }
+		runOp = func() ([]*core.PathPattern, error) { return w.joins.Merge(ctx, pool, l, m, workers) }
 	default:
 		fail(http.StatusBadRequest, fmt.Sprintf("unknown op %q", op))
 		return

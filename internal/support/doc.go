@@ -36,12 +36,13 @@
 // parent subgraphs, or inserted untagged, reach the edge-image
 // containment check (no sorting, no key bytes).
 //
-// Exact maps are deduplicated only where embeddings are first built —
-// seed paths, CountEmbeddings and the baseline miners, through Insert
-// and a hash-indexed byte arena of map keys. Add, the Stage II insert,
-// keeps no map index: extension derives distinct maps by construction
-// (a forward map appends a vertex absent from its parent map; a
-// backward map is a distinct parent map), which
+// A Set keeps no index of exact maps. Where embeddings are first built
+// — seed paths, CountEmbeddings and the baseline miners, through Insert
+// — maps are distinct (Stage I rows are, and graph.EnumerateEmbeddings
+// yields each map once), or, in gSpan, repeat only where a repeat
+// changes neither Support nor MNI. Add, the Stage II insert, gets
+// distinct maps by construction (a forward map appends a vertex absent
+// from its parent map; a backward map is a distinct parent map), which
 // internal/core/derived_test.go checks on every child it grows.
 //
 // MaxEmbeddings caps stored maps; Support() and GraphSupport() stay

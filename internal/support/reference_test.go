@@ -10,9 +10,22 @@ import (
 // This file keeps the byte-keyed embedding set that the hash-identity
 // Set replaced, as a test-only reference: exact isomorphism-map keys
 // and canonical subgraph keys (the sorted list of mapped data edges)
-// built as bytes and deduplicated in keyArenas. set_reference_test.go
+// built as bytes and deduplicated in Go maps. set_reference_test.go
 // diffs the Set against it on randomized embedding streams and
 // mine_reference_test.go on full core mines.
+
+func appendInt32(b []byte, v int32) []byte {
+	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
+// appendMapKey appends the exact isomorphism-map key bytes of e to dst.
+func appendMapKey(dst []byte, e Embedding) []byte {
+	dst = appendInt32(dst, e.GID)
+	for _, v := range e.Map {
+		dst = appendInt32(dst, v)
+	}
+	return dst
+}
 
 // SubgraphKey returns a canonical key identifying the subgraph an
 // embedding occupies: the sorted list of mapped data edges (prefixed by
@@ -63,8 +76,8 @@ type RefSet struct {
 	n            int
 	gids         []int32
 	vals         []graph.V
-	keys         keyArena // subgraph keys; Len() is the support
-	mapKeys      keyArena // exact map keys (storage dedup)
+	keys         map[string]struct{} // subgraph keys; the support is their count
+	mapKeys      map[string]struct{} // exact map keys (storage dedup)
 	gidSet       map[int32]struct{}
 	limit        int
 	truncated    bool
@@ -76,19 +89,20 @@ type RefSet struct {
 
 // NewRefSet mirrors NewSet.
 func NewRefSet(patternEdges []graph.Edge, limit int) *RefSet {
-	return &RefSet{patternEdges: patternEdges, limit: limit}
+	return &RefSet{patternEdges: patternEdges, limit: limit, keys: map[string]struct{}{}, mapKeys: map[string]struct{}{}}
 }
 
 // Add records e's map if it is new and reports whether it was; its
 // subgraph and graph are counted either way.
 func (s *RefSet) Add(e Embedding) bool {
 	s.scratchKey = appendMapKey(s.scratchKey[:0], e)
-	if !s.mapKeys.insert(s.scratchKey) {
+	if _, ok := s.mapKeys[string(s.scratchKey)]; ok {
 		return false
 	}
+	s.mapKeys[string(s.scratchKey)] = struct{}{}
 	s.scratchKey, s.scratchEdges, s.scratchVs = appendSubgraphKey(
 		s.scratchKey[:0], s.scratchEdges, s.scratchVs, s.patternEdges, e)
-	s.keys.insert(s.scratchKey)
+	s.keys[string(s.scratchKey)] = struct{}{}
 	if s.gidSet == nil {
 		s.gidSet = make(map[int32]struct{}, 4)
 	}
@@ -108,7 +122,7 @@ func (s *RefSet) Add(e Embedding) bool {
 	return true
 }
 
-func (s *RefSet) Support() int      { return s.keys.Len() }
+func (s *RefSet) Support() int      { return len(s.keys) }
 func (s *RefSet) GraphSupport() int { return len(s.gidSet) }
 func (s *RefSet) Len() int          { return s.n }
 func (s *RefSet) Truncated() bool   { return s.truncated }

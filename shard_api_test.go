@@ -3,16 +3,20 @@ package skinnymine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"skinnymine/internal/graph"
+	"skinnymine/internal/indexio"
 	"skinnymine/internal/obs"
 	"skinnymine/internal/testutil"
 )
@@ -366,6 +370,45 @@ func TestShardedSnapshotCorruption(t *testing.T) {
 		return copyFileErr(filepath.Join(filepath.Dir(otherPath), otherShards[0]),
 			filepath.Join(work, shards[0]))
 	})
+	// A shard listing its graph IDs out of order: the recount
+	// translates graph IDs in shard-local order, so the restored levels
+	// would hold embeddings out of graph-ID order.
+	check("shard graph IDs out of order", func(work string) error {
+		m, err := indexio.LoadManifest(bytes.NewReader(manifest))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(rawManifest(m), manifest) {
+			return fmt.Errorf("rawManifest does not reproduce the saved manifest")
+		}
+		for _, ref := range m.Shards {
+			if len(ref.GIDs) > 1 {
+				slices.Reverse(ref.GIDs)
+				return os.WriteFile(filepath.Join(work, "db.idx"), rawManifest(m), 0o644)
+			}
+		}
+		return fmt.Errorf("no shard holds two graphs")
+	})
+}
+
+// rawManifest encodes m in the manifest format without SaveManifest's
+// checks, for a manifest a conforming writer refuses to produce.
+func rawManifest(m indexio.Manifest) []byte {
+	b := binary.AppendUvarint([]byte(indexio.ManifestMagic), 1)
+	for _, v := range []int{m.Sigma, m.NumGraphs, len(m.Shards)} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, s := range m.Shards {
+		b = binary.AppendUvarint(b, uint64(len(s.Name)))
+		b = append(b, s.Name...)
+		b = binary.AppendUvarint(b, uint64(s.Size))
+		b = binary.AppendUvarint(b, uint64(s.CRC))
+		b = binary.AppendUvarint(b, uint64(len(s.GIDs)))
+		for _, gid := range s.GIDs {
+			b = binary.AppendUvarint(b, uint64(gid))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // shardFiles lists dir's files matching the generated shard-file shape

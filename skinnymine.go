@@ -58,7 +58,8 @@
 // files under a CRC'd manifest that a fleet of shard workers can serve,
 // with an exact cross-shard support recount on the coordinator
 // (internal/shard). In one process the engine joins once over every
-// graph; output is byte-identical at every shard count. LoadIndexFile
+// graph, and the partition decides only how the index splits into
+// files; output is byte-identical at every shard count. LoadIndexFile
 // restores either snapshot kind.
 //
 // # Declarative constraints
@@ -94,8 +95,9 @@
 // patterns win the budget race may vary (the count still honors the
 // cap). Stats timings and search counters may also differ negligibly
 // across runs. The guarantee rests on the exactness of the paper's
-// constraint checks (Theorems 1–3); output validation (on by default)
-// backstops any over-acceptance.
+// constraint checks (Theorems 1–3); output validation, which checks
+// every emitted pattern's canonical diameter, backstops any
+// over-acceptance.
 //
 // Baseline miners from the paper's evaluation (gSpan, MoSS, SpiderMine,
 // SUBDUE, SEuS, ORIGAMI), synthetic workload generators and the full
@@ -243,7 +245,7 @@ type Options struct {
 	// Trace, when non-nil, records per-stage spans for this request:
 	// Stage I candidate generation per level, Stage II growth, and on a
 	// distributed index the worker RPCs and the cross-shard support
-	// recount after each level step. An in-process index joins once
+	// recount inside each level step. An in-process index joins once
 	// over all its graphs at every shard count and has no recount.
 	// Tracing never changes the mined bytes — only what is visible
 	// about the run. See NewTrace.
@@ -423,22 +425,15 @@ func Mine(g *Graph, opt Options) (*Result, error) {
 // label table (build them via NewGraph and a common vocabulary, or use
 // Corpus).
 func MineDB(graphs []*Graph, opt Options) (*Result, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("skinnymine: no input graphs")
+	lt, raw, err := rawGraphs(graphs)
+	if err != nil {
+		return nil, err
 	}
 	if err := opt.stashWhere(); err != nil {
 		return nil, err
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
-	}
-	lt := graphs[0].lt
-	raw := make([]*graph.Graph, len(graphs))
-	for i, g := range graphs {
-		if g.lt != lt {
-			return nil, fmt.Errorf("skinnymine: graph %d uses a different label table; build the database with Corpus", i)
-		}
-		raw[i] = g.g
 	}
 	copt, tk, err := opt.lower(lt)
 	if err != nil {
@@ -524,10 +519,12 @@ func (c *Corpus) NewGraph() *Graph {
 // Index is the pre-computed minimal-pattern index of the direct mining
 // framework (Figure 2): build once, serve many (l, δ) requests. A
 // sharded index (BuildShardedIndex) answers the same requests with the
-// same bytes, materializing Stage I shard-parallel.
+// same bytes; its shard assignment decides only how it persists
+// (WriteSnapshotFile) and which graphs each worker of a fleet serves.
 type Index struct {
-	eng *core.Engine
-	lt  *graph.LabelTable
+	eng   *core.Engine
+	lt    *graph.LabelTable
+	parts [][]int32 // the shard assignment it was built or loaded with
 }
 
 // BuildIndex pre-computes the index over the graphs at threshold σ.
@@ -546,11 +543,11 @@ func BuildShardedIndex(graphs []*Graph, sigma, shards int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(raw, sigma, shard.Partition(raw, shards))
+	eng, err := core.NewEngine(raw, sigma)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{eng: eng, lt: lt}, nil
+	return &Index{eng: eng, lt: lt, parts: shard.Partition(raw, shards)}, nil
 }
 
 // rawGraphs unwraps a database sharing one label table.
@@ -562,7 +559,7 @@ func rawGraphs(graphs []*Graph) (*graph.LabelTable, []*graph.Graph, error) {
 	raw := make([]*graph.Graph, len(graphs))
 	for i, g := range graphs {
 		if g.lt != lt {
-			return nil, nil, fmt.Errorf("skinnymine: graph %d uses a different label table", i)
+			return nil, nil, fmt.Errorf("skinnymine: graph %d uses a different label table; build the database with Corpus", i)
 		}
 		raw[i] = g.g
 	}

@@ -13,6 +13,7 @@ import (
 	"skinnymine/internal/core"
 	"skinnymine/internal/graph"
 	"skinnymine/internal/indexio"
+	"skinnymine/internal/shard"
 )
 
 // WriteSnapshot serializes the index — label vocabulary, graph database,
@@ -32,10 +33,10 @@ import (
 // single stream; use WriteSnapshotFile, which writes the per-shard
 // snapshot files plus the manifest.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
-	if ix.eng.Parts() > 1 {
+	if len(ix.parts) > 1 {
 		return fmt.Errorf("skinnymine: a sharded index snapshots to per-shard files; use WriteSnapshotFile")
 	}
-	return indexio.Save(w, ix.eng.PartStates()[0], ix.lt)
+	return indexio.Save(w, ix.eng.State(), ix.lt)
 }
 
 // WriteSnapshotFile persists the snapshot to path atomically: every
@@ -55,7 +56,7 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 // identical names and bytes, so Save∘Load∘Save is byte-stable. Load
 // either kind with LoadIndexFile.
 func (ix *Index) WriteSnapshotFile(path string) error {
-	if ix.eng.Parts() == 1 {
+	if len(ix.parts) == 1 {
 		if err := writeFileAtomic(path, ix.WriteSnapshot); err != nil {
 			return err
 		}
@@ -65,8 +66,7 @@ func (ix *Index) WriteSnapshotFile(path string) error {
 		sweepShardFiles(filepath.Dir(path), filepath.Base(path), nil)
 		return nil
 	}
-	states := ix.eng.PartStates()
-	assign := ix.eng.Assignment()
+	states := shard.Split(ix.eng.State(), ix.parts)
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	m := indexio.Manifest{
 		Sigma:     ix.eng.Sigma(),
@@ -81,7 +81,7 @@ func (ix *Index) WriteSnapshotFile(path string) error {
 		if err != nil {
 			return err
 		}
-		ref.GIDs = assign[s]
+		ref.GIDs = ix.parts[s]
 		m.Shards[s] = ref
 		live[ref.Name] = true
 	}
@@ -224,11 +224,11 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.RestoreEngine([]core.IndexState{st}, nil, st.Sigma, nil)
+	eng, err := core.RestoreEngine(st, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{eng: eng, lt: lt}, nil
+	return &Index{eng: eng, lt: lt, parts: shard.Partition(st.Graphs, 1)}, nil
 }
 
 // LoadIndexFile restores an index from a snapshot file of either kind,
@@ -241,22 +241,34 @@ func LoadIndex(r io.Reader) (*Index, error) {
 // shard-file mismatch, σ or label-vocabulary disagreement between
 // shards, and graph assignments that fail to partition the database.
 func LoadIndexFile(path string) (*Index, error) {
-	f, err := os.Open(path)
+	f, sharded, err := openSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	head := make([]byte, len(indexio.ManifestMagic))
-	if _, err := io.ReadFull(f, head); err != nil {
-		return nil, fmt.Errorf("skinnymine: reading snapshot magic: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if string(head) != indexio.ManifestMagic {
+	if !sharded {
 		return LoadIndex(f)
 	}
 	return loadShardedIndex(f, path)
+}
+
+// openSnapshot opens a snapshot file at its start and reports whether
+// it opens with the sharded manifest's magic.
+func openSnapshot(path string) (*os.File, bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false, err
+	}
+	head := make([]byte, len(indexio.ManifestMagic))
+	if _, err := io.ReadFull(f, head); err != nil {
+		f.Close()
+		return nil, false, fmt.Errorf("skinnymine: reading snapshot magic: %w", err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		f.Close()
+		return nil, false, err
+	}
+	return f, string(head) == indexio.ManifestMagic, nil
 }
 
 // loadShardedIndex reassembles a sharded index from its manifest stream
@@ -266,39 +278,37 @@ func loadShardedIndex(r io.Reader, path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.RestoreEngine(parts.states, parts.assign, parts.m.Sigma, nil)
+	eng, err := core.RestoreEngine(parts.st, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{eng: eng, lt: parts.lt}, nil
+	return &Index{eng: eng, lt: parts.lt, parts: parts.assign}, nil
 }
 
-// shardParts is a fully verified sharded snapshot: the manifest plus
-// every shard file decoded — the shared input of the in-process
-// (loadShardedIndex) and distributed (LoadDistributedIndexFile)
-// restore paths.
+// shardParts is a fully verified sharded snapshot: the manifest, the
+// shard assignment it records and the database state joined from every
+// shard file — the shared input of the in-process (loadShardedIndex)
+// and distributed (LoadDistributedIndexFile) restore paths.
 type shardParts struct {
 	m      indexio.Manifest
-	states []core.IndexState
 	assign [][]int32
+	st     core.IndexState
 	lt     *graph.LabelTable
 }
 
 // loadShardParts reads the manifest from r and loads every referenced
 // shard file (resolved relative to path's directory), verifying each
 // against the manifest's recorded size and CRC before parsing, and the
-// shards against each other (σ and label-vocabulary agreement).
+// shards against each other (σ and label-vocabulary agreement), then
+// joins them (shard.Join).
 func loadShardParts(r io.Reader, path string) (*shardParts, error) {
 	m, err := indexio.LoadManifest(r)
 	if err != nil {
 		return nil, err
 	}
 	dir := filepath.Dir(path)
-	p := &shardParts{
-		m:      m,
-		states: make([]core.IndexState, len(m.Shards)),
-		assign: make([][]int32, len(m.Shards)),
-	}
+	p := &shardParts{m: m, assign: make([][]int32, len(m.Shards))}
+	states := make([]core.IndexState, len(m.Shards))
 	for s, ref := range m.Shards {
 		data, err := os.ReadFile(filepath.Join(dir, ref.Name))
 		if err != nil {
@@ -322,8 +332,11 @@ func loadShardParts(r io.Reader, path string) (*shardParts, error) {
 		} else if !slices.Equal(slt.Names(), p.lt.Names()) {
 			return nil, fmt.Errorf("skinnymine: shard file %s label table differs from %s", ref.Name, m.Shards[0].Name)
 		}
-		p.states[s] = st
+		states[s] = st
 		p.assign[s] = ref.GIDs
+	}
+	if p.st, err = shard.Join(states, p.assign, m.Sigma); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -349,7 +362,7 @@ func (ix *Index) Concurrency() int { return ix.eng.Concurrency() }
 func (ix *Index) NumGraphs() int { return ix.eng.NumGraphs() }
 
 // Shards returns the index's shard count: 1 for an unsharded index.
-func (ix *Index) Shards() int { return ix.eng.Parts() }
+func (ix *Index) Shards() int { return len(ix.parts) }
 
 // MaterializedLevels returns the path lengths whose frequent-path level
 // is cached (and would be persisted by WriteSnapshotFile), ascending.
