@@ -91,6 +91,29 @@ func BenchmarkMineGreedyText(b *testing.B) {
 	b.ReportMetric(float64(extensions)/float64(b.N), "extensions/op")
 }
 
+// BenchmarkMineEnumeration mines SynthWorkload(17, 120) at σ=2, l=4,
+// δ=1 in enumeration mode (every valid edge subset, not one maximal
+// pattern per seed) with one worker. No perfbench workload enumerates,
+// so this is the enumeration row of the bench ledger.
+func BenchmarkMineEnumeration(b *testing.B) {
+	g := testutil.SynthWorkload(17, 120)
+	opt := core.DefaultOptions(2, 4, 1)
+	opt.Concurrency = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	patterns, extensions := 0, 0
+	for i := 0; i < b.N; i++ {
+		res, err := core.Mine(g, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		patterns += len(res.Patterns)
+		extensions += res.Stats.ExtensionsTried
+	}
+	b.ReportMetric(float64(patterns)/float64(b.N), "patterns")
+	b.ReportMetric(float64(extensions)/float64(b.N), "extensions/op")
+}
+
 // Constrained-mining benchmark: the skewed-label workload (synth.Skew —
 // Zipf background labels, rare-label motifs) mined under a selective
 // Where constraint, once with pushdown pruning and once evaluating the

@@ -20,6 +20,9 @@ import (
 // when the Theorem-3 trigger fires. CheckNaive recomputes the canonical
 // diameter of P' from scratch (the "highly inefficient" baseline the
 // paper argues against); CheckVerify runs both and records mismatches.
+// Whatever the mode, every emitted pattern then passes checkClaim, which
+// tests the claim that 0..DiamLen is its canonical diameter without
+// constructing that diameter.
 
 // CheckMode selects the constraint-maintenance implementation.
 type CheckMode int
@@ -197,7 +200,10 @@ func minLabelPathBeats(g *graph.Graph, ds, dt []int32, s, t graph.V, lseq []grap
 }
 
 // naive recomputes the canonical diameter of the child graph and demands
-// it be exactly the path 0..DiamLen.
+// it be exactly the path 0..DiamLen. It is the per-extension check of
+// CheckNaive, the paper's Section 3.3 strawman, and CheckVerify's
+// reference. checkClaim shares minLabelPathBeats with the fast path, so
+// it can serve as neither.
 func (c *checker) naive(g *graph.Graph, diamLen int32) rejectReason {
 	cd, diam := g.CanonicalDiameter()
 	if diam != diamLen {
@@ -209,6 +215,59 @@ func (c *checker) naive(g *graph.Graph, diamLen int32) rejectReason {
 	for i, v := range cd {
 		if v != graph.V(i) {
 			return rejectIII
+		}
+	}
+	return passed
+}
+
+// checkClaim reaches naive's decision, with the same reason, without
+// constructing the canonical diameter: it checks the claim that the
+// path 0..diamLen is g's canonical diameter. The all-pairs distances go
+// into sc.dist, one BFS row per vertex. The claim then holds when the
+// diameter is diamLen, the path is a shortest path of that length, and
+// no ordered pair at distance diamLen has a shortest path with a
+// smaller label sequence. Label ties never reject, by the ID tie-break
+// argument of newDiamBeatsL. A warmed scratch allocates nothing.
+func checkClaim(g *graph.Graph, diamLen int32, sc *growScratch) rejectReason {
+	n := g.N()
+	dist := slices.Grow(sc.dist[:0], n*n)[:n*n]
+	sc.dist = dist
+	for i := range dist {
+		dist[i] = graph.Unreachable
+	}
+	row := func(v int) []int32 { return dist[v*n : (v+1)*n] }
+	diam := graph.Unreachable
+	for v := 0; v < n; v++ {
+		sc.queue = g.BFSInto(graph.V(v), row(v), sc.queue)
+		if len(sc.queue) < n {
+			return rejectII // disconnected
+		}
+		diam = max(diam, slices.Max(row(v)))
+	}
+	if diam != diamLen {
+		if diam > diamLen {
+			return rejectI
+		}
+		return rejectII
+	}
+	d := int(diamLen)
+	for i := 0; i < d; i++ {
+		if !g.HasEdge(graph.V(i), graph.V(i+1)) {
+			return rejectIII
+		}
+	}
+	if row(0)[d] != diamLen {
+		return rejectIII
+	}
+	lseq := g.Labels()[:d+1]
+	for s := 0; s < n; s++ {
+		if g.Label(graph.V(s)) > lseq[0] {
+			continue
+		}
+		for t, dst := range row(s) {
+			if dst == diamLen && minLabelPathBeats(g, row(s), row(t), graph.V(s), graph.V(t), lseq) {
+				return rejectIII
+			}
 		}
 	}
 	return passed

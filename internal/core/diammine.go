@@ -54,6 +54,9 @@
 // absorption, keeps its sorted candidate worklist across absorptions
 // instead of recomputing it, and copies out only the maximal pattern it
 // emits. Canonical codes are computed in the worker's dfscode.Scratch.
+// Once a seed's cluster is grown, the worker also validates each
+// pattern it emits, checking in the same scratch that 0..DiamLen is its
+// canonical diameter, before the clusters are merged and sorted.
 //
 // # Support measures and result budgets
 //
@@ -66,10 +69,9 @@
 // the cap because their key/GID sets are maintained on every insert, while
 // MNI and further growth work from the stored sample. Options.MaxPatterns
 // bounds how many patterns Stage II may generate: every emitted pattern
-// reserves one budget slot after canonical-code dedup, and the cap is
-// applied to the final result only after output validation and closed
-// filtering, so a filtered result is never truncated below the cap while
-// valid patterns sit discarded behind it.
+// reserves one budget slot after canonical-code dedup, so at most
+// MaxPatterns patterns are emitted, and output validation and the
+// filters only remove from them.
 package core
 
 import (

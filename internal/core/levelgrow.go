@@ -41,8 +41,9 @@ import (
 // greedy growth holds the pattern it has absorbed so far in held and
 // swaps the two on each absorption, so it copies out only the maximal
 // pattern it emits. The remaining fields serve the constraint checks
-// (BFS distances and queue), greedy growth's worklist and the canonical
-// code.
+// (BFS distances and queue), greedy growth's worklist, the canonical
+// code, and the output check: checkClaim keeps each emitted pattern's
+// all-pairs distances in dist, one flat n×n matrix.
 type growScratch struct {
 	inv      *stampTable
 	fwd, bwd []uint32
@@ -55,6 +56,7 @@ type growScratch struct {
 	edges       []graph.Edge
 	queue       []graph.V
 	da, db      []int32
+	dist        []int32
 	todo        []greedyDesc
 	found       []bool
 	code        dfscode.Scratch

@@ -42,12 +42,10 @@ type Options struct {
 	// MaxPatterns bounds how many patterns Stage II may generate
 	// (0 = unlimited); a safety valve for exploratory runs. Every
 	// emitted pattern reserves one budget slot after canonical-code
-	// dedup (duplicates never consume budget), and the cap is applied
-	// to the final result only after output validation and ClosedOnly
-	// filtering, so the run returns min(MaxPatterns, generated) of the
-	// filtered patterns. Filtering can still leave fewer than
-	// MaxPatterns results: slots consumed by patterns the filters later
-	// dropped are not regenerated.
+	// dedup (duplicates never consume budget), so at most MaxPatterns
+	// patterns are emitted. Output validation, OutputFilter and
+	// ClosedOnly only remove from them: slots consumed by patterns they
+	// drop are not regenerated, so the result can hold fewer.
 	MaxPatterns int
 	// ClosedOnly keeps only closed patterns (no super-pattern in the
 	// result with equal support), per Algorithm 3 line 12.
@@ -495,19 +493,11 @@ func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
 		return out[i].codeKey < out[j].codeKey
 	})
 
-	out = m.validateOutput(out)
 	if opt.OutputFilter != nil {
 		out = m.filterOutput(out)
 	}
 	if opt.ClosedOnly {
 		out = closedOnly(out)
-	}
-	// The budget already bounds generation, so the filtered result can
-	// only exceed MaxPatterns if filtering was disabled and generation
-	// raced; clamp defensively AFTER the filters so valid patterns are
-	// never discarded while invalid ones occupy the cap.
-	if opt.MaxPatterns > 0 && len(out) > opt.MaxPatterns {
-		out = out[:opt.MaxPatterns]
 	}
 	stats.LevelGrowTime = time.Since(t1)
 	sp2.TagInt("patterns", int64(len(out))).End()
@@ -516,9 +506,10 @@ func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
 }
 
 // growSeed grows one canonical diameter's cluster to completion (or
-// until the shared MaxPatterns budget runs dry). Budget slots are
-// reserved only after dedup succeeds — a duplicate seed must not leak a
-// slot — and a seed that cannot reserve one is dropped.
+// until the shared MaxPatterns budget runs dry) and returns the
+// patterns that pass validateOutput. Budget slots are reserved only
+// after dedup succeeds — a duplicate seed must not leak a slot — and a
+// seed that cannot reserve one is dropped.
 func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Pattern {
 	if m.budgetExhausted() {
 		return nil
@@ -559,7 +550,7 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 		out = append(out, next...)
 		frontier = next
 	}
-	return out
+	return m.validateOutput(out, sc)
 }
 
 // dedup registers the pattern's canonical code, reporting true when new.
@@ -570,8 +561,9 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 // a fast check over-accepted), and whichever won the insert race would
 // suppress the other — making output depend on scheduling and possibly
 // discarding the valid claim. Keyed per length, the valid pattern
-// always survives and validateOutput drops the deviant. A deviant
-// claiming the SAME length as the valid pattern would still race —
+// always survives, and the deviant's worker drops it in validateOutput
+// once its seed is grown. A deviant claiming the SAME length as the
+// valid pattern would still race —
 // that case requires a same-length fast-check over-acceptance, i.e. a
 // violation of Theorems 1–3, which is also the stated precondition of
 // the determinism guarantee (see the package doc).
@@ -607,19 +599,21 @@ func (m *miner) filterOutput(ps []*Pattern) []*Pattern {
 	return out
 }
 
-// validateOutput drops patterns whose canonical diameter deviated from
-// the growth invariant (possible only if the fast checks over-accepted;
-// see constraints.go), by the naive check: the recomputed canonical
-// diameter must be the path 0..DiamLen, at the length the pattern was
-// stamped with at its seed. That length is one of the request's seed
-// lengths, so a pattern never survives under a length it does not
-// realize; this is also what makes a band mine exactly the union of
-// its per-length mines (the partition SeedLengths and the serving
-// layer's shared-plan forking rely on).
-func (m *miner) validateOutput(ps []*Pattern) []*Pattern {
+// validateOutput drops, from the patterns one seed grew, those whose
+// canonical diameter deviated from the growth invariant (possible only
+// if the fast checks over-accepted; see constraints.go): checkClaim, on
+// the worker's scratch, must confirm that the path 0..DiamLen is the
+// canonical diameter at the length the pattern was stamped with at its
+// seed. It runs after growth, so a dropped pattern still served as a
+// parent. That length is one of the request's seed lengths, so a
+// pattern never survives under a length it does not realize; this is
+// also what makes a band mine exactly the union of its per-length mines
+// (the partition SeedLengths and the serving layer's shared-plan
+// forking rely on).
+func (m *miner) validateOutput(ps []*Pattern, sc *growScratch) []*Pattern {
 	out := ps[:0]
 	for _, p := range ps {
-		if m.check.naive(p.G, p.DiamLen) != passed {
+		if checkClaim(p.G, p.DiamLen, sc) != passed {
 			m.stats.outputInvalid.Add(1)
 			continue
 		}

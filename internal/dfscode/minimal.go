@@ -203,7 +203,7 @@ func (s *Scratch) rmp(t []int32, r int) []int32 {
 // seed appends to the next slab the one-edge traversal v0 -> v1.
 func (s *Scratch) seed(v0, v1 graph.V) {
 	r := len(s.next)
-	s.next = slices.Grow(s.next, s.stride)[:r+s.stride]
+	s.next = grow(s.next, s.stride)[:r+s.stride]
 	s.next[r+recNV], s.next[r+recNR] = 2, 2
 	vinv := s.vinv(s.next, r)
 	for i := range vinv {
@@ -215,7 +215,7 @@ func (s *Scratch) seed(v0, v1 graph.V) {
 	rmp := s.rmp(s.next, r)
 	rmp[0], rmp[1] = 0, 1
 	u := len(s.nextUsed)
-	s.nextUsed = slices.Grow(s.nextUsed, s.words)[:u+s.words]
+	s.nextUsed = grow(s.nextUsed, s.words)[:u+s.words]
 	clear(s.nextUsed[u:])
 	s.markUsed(s.nextUsed[u:], v0, v1)
 }
@@ -336,10 +336,21 @@ func (s *Scratch) realize(r int, tp Tuple) {
 // copyRecord appends a copy of the current-slab record at offset r to
 // the next slab and returns the copy's used bitset.
 func (s *Scratch) copyRecord(r int) []uint64 {
-	s.next = append(s.next, s.cur[r:r+s.stride]...)
+	s.next = append(grow(s.next, s.stride), s.cur[r:r+s.stride]...)
 	u := len(s.nextUsed)
-	s.nextUsed = append(s.nextUsed, s.used(r)...)
+	s.nextUsed = append(grow(s.nextUsed, s.words), s.used(r)...)
 	return s.nextUsed[u : u+s.words]
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it has to move: append grows a large slab by only
+// ~1.25×, so a slab would reallocate many times on its way to its
+// largest size.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
 }
 
 // IsMin reports whether code is the minimal DFS code of the graph it

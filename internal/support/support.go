@@ -261,11 +261,22 @@ func (s *Set) add(e Embedding, h uint64, t tag) {
 		s.trunc = true
 		return
 	}
-	s.gids = append(s.gids, e.GID)
-	s.vals = append(s.vals, e.Map...)
-	s.hashes = append(s.hashes, h)
-	s.sids = append(s.sids, sid)
+	s.gids = append(grow(s.gids, 1), e.GID)
+	s.vals = append(grow(s.vals, len(e.Map)), e.Map...)
+	s.hashes = append(grow(s.hashes, 1), h)
+	s.sids = append(grow(s.sids, 1), sid)
 	s.n++
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it has to move: append grows a large slice by only
+// ~1.25×, so a reused column would reallocate many times on its way to
+// its largest size.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
 }
 
 // Insert records a map where a pattern's embeddings are first built

@@ -189,10 +189,9 @@ type Options struct {
 	ClosedOnly bool
 	// MaxPatterns bounds how many patterns Stage II may generate
 	// (0 = unlimited). Each emitted pattern reserves one budget slot
-	// after dedup, and the cap is applied after validation/closed
-	// filtering: the run returns min(MaxPatterns, generated) of the
-	// filtered patterns. See the package README's "Support measures and
-	// result budgets" section.
+	// after dedup, so at most MaxPatterns patterns are emitted;
+	// validation and the filters only remove from them. See the package
+	// README's "Support measures and result budgets" section.
 	MaxPatterns int
 	// Concurrency bounds the worker pool both mining stages use: Stage I
 	// path doubling/merging joins and Stage II seed growth. 0 (the
