@@ -13,7 +13,10 @@ import (
 //
 //   - maintaining the canonical diameter with the D_H/D_T indices
 //     (CheckFast) versus recomputing it from scratch after every
-//     extension (CheckNaive, the strawman of Section 3.3);
+//     extension (CheckNaive, the strawman of Section 3.3). Both modes
+//     share the cheaper output pass, which checks each emitted
+//     pattern's claimed canonical diameter without rebuilding it, so
+//     the gap is the per-extension cost;
 //   - mining frequent l-paths by doubling+merge (DiamMine) versus
 //     depth-first path enumeration.
 

@@ -563,10 +563,10 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 // discarding the valid claim. Keyed per length, the valid pattern
 // always survives, and the deviant's worker drops it in validateOutput
 // once its seed is grown. A deviant claiming the SAME length as the
-// valid pattern would still race —
-// that case requires a same-length fast-check over-acceptance, i.e. a
-// violation of Theorems 1–3, which is also the stated precondition of
-// the determinism guarantee (see the package doc).
+// valid pattern would still race — that case requires a same-length
+// fast-check over-acceptance, i.e. a violation of Theorems 1–3, which
+// is also the stated precondition of the determinism guarantee (see
+// the package doc).
 func (m *miner) dedup(p *Pattern, sc *growScratch) bool {
 	p.codeKey = sc.code.MinCodeKey(p.G)
 	return m.codes.insert(dedupKey{diamLen: p.DiamLen, code: p.codeKey})
