@@ -13,12 +13,11 @@ import (
 // choice 0 is g's canonical diameter, 1 its reverse, and any other a
 // random shortest path between two random vertices.
 func claimPath(rng *rand.Rand, g *graph.Graph, choice int) graph.Path {
-	cd, _ := g.CanonicalDiameter()
-	switch choice {
-	case 0:
-		return cd
-	case 1:
-		slices.Reverse(cd)
+	if choice < 2 {
+		cd, _ := g.CanonicalDiameter()
+		if choice == 1 {
+			slices.Reverse(cd)
+		}
 		return cd
 	}
 	s, t := graph.V(rng.Intn(g.N())), graph.V(rng.Intn(g.N()))
