@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -166,5 +168,71 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = BatchItem{Status: http.StatusOK, Source: source, Result: u.p.body}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeStream(w, func(bw *bufio.Writer) { writeBatch(bw, &resp) })
+}
+
+// writeBatch writes the bytes marshalIndented gives for resp, whose
+// result bodies are WriteJSON output, splicing each body in
+// (writeSpliced) instead of compacting and re-indenting it. Strings go
+// through json.Marshal, so they are escaped as encoding/json escapes
+// them.
+func writeBatch(bw *bufio.Writer, resp *BatchResponse) {
+	writeInt := func(prefix string, n int) {
+		bw.WriteString(prefix)
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(n), 10))
+	}
+	writeString := func(prefix, str string) {
+		bw.WriteString(prefix)
+		q, _ := json.Marshal(str) // a string always marshals
+		bw.Write(q)
+	}
+	writeInt("{\n  \"items\": ", resp.Items)
+	writeInt(",\n  \"unique\": ", resp.Unique)
+	writeInt(",\n  \"cache_hits\": ", resp.CacheHits)
+	bw.WriteString(",\n  \"results\": ")
+	switch {
+	case resp.Results == nil:
+		bw.WriteString("null")
+	case len(resp.Results) == 0:
+		bw.WriteString("[]")
+	default:
+		sep := "["
+		for _, it := range resp.Results {
+			writeInt(sep+"\n    {\n      \"status\": ", it.Status)
+			sep = ","
+			if it.Source != "" {
+				writeString(",\n      \"source\": ", it.Source)
+			}
+			if it.Error != "" {
+				writeString(",\n      \"error\": ", it.Error)
+			}
+			if len(it.Result) > 0 {
+				bw.WriteString(",\n      \"result\": ")
+				writeSpliced(bw, it.Result, "      ")
+			}
+			bw.WriteString("\n    }")
+		}
+		bw.WriteString("\n  ]")
+	}
+	bw.WriteString("\n}\n")
+}
+
+// writeSpliced writes body, a WriteJSON body, as a member value nested
+// under indent: the bytes marshalIndented gives for the body as a
+// json.RawMessage at that depth. The body is already indented from
+// depth 0 and a JSON string holds no raw newline, so those bytes are
+// the body without its final newline, with indent inserted after every
+// newline.
+func writeSpliced(bw *bufio.Writer, body []byte, indent string) {
+	body = bytes.TrimSuffix(body, []byte("\n"))
+	for {
+		i := bytes.IndexByte(body, '\n')
+		if i < 0 {
+			bw.Write(body)
+			return
+		}
+		bw.Write(body[:i+1])
+		bw.WriteString(indent)
+		body = body[i+1:]
+	}
 }

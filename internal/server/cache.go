@@ -15,7 +15,9 @@ import (
 // stored trace of the original run instead of re-mining) and, for a
 // mining result, the decoded result and its options, which is what
 // lets a cache miss be answered by post-filtering a subsuming entry
-// (morphCandidates). Backbones listings carry only their bytes.
+// (morphCandidates). Backbones listings carry only their bytes. An
+// entry holds its value by pointer and never changes the value once
+// cached: put replaces the pointer.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -25,7 +27,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	key string
-	p   produced
+	p   *produced
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -46,7 +48,7 @@ func (c *lruCache) get(key string) (produced, bool) {
 		return produced{}, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).p, true
+	return *el.Value.(*lruEntry).p, true
 }
 
 // put inserts or refreshes key, evicting the least recent entry when
@@ -55,11 +57,11 @@ func (c *lruCache) put(key string, p produced) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).p = p
+		el.Value.(*lruEntry).p = &p
 		c.order.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, p: p})
+	c.items[key] = c.order.PushFront(&lruEntry{key: key, p: &p})
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
@@ -70,16 +72,16 @@ func (c *lruCache) put(key string, p produced) {
 // morphCandidates returns the entries a morph scan may post-filter:
 // every mining entry (the ones holding a decoded result), most
 // recently used first (the hottest superset answers first). The
-// entries are COPIED out under the lock — a produced value is
-// self-contained — so the scan itself runs lock-free and is immune to
-// concurrent eviction: an entry evicted mid-scan still answers
-// correctly from the copy.
+// entries' pointers are copied out under the lock, and a cached value
+// never changes, so the scan itself runs lock-free and is immune to
+// concurrent eviction and replacement: an entry evicted or replaced
+// mid-scan still answers correctly from the value it pointed to.
 // Scanning does not promote: reading an entry as a morph source says
 // nothing about how hot its own key is.
-func (c *lruCache) morphCandidates() []produced {
+func (c *lruCache) morphCandidates() []*produced {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]produced, 0, c.order.Len())
+	out := make([]*produced, 0, c.order.Len())
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		if p := el.Value.(*lruEntry).p; p.res != nil {
 			out = append(out, p)

@@ -1,0 +1,299 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"log/slog"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"skinnymine"
+	"skinnymine/internal/graph"
+	"skinnymine/internal/synth"
+)
+
+// libraryBody mines opt on ix and returns the WriteJSON body the daemon
+// would cache for it.
+func libraryBody(t testing.TB, ix *skinnymine.Index, opt skinnymine.Options) []byte {
+	t.Helper()
+	res, err := ix.Mine(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBatchEnvelopeMatchesMarshalIndent holds the streamed /v1/batch
+// envelope to the reflection encoder it replaced: every Source value,
+// 400 and 503 items whose errors need escaping, members with mined
+// bodies (one with labels that need escaping, one without patterns) and
+// an item without a body.
+func TestBatchEnvelopeMatchesMarshalIndent(t *testing.T) {
+	ix := buildIndex(t)
+	escaped := skinnymine.NewGraph()
+	for c := 0; c < 2; c++ {
+		a, b := escaped.AddVertex("<a>&\"q\""), escaped.AddVertex("é ")
+		if err := escaped.AddEdge(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	escIx, err := skinnymine.BuildIndex([]*skinnymine.Graph{escaped}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := libraryBody(t, ix, skinnymine.Options{Support: 2, Length: 4, Delta: 1})
+	short := libraryBody(t, ix, skinnymine.Options{Support: 2, Length: 2, Delta: 0})
+	empty := libraryBody(t, ix, skinnymine.Options{Support: 2, Length: 9, Delta: 1})
+	esc := libraryBody(t, escIx, skinnymine.Options{Support: 2, Length: 1, Delta: 0})
+	if !bytes.Contains(esc, []byte(`\u003c`)) || !bytes.Contains(empty, []byte(`"patterns": null`)) {
+		t.Fatalf("the member bodies do not cover escaped labels and an empty result:\n%s\n%s", esc, empty)
+	}
+	results := []BatchItem{
+		{Status: http.StatusOK, Source: "hit", Result: full},
+		{Status: http.StatusOK, Source: "miss", Result: short},
+		{Status: http.StatusOK, Source: "coalesced", Result: empty},
+		{Status: http.StatusOK, Source: "morphed", Result: esc},
+		{Status: http.StatusOK, Source: "family_shared", Result: short},
+		{Status: http.StatusOK, Source: "duplicate", Result: full},
+		{Status: http.StatusBadRequest, Error: `invalid "where": <x> && y` + "\nat line 2, é 日本  "},
+		{Status: http.StatusServiceUnavailable, Error: "canceled while queued for admission: <ctx> & \"deadline\"\n…"},
+		{Status: http.StatusOK, Source: "hit"},
+	}
+	for _, resp := range []BatchResponse{
+		{Items: 12, Unique: 9, CacheHits: 2, Results: results},
+		{Items: 1, Unique: 1, Results: results[:1]},
+		{Items: 1, Results: results[6:7]},
+		{Results: []BatchItem{}},
+		{},
+	} {
+		want, err := marshalIndented(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		bw := bufio.NewWriter(&got)
+		writeBatch(bw, &resp)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%d results: streamed envelope differs from marshalIndented:\n%s\nwant\n%s", len(resp.Results), got.Bytes(), want)
+		}
+	}
+}
+
+// TestTraceSpliceMatchesMarshalIndent holds a ?trace=1 response, whose
+// result is spliced in, to marshalIndented's bytes for the same
+// TraceResponse, for each way the result is served: mined, cached,
+// coalesced onto another request's run, and morphed.
+func TestTraceSpliceMatchesMarshalIndent(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	var wg sync.WaitGroup
+	// Runs before the server closes, which waits for the held run.
+	t.Cleanup(func() {
+		free()
+		wg.Wait()
+	})
+	realMine := s.mineFn
+	s.mineFn = func(ctx context.Context, opt skinnymine.Options) (*skinnymine.Result, error) {
+		if opt.Length == 3 { // the coalesced key: hold its run open
+			entered <- struct{}{}
+			<-release
+		}
+		return realMine(ctx, opt)
+	}
+	check := func(body, wantSource string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/mine?trace=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d: %v", body, resp.StatusCode, err)
+			return
+		}
+		if src := resp.Header.Get("X-Result-Source"); src != wantSource {
+			t.Errorf("%s: source %q, want %q", body, src, wantSource)
+		}
+		var tr TraceResponse
+		if err := json.Unmarshal(raw, &tr); err != nil {
+			t.Errorf("%s: %v", body, err)
+			return
+		}
+		want, err := marshalIndented(tr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(raw, want) {
+			t.Errorf("%s (%s): spliced trace response differs from marshalIndented:\n%s\nwant\n%s", body, wantSource, raw, want)
+		}
+	}
+	check(`{"length":4,"delta":1}`, "miss")
+	check(`{"length":4,"delta":1}`, "hit")
+	check(`{"length":4,"delta":1,"where":"vertices<=8"}`, "morphed")
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		check(`{"length":3,"delta":1}`, "miss")
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the leading request never started its run")
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		check(`{"length":3,"delta":1}`, "coalesced")
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for waiters(s) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never queued on the in-flight run")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	free()
+	wg.Wait()
+}
+
+// waiters counts the requests parked on in-flight runs.
+func waiters(s *Server) int64 {
+	s.flights.mu.Lock()
+	defer s.flights.mu.Unlock()
+	var n int64
+	for _, c := range s.flights.calls {
+		n += c.waiters.Load()
+	}
+	return n
+}
+
+// allocatedBytes returns the bytes f allocates, read from the runtime's
+// cumulative allocation counter.
+func allocatedBytes(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// discardResponse is a ResponseWriter that drops the body, keeping
+// the size of the last response written.
+type discardResponse struct {
+	h http.Header
+	n int
+}
+
+func (d *discardResponse) Header() http.Header { return d.h }
+func (d *discardResponse) WriteHeader(int)     { d.n = 0 }
+func (d *discardResponse) Write(b []byte) (int, error) {
+	d.n += len(b)
+	return len(b), nil
+}
+
+// TestServeAllocsPinned bounds the bytes the serving path allocates on
+// the serve-mix graph (synth.Skew: N=200, AvgDeg 2, 10 labels, 3
+// motifs, rand seed 23; σ=3). WriteJSON of the l=3 δ=1 enumeration
+// into a fresh bytes.Buffer may allocate 1.5 times the body: the
+// buffer's one grow, with the encoder's scratch reused. A /v1/batch of
+// four cached l=3 members may allocate 128 KB per call: the envelope
+// streams around the cached bodies through a fixed buffer, where
+// assembling the response allocated several times its size. Both are
+// bounds, not exact pins, because allocation moves with the Go runtime.
+func TestServeAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the serve-mix index and mines l=3; run without -short")
+	}
+	base := synth.Skew(rand.New(rand.NewSource(23)), synth.SkewOptions{N: 200, AvgDeg: 2, Labels: 10, Motifs: 3})
+	var text bytes.Buffer
+	if err := graph.WriteText(&text, base); err != nil {
+		t.Fatal(err)
+	}
+	db, err := skinnymine.ReadGraphs(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := skinnymine.BuildIndex(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := ix.Mine(skinnymine.Options{Support: 3, Length: 3, Delta: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := res.WriteJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	// The median of several encodes, so a pool drop (the race detector
+	// drops a quarter of Puts) or a collection mid-run does not decide.
+	perCall := make([]float64, 9)
+	for i := range perCall {
+		perCall[i] = allocatedBytes(func() {
+			var buf bytes.Buffer
+			if err := res.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	slices.Sort(perCall)
+	t.Logf("WriteJSON: %d-byte body, %.0f bytes allocated (median of %d)", body.Len(), perCall[len(perCall)/2], len(perCall))
+	// Under the race detector the fresh buffer's own grow allocates
+	// twice the body, so the bound holds only without it.
+	if got, limit := perCall[len(perCall)/2], 1.5*float64(body.Len()); got > limit && !raceEnabled {
+		t.Errorf("WriteJSON of a %d-byte body allocated %.0f bytes; want at most %.0f (1.5 times the body)", body.Len(), got, limit)
+	}
+
+	s, err := New(Config{Index: ix, Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	batch := `{"requests":[{"length":3,"delta":1},{"length":3,"delta":1,"where":"vertices<=6"},` +
+		`{"length":3,"delta":1,"where":"support>=4"},{"length":3,"delta":1,"where":"!contains(label='0')"}]}`
+	w := &discardResponse{h: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(batch))) // mines and caches the members
+	const calls = 50
+	reqs := make([]*http.Request, calls)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(batch))
+	}
+	hits := s.metrics.mine.cacheHits.Load()
+	perBatch := allocatedBytes(func() {
+		for _, r := range reqs {
+			h.ServeHTTP(w, r)
+		}
+	}) / calls
+	if got := s.metrics.mine.cacheHits.Load() - hits; got != 4*calls {
+		t.Fatalf("%d cache hits over %d batches of four; want every member a hit", got, calls)
+	}
+	t.Logf("cached batch: %d-byte response, %.0f bytes allocated per call", w.n, perBatch)
+	if perBatch > 128<<10 {
+		t.Errorf("a cached batch of four l=3 members allocated %.0f bytes per call; want at most %d", perBatch, 128<<10)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -311,6 +312,21 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		s.log.Debug("response write failed", "status", status, "err", err)
+	}
+}
+
+// writeStream answers 200 with the JSON body fn writes through a fixed
+// 32 KB buffer, so a response spliced around cached bodies is never
+// assembled in memory. The buffer keeps the first failed write and
+// Flush reports it; like writeJSON, a failed write (the client hung
+// up) is logged at debug.
+func (s *Server) writeStream(w http.ResponseWriter, fn func(*bufio.Writer)) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriterSize(w, 32<<10)
+	fn(bw)
+	if err := bw.Flush(); err != nil {
+		s.log.Debug("response write failed", "status", http.StatusOK, "err", err)
 	}
 }
 

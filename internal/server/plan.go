@@ -174,7 +174,7 @@ func (s *Server) runFamily(r *http.Request, fp *familyPlan) {
 			u.p, u.source, u.dur = famP, famSource, time.Since(t0)
 			continue
 		}
-		up, ok := s.fork(famP, u.key, u.opt)
+		up, ok := s.fork(&famP, u.key, u.opt)
 		if !ok {
 			s.runUnit(r, u)
 			continue

@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -409,7 +410,6 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, key string,
 	resp := TraceResponse{
 		RequestID: obs.RequestID(r.Context()),
 		TraceID:   traceID,
-		Result:    json.RawMessage(p.body),
 	}
 	switch source {
 	case "hit":
@@ -427,8 +427,20 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, key string,
 		resp.TotalMs = st.DurationMs
 		resp.Spans = toTraceSpans(st.Spans)
 	}
+	// Result is the last member. The others are encoded as for any
+	// response, with Result left nil, and the cached body is spliced in
+	// place of its null.
+	head, err := json.MarshalIndent(resp, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("X-Result-Source", source)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeStream(w, func(bw *bufio.Writer) {
+		bw.Write(bytes.TrimSuffix(head, []byte("null\n}")))
+		writeSpliced(bw, p.body, "  ")
+		bw.WriteString("\n}\n")
+	})
 }
 
 // produced is what one producer run yields: the serialized response
@@ -661,7 +673,7 @@ func (s *Server) tryMorph(key string, to skinnymine.Options) (produced, bool) {
 // zero — no search ran — while the patterns bytes are identical to a
 // fresh mine's; the equivalence tests pin exactly that. ok is false
 // when the morph or the encode fails.
-func (s *Server) fork(src produced, key string, to skinnymine.Options) (p produced, ok bool) {
+func (s *Server) fork(src *produced, key string, to skinnymine.Options) (p produced, ok bool) {
 	res, err := skinnymine.Morph(src.res, src.opts, to)
 	if err != nil {
 		return produced{}, false

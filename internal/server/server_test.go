@@ -474,6 +474,56 @@ func TestMorphCandidatesCopyOutlivesEviction(t *testing.T) {
 	}
 }
 
+// TestMorphScanRacesPut scans the cache and forks its entries on one
+// goroutine while another puts new values over the same keys. A cached
+// value never changes once cached (put replaces the entry's pointer),
+// so under -race the scan reads only whole values and every fork
+// answers. Run it with -race -count=10.
+func TestMorphScanRacesPut(t *testing.T) {
+	s, _ := newTestServer(t, Config{CacheSize: 4})
+	src, err := s.toOptions(&MineRequest{Length: 4, Delta: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, err := s.toOptions(&MineRequest{Length: 4, Delta: 1, Where: "vertices<=8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.ix.Mine(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		s.cache.put(k, produced{body: []byte(k), res: res, opts: src})
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			s.cache.put(keys[i%len(keys)], produced{body: []byte{byte(i)}, traceID: fmt.Sprint(i), res: res, opts: src})
+		}
+	}()
+	forks := 0
+	for i := 0; i < 30; i++ {
+		for _, cand := range s.cache.morphCandidates() {
+			if !skinnymine.CanMorph(cand.opts, to) {
+				continue
+			}
+			p, ok := s.fork(cand, "forked", to)
+			if !ok || p.res == nil || len(p.body) == 0 {
+				t.Fatalf("fork of a cached entry failed: ok=%v", ok)
+			}
+			forks++
+		}
+	}
+	wg.Wait()
+	if forks == 0 {
+		t.Fatal("the scan forked nothing")
+	}
+}
+
 // TestMorphChainUnderEviction drives morphing on a capacity-1 cache:
 // each morphed answer is cached under its own key and immediately
 // evicts its source, so the next narrower request must chain off the
