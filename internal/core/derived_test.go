@@ -99,12 +99,12 @@ func appendInt32s(b []byte, vs ...int32) []byte {
 	return b
 }
 
-// TestDerivedMapsDistinct proves the precondition Set.Add relies on
-// instead of an exact-map index: every child extend returns holds
-// pairwise distinct maps (a forward map appends a vertex absent from
-// its parent map; a backward map is a distinct parent map). It also
-// recounts each child's support from its stored maps with an
-// independent subgraph key. The inputs are the ground-truth random
+// TestDerivedMapsDistinct checks that every child extend returns holds
+// pairwise distinct maps: without twins because a forward map appends a
+// vertex absent from its parent map and a backward map is a distinct
+// parent map, with twins because Set.Add drops a canonical map reached
+// twice. It also recounts each child's support from its stored maps
+// with an independent subgraph key. The inputs are the ground-truth random
 // graphs of TestSkinnyMineMatchesGroundTruth and the mine-greedy input.
 func TestDerivedMapsDistinct(t *testing.T) {
 	type input struct {

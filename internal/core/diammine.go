@@ -60,14 +60,17 @@
 //
 // # Support measures and result budgets
 //
-// Pattern frequency is counted by one of three measures
+// Pattern frequency is counted by one of two measures
 // (support.Measure): EmbeddingCount — distinct embedding subgraphs, the
 // paper's |E[P]| and the default; GraphCount — distinct transaction
-// graphs containing the pattern; MNICount — minimum-image-based support.
-// Options.MaxEmbeddings caps how many embedding maps are *stored* per
-// pattern: Support() (the subgraph count) and GraphCount stay exact past
-// the cap because their key/GID sets are maintained on every insert, while
-// MNI and further growth work from the stored sample. Options.MaxPatterns
+// graphs containing the pattern. A pattern stores one embedding map per
+// class of maps that differ by swapping twin vertices (one label, one
+// open neighbourhood), and growth treats each stored map as standing
+// for all of its twin swaps. Options.MaxEmbeddings caps how many of
+// those canonical maps are *stored* per pattern: Support() (the
+// subgraph count) and GraphCount stay exact past the cap because their
+// key/GID sets are maintained on every insert, while further growth
+// works from the stored sample. Options.MaxPatterns
 // bounds how many patterns Stage II may generate: every emitted pattern
 // reserves one budget slot after canonical-code dedup, so at most
 // MaxPatterns patterns are emitted, and output validation and the

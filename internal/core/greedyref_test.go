@@ -150,7 +150,7 @@ func diffPatterns(got, want []*Pattern) string {
 			return fmt.Sprintf("pattern %d: indices differ from the reference", i)
 		}
 		s, r := p.Embs, q.Embs
-		if s.Support() != r.Support() || s.GraphSupport() != r.GraphSupport() || s.MNI() != r.MNI() ||
+		if s.Support() != r.Support() || s.GraphSupport() != r.GraphSupport() ||
 			s.Truncated() != r.Truncated() || s.Len() != r.Len() {
 			return fmt.Sprintf("pattern %d (%v): counts differ from the reference %v", i, p, q)
 		}

@@ -31,9 +31,11 @@ import (
 //
 // candidates reads the stamped inverse-map table sized by the largest
 // data graph, and dedups descriptors in two dense epoch-stamped
-// tables: fwd over (pattern vertex × label rank) for forward edges and
-// bwd over (pattern vertex pair) for backward edges. A new epoch per
-// call empties both in O(1).
+// tables: fwd over (twin class × label rank) for forward edges and bwd
+// over (twin class pair) for backward edges, a class named by its
+// smallest member. A new epoch per call empties both in O(1). ci
+// indexes the twin classes of the pattern at hand, and xs and ys hold
+// the twins of a descriptor's endpoints.
 //
 // extend builds each child in child, a pattern whose graph, indices
 // and embedding set are reused buffers. Once they have grown, building
@@ -49,8 +51,14 @@ type growScratch struct {
 	fwd, bwd []uint32
 	epoch    uint32
 	active   []int32
+	fwdSrc   []bool
 	descBuf  []extDesc
 	mapBuf   []graph.V
+	ci       classIndex
+	xs, ys   []int32
+	// joined records whether the last child extend returned gave a
+	// vertex a twin it lacked in the parent.
+	joined bool
 
 	child, held *Pattern
 	edges       []graph.Edge
@@ -90,22 +98,40 @@ func (sc *growScratch) stampTables(nf, nb int) {
 
 // candidates collects the distinct valid extension descriptors of p at
 // the given level, sorted, using the stored embedding maps so only
-// data-supported extensions appear. Each descriptor's validity depends
-// only on the descriptor, so it is decided once, at its first sighting.
-// The returned slice aliases sc.descBuf and is valid until the next
-// candidates call on the same scratch.
+// data-supported extensions appear. Each stored map stands for all of
+// its twin swaps, so the scan covers every twin of an active vertex,
+// and what it finds holds for the whole class: a forward descriptor at
+// each twin of its source one level up, a backward one at each pair of
+// twins of its endpoints. Each class descriptor's validity is decided
+// once, at its first sighting. The returned slice aliases sc.descBuf
+// and is valid until the next candidates call on the same scratch.
 func (m *miner) candidates(p *Pattern, level int32, sc *growScratch) []extDesc {
 	n := int32(p.G.N())
 	nl := m.numLabels
 	sc.stampTables(int(n)*nl, int(n)*int(n))
 	epoch := sc.epoch
-	act := sc.active[:0]
+	act, fwdSrc := sc.active[:0], sc.fwdSrc[:0]
+	if p.twinned {
+		sc.ci.build(p.class)
+	}
 	for pi := int32(0); pi < n; pi++ {
-		if lv := p.Level[pi]; lv == level-1 || lv == level {
-			act = append(act, pi)
+		active, forward := false, false
+		if !p.twinned {
+			lv := p.Level[pi]
+			active, forward = lv == level-1 || lv == level, lv == level-1
+		} else {
+			for _, x := range sc.ci.members(p.class[pi]) {
+				lv := p.Level[x]
+				active = active || lv == level-1 || lv == level
+				forward = forward || lv == level-1
+			}
+		}
+		if active {
+			act, fwdSrc = append(act, pi), append(fwdSrc, forward)
 		}
 	}
-	sc.active = act
+	sc.active, sc.fwdSrc = act, fwdSrc
+	cls := p.class
 	out := sc.descBuf[:0]
 	for ei := 0; ei < p.Embs.Len(); ei++ {
 		e := p.Embs.At(ei)
@@ -115,26 +141,24 @@ func (m *miner) candidates(p *Pattern, level int32, sc *growScratch) []extDesc {
 		for pi, dv := range e.Map {
 			sc.inv.set(dv, int32(pi))
 		}
-		for _, pi := range act {
-			forward := p.Level[pi] == level-1
+		for k, pi := range act {
+			forward := fwdSrc[k]
 			for _, w := range g.Neighbors(e.Map[pi]) {
 				if qj, mapped := sc.inv.get(w); mapped {
 					// Backward edge candidate between pattern vertices.
-					a, b := pi, qj
+					a, b := cls[pi], cls[qj]
 					if a > b {
 						a, b = b, a
 					}
 					if k := int(a)*int(n) + int(b); sc.bwd[k] != epoch {
 						sc.bwd[k] = epoch
-						if backwardValid(p, a, b, level) {
-							out = append(out, extDesc{kind: 0, src: a, dst: b})
-						}
+						out = appendBackward(out, p, a, b, level, sc)
 					}
 				} else if forward {
 					// Forward edge candidate: new vertex at this level.
-					if k := int(pi)*nl + int(ranks[w]); sc.fwd[k] != epoch {
+					if k := int(cls[pi])*nl + int(ranks[w]); sc.fwd[k] != epoch {
 						sc.fwd[k] = epoch
-						out = append(out, extDesc{kind: 1, src: pi, dst: -1, label: g.Label(w)})
+						out = appendForward(out, p, cls[pi], g.Label(w), level, sc)
 					}
 				}
 			}
@@ -142,6 +166,44 @@ func (m *miner) candidates(p *Pattern, level int32, sc *growScratch) []extDesc {
 	}
 	slices.SortFunc(out, compareDesc)
 	sc.descBuf = out
+	return out
+}
+
+// appendBackward appends the valid backward descriptors between twin
+// classes a <= b of p: one per pair of distinct members. Without twins
+// that is the edge (a, b) alone.
+func appendBackward(out []extDesc, p *Pattern, a, b, level int32, sc *growScratch) []extDesc {
+	if !p.twinned {
+		if backwardValid(p, a, b, level) {
+			out = append(out, extDesc{kind: 0, src: a, dst: b})
+		}
+		return out
+	}
+	for _, x := range sc.ci.members(a) {
+		for _, y := range sc.ci.members(b) {
+			if a == b && x >= y {
+				continue
+			}
+			x, y := min(x, y), max(x, y)
+			if backwardValid(p, x, y, level) {
+				out = append(out, extDesc{kind: 0, src: x, dst: y})
+			}
+		}
+	}
+	return out
+}
+
+// appendForward appends the forward descriptors attaching a vertex
+// labelled lab to each member of twin class c one level up.
+func appendForward(out []extDesc, p *Pattern, c int32, lab graph.Label, level int32, sc *growScratch) []extDesc {
+	if !p.twinned {
+		return append(out, extDesc{kind: 1, src: c, dst: -1, label: lab})
+	}
+	for _, x := range sc.ci.members(c) {
+		if p.Level[x] == level-1 {
+			out = append(out, extDesc{kind: 1, src: x, dst: -1, label: lab})
+		}
+	}
 	return out
 }
 
@@ -195,34 +257,44 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 	}
 
 	// Frequency: derive the child's embeddings from the parent's maps.
-	// Every derived map is distinct: a forward map appends a vertex
-	// inMap has just shown is absent, and a backward map is a distinct
-	// parent map that passed the new-edge filter. Extended maps are
-	// assembled in sc.mapBuf; Set.Add copies what it stores.
+	// A pattern without twins, and its child, store every map: each
+	// derived map is distinct (a forward map appends a vertex inMap has
+	// just shown is absent, and a backward map is a distinct parent map
+	// that passed the new-edge filter). Extended maps are assembled in
+	// sc.mapBuf; Set.Add copies what it stores.
+	v := d.dst
+	if d.kind == 1 {
+		v = int32(g.N() - 1)
+	}
+	sc.joined = c.childClasses(p, d.src, v)
 	set := c.Embs
 	sc.edges = g.AppendEdges(sc.edges[:0])
 	set.Reset(sc.edges, m.opt.MaxEmbeddings)
-	for ei := 0; ei < p.Embs.Len(); ei++ {
-		e := p.Embs.At(ei)
-		dg := m.graphs[e.GID]
-		if d.kind == 0 {
-			a, b := e.Map[d.src], e.Map[d.dst]
-			if dg.HasEdge(a, b) {
-				set.Add(e, p.Embs, ei, a, b) // same map, richer edge set
-			}
-			continue
-		}
-		a := e.Map[d.src]
-		for _, w := range dg.Neighbors(a) {
-			if dg.Label(w) != d.label {
+	if p.twinned || c.twinned {
+		m.extendTwins(p, c, d, sc)
+	} else {
+		for ei := 0; ei < p.Embs.Len(); ei++ {
+			e := p.Embs.At(ei)
+			dg := m.graphs[e.GID]
+			if d.kind == 0 {
+				a, b := e.Map[d.src], e.Map[d.dst]
+				if dg.HasEdge(a, b) {
+					set.Add(e, p.Embs, ei, a, b) // same map, richer edge set
+				}
 				continue
 			}
-			if inMap(e.Map, w) {
-				continue
+			a := e.Map[d.src]
+			for _, w := range dg.Neighbors(a) {
+				if dg.Label(w) != d.label {
+					continue
+				}
+				if inMap(e.Map, w) {
+					continue
+				}
+				sc.mapBuf = append(sc.mapBuf[:0], e.Map...)
+				sc.mapBuf = append(sc.mapBuf, w)
+				set.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf}, p.Embs, ei, a, w)
 			}
-			sc.mapBuf = append(sc.mapBuf[:0], e.Map...)
-			sc.mapBuf = append(sc.mapBuf, w)
-			set.Add(support.Embedding{GID: e.GID, Map: sc.mapBuf}, p.Embs, ei, a, w)
 		}
 	}
 	if set.Count(m.opt.Measure) < m.opt.Support {
@@ -237,23 +309,93 @@ func (m *miner) extend(p *Pattern, d extDesc, level int32, sc *growScratch) (*Pa
 	return c, passed
 }
 
-// supported reports whether some stored map of p supports descriptor d:
-// maps the backward pair onto a data edge, or maps the forward source
-// onto a vertex with an unmapped neighbor of the forward label. It
-// stops at the first such map.
-func (m *miner) supported(p *Pattern, d extDesc) bool {
+// extendTwins derives c's stored maps from p's when either has twins.
+// Each stored map of p stands for all of its twin swaps, and the child
+// maps of all of them are the child maps of the swaps that move the
+// descriptor's endpoints onto their twins: a forward descriptor is
+// applied at every twin x of its source, through the map with the two
+// swapped, and a backward one at every pair of distinct twins (x, y)
+// of its endpoints. Every child map is then made canonical under c's
+// classes; one reached twice is dropped by Set.Add. A twin swap keeps a
+// map's subgraph, so hash and tag are the parent map's as usual.
+func (m *miner) extendTwins(p, c *Pattern, d extDesc, sc *growScratch) {
+	sc.ci.build(c.class)
+	xs := appendClass(sc.xs[:0], p.class, d.src)
+	ys := sc.ys[:0]
+	if d.kind == 0 {
+		ys = appendClass(ys, p.class, d.dst)
+	}
+	sc.xs, sc.ys = xs, ys
+	set := c.Embs
 	for ei := 0; ei < p.Embs.Len(); ei++ {
 		e := p.Embs.At(ei)
 		dg := m.graphs[e.GID]
-		if d.kind == 0 {
-			if dg.HasEdge(e.Map[d.src], e.Map[d.dst]) {
-				return true
+		for _, x := range xs {
+			a := e.Map[x]
+			if d.kind == 0 {
+				for _, y := range ys {
+					if y == x || !dg.HasEdge(a, e.Map[y]) {
+						continue
+					}
+					// The map with src and dst moved onto x and y: swap
+					// src with x, then dst with wherever y's image went.
+					mb := append(sc.mapBuf[:0], e.Map...)
+					mb[d.src], mb[x] = mb[x], mb[d.src]
+					z := y
+					if y == d.src {
+						z = x
+					}
+					mb[d.dst], mb[z] = mb[z], mb[d.dst]
+					sc.ci.canonicalize(mb)
+					set.Add(support.Embedding{GID: e.GID, Map: mb}, p.Embs, ei, a, e.Map[y])
+					sc.mapBuf = mb
+				}
+				continue
 			}
-			continue
+			for _, w := range dg.Neighbors(a) {
+				if dg.Label(w) != d.label || inMap(e.Map, w) {
+					continue
+				}
+				mb := append(sc.mapBuf[:0], e.Map...)
+				mb[d.src], mb[x] = mb[x], mb[d.src]
+				mb = append(mb, w)
+				sc.ci.canonicalize(mb)
+				set.Add(support.Embedding{GID: e.GID, Map: mb}, p.Embs, ei, a, w)
+				sc.mapBuf = mb
+			}
 		}
-		for _, w := range dg.Neighbors(e.Map[d.src]) {
-			if dg.Label(w) == d.label && !inMap(e.Map, w) {
-				return true
+	}
+}
+
+// supported reports whether some stored map of p, or a twin swap of
+// one, supports descriptor d: maps the backward pair onto a data edge,
+// or maps the forward source onto a vertex with an unmapped neighbor of
+// the forward label. It stops at the first such map.
+func (m *miner) supported(p *Pattern, d extDesc, sc *growScratch) bool {
+	xs, ys := append(sc.xs[:0], d.src), append(sc.ys[:0], d.dst)
+	if p.twinned {
+		xs = appendClass(xs[:0], p.class, d.src)
+		if d.kind == 0 {
+			ys = appendClass(ys[:0], p.class, d.dst)
+		}
+	}
+	sc.xs, sc.ys = xs, ys
+	for ei := 0; ei < p.Embs.Len(); ei++ {
+		e := p.Embs.At(ei)
+		dg := m.graphs[e.GID]
+		for _, x := range xs {
+			if d.kind == 0 {
+				for _, y := range ys {
+					if y != x && dg.HasEdge(e.Map[x], e.Map[y]) {
+						return true
+					}
+				}
+				continue
+			}
+			for _, w := range dg.Neighbors(e.Map[x]) {
+				if dg.Label(w) == d.label && !inMap(e.Map, w) {
+					return true
+				}
 			}
 		}
 	}
@@ -321,7 +463,7 @@ func (m *miner) greedyLevelGrow(p *Pattern, level int32, sc *growScratch) []*Pat
 		}
 		// Before the first absorption every entry came from candidates
 		// on these very maps, so only a grown pattern needs the probe.
-		if cur != p && !m.supported(cur, d) {
+		if cur != p && !m.supported(cur, d, sc) {
 			todo = slices.Delete(todo, i, i+1)
 			continue
 		}
@@ -357,6 +499,9 @@ func (m *miner) greedyLevelGrow(p *Pattern, level int32, sc *growScratch) []*Pat
 		} else {
 			todo = m.insertBackward(todo, child, level, sc)
 		}
+		if sc.joined && m.opt.MaxEmbeddings > 0 {
+			todo = m.mergeCandidates(todo, child, level, sc)
+		}
 		cur = child
 		i = 0
 	}
@@ -378,8 +523,9 @@ func (m *miner) greedyLevelGrow(p *Pattern, level int32, sc *growScratch) []*Pat
 // insertBackward inserts into the sorted worklist the backward
 // descriptors of p's newest vertex u, just attached by a forward
 // absorption: one per vertex x that backwardValid admits and some
-// stored map joins to u's image by a data edge. One pass over the maps
-// finds them all.
+// stored map, or twin swap of one, joins to u's image by a data edge.
+// A map joining twin u' of u to twin y of x stands for the swap that
+// moves u and x onto them. One pass over the maps finds them all.
 func (m *miner) insertBackward(todo []greedyDesc, p *Pattern, level int32, sc *growScratch) []greedyDesc {
 	u := int32(p.G.N() - 1)
 	found := sc.found[:0]
@@ -392,20 +538,59 @@ func (m *miner) insertBackward(todo []greedyDesc, p *Pattern, level int32, sc *g
 		found = append(found, !ok) // settled: found, or never valid
 	}
 	sc.found = found
+	us := append(sc.xs[:0], u)
+	if p.twinned {
+		sc.ci.build(p.class)
+		us = append(us[:0], sc.ci.members(p.class[u])...)
+	}
+	sc.xs = us
+	insert := func(x int32) {
+		if !found[x] {
+			found[x] = true
+			want--
+			d := extDesc{kind: 0, src: x, dst: u}
+			j, _ := slices.BinarySearchFunc(todo, d, func(e greedyDesc, d extDesc) int { return compareDesc(e.extDesc, d) })
+			todo = slices.Insert(todo, j, greedyDesc{extDesc: d})
+		}
+	}
 	for ei := 0; ei < p.Embs.Len() && want > 0; ei++ {
 		e := p.Embs.At(ei)
 		sc.inv.reset()
-		for pi, dv := range e.Map[:u] {
+		for pi, dv := range e.Map {
 			sc.inv.set(dv, int32(pi))
 		}
-		for _, w := range m.graphs[e.GID].Neighbors(e.Map[u]) {
-			if x, mapped := sc.inv.get(w); mapped && !found[x] {
-				found[x] = true
-				want--
-				d := extDesc{kind: 0, src: x, dst: u}
-				j, _ := slices.BinarySearchFunc(todo, d, func(e greedyDesc, d extDesc) int { return compareDesc(e.extDesc, d) })
-				todo = slices.Insert(todo, j, greedyDesc{extDesc: d})
+		for _, uu := range us {
+			for _, w := range m.graphs[e.GID].Neighbors(e.Map[uu]) {
+				y, mapped := sc.inv.get(w)
+				if !mapped {
+					continue
+				}
+				if !p.twinned {
+					insert(y)
+					continue
+				}
+				for _, x := range sc.ci.members(p.class[y]) {
+					if x != u {
+						insert(x)
+					}
+				}
 			}
+		}
+	}
+	return todo
+}
+
+// mergeCandidates inserts into the sorted worklist the candidates of p
+// it lacks. Absorbing an extension that gives a vertex a twin lets each
+// stored map stand for swaps the parent's maps did not, so under a
+// storage cap the child's candidates may include descriptors the
+// parent's sample did not support. Uncapped it would add nothing, and
+// is not called: every child map extends a parent map.
+func (m *miner) mergeCandidates(todo []greedyDesc, p *Pattern, level int32, sc *growScratch) []greedyDesc {
+	for _, d := range m.candidates(p, level, sc) {
+		j, found := slices.BinarySearchFunc(todo, d, func(e greedyDesc, d extDesc) int { return compareDesc(e.extDesc, d) })
+		if !found {
+			todo = slices.Insert(todo, j, greedyDesc{extDesc: d})
 		}
 	}
 	return todo

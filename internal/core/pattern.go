@@ -20,6 +20,16 @@ type Pattern struct {
 	DH, DT  []int32
 	Embs    *support.Set
 
+	// class names each vertex's twin class by its smallest member.
+	// Twins share a label and an open neighbourhood, so swapping two
+	// of them maps the pattern onto itself and keeps every map's
+	// subgraph. Embs stores one map per class of maps that differ by
+	// such swaps: the canonical one, whose images ascend within every
+	// twin class. Adjacent vertices with equal closed neighbourhoods
+	// are not twins here.
+	class   []int32
+	twinned bool // some twin class has two or more members
+
 	anchor    extDesc // last extension applied (Panchor, Algorithm 3)
 	hasAnchor bool
 	codeKey   string // canonical DFS code, set at dedup time
@@ -32,17 +42,26 @@ func (p *Pattern) CodeKey() string { return p.codeKey }
 // clone copies p, typically a child built in growth scratch, into
 // storage of its own at its exact size.
 func (p *Pattern) clone() *Pattern {
-	return &Pattern{
+	c := &Pattern{
 		G:         p.G.Clone(),
 		DiamLen:   p.DiamLen,
-		Level:     slices.Clone(p.Level),
-		DH:        slices.Clone(p.DH),
-		DT:        slices.Clone(p.DT),
 		Embs:      p.Embs.Clone(),
+		twinned:   p.twinned,
 		anchor:    p.anchor,
 		hasAnchor: p.hasAnchor,
 		codeKey:   p.codeKey,
 	}
+	c.setIndices(append(append(append(append(make([]int32, 0, 4*len(p.Level)),
+		p.Level...), p.DH...), p.DT...), p.class...))
+	return c
+}
+
+// setIndices points Level, DH, DT and class at consecutive quarters of
+// buf, each capped at its length, so that one allocation holds all
+// four.
+func (p *Pattern) setIndices(buf []int32) {
+	n := len(buf) / 4
+	p.Level, p.DH, p.DT, p.class = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
 }
 
 // Diam returns the canonical diameter as a pattern path (vertices
@@ -90,34 +109,174 @@ func (p *Pattern) String() string {
 // diameter is the path itself. Only oriented embeddings whose label
 // sequence matches the canonical sequence become isomorphism maps (a
 // palindromic sequence admits both orientations, which is exactly the
-// automorphism set the embedding store must keep).
+// automorphism set of the path). The one path with twins has length 2
+// and equal end labels; its reversal is their swap, so of its two
+// orientations only the canonical one, whose head image is the
+// smaller, is stored. The maps are counted first, so the set is built
+// at its size.
 func newPatternFromPath(pp *PathPattern, graphs []*graph.Graph, maxEmb int) *Pattern {
 	l := pp.Length()
-	g := graph.New(l + 1)
-	for _, lab := range pp.Seq {
-		g.AddVertex(lab)
-	}
-	for i := 0; i < l; i++ {
-		g.MustAddEdge(graph.V(i), graph.V(i+1))
-	}
-	p := &Pattern{
-		G:       g,
-		DiamLen: int32(l),
-		Level:   make([]int32, l+1),
-		DH:      make([]int32, l+1),
-		DT:      make([]int32, l+1),
-	}
+	p := &Pattern{G: graph.NewPath(pp.Seq), DiamLen: int32(l)}
+	p.setIndices(make([]int32, 4*(l+1)))
 	for i := 0; i <= l; i++ {
 		p.DH[i] = int32(i)
 		p.DT[i] = int32(l - i)
+		p.class[i] = int32(i)
 	}
-	p.Embs = support.NewSet(g.Edges(), maxEmb)
+	if l == 2 && pp.Seq[0] == pp.Seq[2] {
+		p.class[2], p.twinned = 0, true
+	}
+	canonical := func(i int) bool {
+		e := pp.Emb(i)
+		return labelSeqMatches(graphs[pp.GIDs[i]], e, pp.Seq) && (!p.twinned || e[0] < e[2])
+	}
+	n := 0
+	for i := range pp.GIDs {
+		if canonical(i) {
+			n++
+		}
+	}
+	var edges [16]graph.Edge
+	p.Embs = support.NewSet(p.G.AppendEdges(edges[:0]), maxEmb)
+	p.Embs.Reserve(n, l+1)
 	for i, gid := range pp.GIDs {
-		if e := pp.Emb(i); labelSeqMatches(graphs[gid], e, pp.Seq) {
-			p.Embs.Insert(support.Embedding{GID: gid, Map: e})
+		if canonical(i) {
+			p.Embs.Insert(support.Embedding{GID: gid, Map: pp.Emb(i)})
 		}
 	}
 	return p
+}
+
+// childClasses sets c's twin classes from those of its parent p, c
+// being p plus the edge (u, v), where v may be a vertex c adds. Only
+// the endpoints change neighbourhoods, so no other pair of vertices
+// changes twinship: each endpoint leaves its class, and may join the
+// class of a vertex that now shares its label and neighbourhood. It
+// reports whether an endpoint joined one, giving vertices twins they
+// lacked in p.
+func (c *Pattern) childClasses(p *Pattern, u, v int32) bool {
+	cls := append(c.class[:0], p.class...)
+	for len(cls) < c.G.N() {
+		cls = append(cls, int32(len(cls)))
+	}
+	leaveClass(cls, u)
+	leaveClass(cls, v)
+	joined := joinClass(cls, c.G, u, v)
+	joined = joinClass(cls, c.G, v, u) || joined
+	c.class, c.twinned = cls, false
+	for x, name := range cls {
+		if name != int32(x) {
+			c.twinned = true
+			break
+		}
+	}
+	return joined
+}
+
+// leaveClass takes x out of its twin class, renaming the class after
+// its new smallest member if x named it.
+func leaveClass(cls []int32, x int32) {
+	name := cls[x]
+	cls[x] = x
+	if name != x {
+		return
+	}
+	next := int32(-1)
+	for y := x + 1; int(y) < len(cls); y++ {
+		if cls[y] == x {
+			if next < 0 {
+				next = y
+			}
+			cls[y] = next
+		}
+	}
+}
+
+// joinClass puts x, just joined to other by an edge, into the class of
+// a vertex of g with x's label and neighbourhood, if there is one. Such
+// a vertex neighbours other, and its own class is unchanged by the
+// edge.
+func joinClass(cls []int32, g *graph.Graph, x, other int32) bool {
+	nx := g.Neighbors(x)
+	for _, z := range g.Neighbors(other) {
+		if z == x || g.Label(z) != g.Label(x) || !slices.Equal(g.Neighbors(z), nx) {
+			continue
+		}
+		name := cls[z]
+		if x < name {
+			for y, c := range cls {
+				if c == name {
+					cls[y] = x
+				}
+			}
+			name = x
+		}
+		cls[x] = name
+		return true
+	}
+	return false
+}
+
+// classIndex lists a pattern's twin classes: the members of the class
+// named r are list[start[r]:start[r+1]], ascending, and multi names
+// the classes of two or more members.
+type classIndex struct {
+	start, list, cur, multi []int32
+}
+
+// build indexes the classes cls assigns.
+func (ci *classIndex) build(cls []int32) {
+	n := len(cls)
+	ci.start = slices.Grow(ci.start[:0], n+1)[:n+1]
+	clear(ci.start)
+	for _, r := range cls {
+		ci.start[r+1]++
+	}
+	ci.multi = ci.multi[:0]
+	for r := 0; r < n; r++ {
+		if ci.start[r+1] > 1 {
+			ci.multi = append(ci.multi, int32(r))
+		}
+		ci.start[r+1] += ci.start[r]
+	}
+	ci.cur = append(ci.cur[:0], ci.start[:n]...)
+	ci.list = slices.Grow(ci.list[:0], n)[:n]
+	for y, r := range cls {
+		ci.list[ci.cur[r]] = int32(y)
+		ci.cur[r]++
+	}
+}
+
+// members returns the class named r.
+func (ci *classIndex) members(r int32) []int32 {
+	return ci.list[ci.start[r]:ci.start[r+1]]
+}
+
+// canonicalize sorts the images of m ascending within each indexed
+// class: it turns any map into the canonical map of its class of twin
+// swaps.
+func (ci *classIndex) canonicalize(m []graph.V) {
+	for _, r := range ci.multi {
+		mem := ci.members(r)
+		for i := 1; i < len(mem); i++ {
+			v := m[mem[i]]
+			j := i
+			for ; j > 0 && m[mem[j-1]] > v; j-- {
+				m[mem[j]] = m[mem[j-1]]
+			}
+			m[mem[j]] = v
+		}
+	}
+}
+
+// appendClass appends to dst the members of x's twin class, ascending.
+func appendClass(dst, cls []int32, x int32) []int32 {
+	for y, r := range cls {
+		if r == cls[x] {
+			dst = append(dst, int32(y))
+		}
+	}
+	return dst
 }
 
 func labelSeqMatches(g *graph.Graph, seq graph.Path, want []graph.Label) bool {

@@ -35,9 +35,10 @@ type Options struct {
 	// Measure selects support counting (default EmbeddingCount; use
 	// GraphCount for transaction databases).
 	Measure support.Measure
-	// MaxEmbeddings caps stored embeddings per pattern (0 = unlimited).
-	// Support (subgraph count) and GraphCount stay exact past the cap;
-	// MNI and further growth work from the stored sample.
+	// MaxEmbeddings caps stored embeddings per pattern (0 = unlimited):
+	// the canonical maps, one per class of maps that differ by swapping
+	// twin vertices. Support (subgraph count) and GraphCount stay exact
+	// past the cap; further growth works from the stored sample.
 	MaxEmbeddings int
 	// MaxPatterns bounds how many patterns Stage II may generate
 	// (0 = unlimited); a safety valve for exploratory runs. Every

@@ -45,6 +45,29 @@ func New(n int) *Graph {
 	}
 }
 
+// NewPath returns the path 0–1–…–(n−1) whose vertex i carries
+// labels[i], with its adjacency lists carved out of one allocation.
+func NewPath(labels []Label) *Graph {
+	n := len(labels)
+	g := &Graph{
+		labels: append([]Label(nil), labels...),
+		adj:    make([][]V, n),
+		m:      max(n-1, 0),
+	}
+	flat := make([]V, 0, 2*g.m)
+	for v := V(0); int(v) < n; v++ {
+		lo := len(flat)
+		if v > 0 {
+			flat = append(flat, v-1)
+		}
+		if int(v) < n-1 {
+			flat = append(flat, v+1)
+		}
+		g.adj[v] = flat[lo:len(flat):len(flat)]
+	}
+	return g
+}
+
 // Clone returns a deep copy of g. The adjacency lists share one
 // backing array, each capped at its length, so an insert into one
 // reallocates that list alone.

@@ -17,6 +17,37 @@ func buildPath(labels ...Label) *Graph {
 	return g
 }
 
+// TestNewPathMatchesArcByArc holds NewPath, which carves the adjacency
+// lists out of one allocation, to the path built vertex by vertex and
+// edge by edge, and checks that an edge added afterwards moves only the
+// lists it touches.
+func TestNewPathMatchesArcByArc(t *testing.T) {
+	for n := 0; n <= 6; n++ {
+		labels := make([]Label, n)
+		for i := range labels {
+			labels[i] = Label(i % 3)
+		}
+		got, want := NewPath(labels), buildPath(labels...)
+		if !slices.Equal(got.Labels(), want.Labels()) || !slices.Equal(got.Edges(), want.Edges()) || got.M() != want.M() {
+			t.Fatalf("n=%d: NewPath %v %v, arc by arc %v %v", n, got.Labels(), got.Edges(), want.Labels(), want.Edges())
+		}
+		for v := V(0); int(v) < n; v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("n=%d: neighbours of %d %v, want %v", n, v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
+		if n >= 3 {
+			got.MustAddEdge(0, V(n-1))
+			want.MustAddEdge(0, V(n-1))
+			for v := V(0); int(v) < n; v++ {
+				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("n=%d, closed: neighbours of %d %v, want %v", n, v, got.Neighbors(v), want.Neighbors(v))
+				}
+			}
+		}
+	}
+}
+
 func TestAddVertexAndEdge(t *testing.T) {
 	g := New(4)
 	a := g.AddVertex(1)

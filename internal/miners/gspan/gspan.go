@@ -245,14 +245,6 @@ func (s *searcher) supportOf(code dfscode.Code, embs []emb) int {
 		for _, e := range embs {
 			set.Insert(support.Embedding{GID: e.gid, Map: e.vmap})
 		}
-		if s.opt.Measure == support.MNICount {
-			// MNI needs stored maps; recount without cap.
-			full := support.NewSet(pg.Edges(), 0)
-			for _, e := range embs {
-				full.Insert(support.Embedding{GID: e.gid, Map: e.vmap})
-			}
-			return full.MNI()
-		}
 		return set.Support()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -315,19 +316,28 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// streamWriters pools writeStream's fixed-size buffers. A pooled
+// writer is Reset to nil before it is put back, so the pool never holds
+// a ResponseWriter.
+var streamWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
 // writeStream answers 200 with the JSON body fn writes through a fixed
-// 32 KB buffer, so a response spliced around cached bodies is never
-// assembled in memory. The buffer keeps the first failed write and
-// Flush reports it; like writeJSON, a failed write (the client hung
-// up) is logged at debug.
+// 32 KB buffer from a pool, so a response spliced around cached bodies
+// is never assembled in memory and a response costs no buffer of its
+// own. The buffer keeps the first failed write and Flush reports it;
+// like writeJSON, a failed write (the client hung up) is logged at
+// debug.
 func (s *Server) writeStream(w http.ResponseWriter, fn func(*bufio.Writer)) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 32<<10)
+	bw := streamWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
 	fn(bw)
 	if err := bw.Flush(); err != nil {
 		s.log.Debug("response write failed", "status", http.StatusOK, "err", err)
 	}
+	bw.Reset(nil)
+	streamWriters.Put(bw)
 }
 
 // errorJSON is the uniform 4xx/5xx body.

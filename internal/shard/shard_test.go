@@ -35,9 +35,9 @@ func randomDB(rng *rand.Rand, graphsN, minV, maxV, labels int) []*graph.Graph {
 func renderPatterns(ps []*core.Pattern) string {
 	var b strings.Builder
 	for _, p := range ps {
-		fmt.Fprintf(&b, "l=%d code=%x sup=%d gsup=%d mni=%d lvl=%d labels=%v edges=%v\n",
+		fmt.Fprintf(&b, "l=%d code=%x sup=%d gsup=%d lvl=%d labels=%v edges=%v\n",
 			p.DiamLen, p.CodeKey(), p.Support(), p.Embs.Count(support.GraphCount),
-			p.Embs.MNI(), p.MaxLevel(), p.G.Labels(), p.G.Edges())
+			p.MaxLevel(), p.G.Labels(), p.G.Edges())
 	}
 	return b.String()
 }

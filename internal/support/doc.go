@@ -9,9 +9,8 @@
 // (Section 2). Distinct isomorphism maps onto the same subgraph
 // (pattern automorphisms) therefore count once; embeddings are
 // deduplicated by the edge set they occupy. Measure selects between
-// that subgraph count (EmbeddingCount), the graph-transaction count the
-// evaluation's database experiments use (GraphCount), and the
-// minimum-image-based support of Bringmann & Nijssen (MNICount).
+// that subgraph count (EmbeddingCount) and the graph-transaction count
+// the evaluation's database experiments use (GraphCount).
 //
 // # Representation
 //
@@ -36,22 +35,35 @@
 // parent subgraphs, or inserted untagged, reach the edge-image
 // containment check (no sorting, no key bytes).
 //
+// Stage II stores one map per class of maps that differ by swapping
+// twins, pattern vertices with one label and one open neighbourhood:
+// the canonical map, whose images ascend within each twin class.
+// internal/core computes the classes and canonicalizes each map before
+// it reaches the Set, which knows nothing of twins; a twin swap keeps
+// a map's subgraph, so the counts are those of all maps.
+//
 // A Set keeps no index of exact maps. Where embeddings are first built
 // — seed paths, CountEmbeddings and the baseline miners, through Insert
 // — maps are distinct (Stage I rows are, and graph.EnumerateEmbeddings
 // yields each map once), or, in gSpan, repeat only where a repeat
-// changes neither Support nor MNI. Add, the Stage II insert, gets
-// distinct maps by construction (a forward map appends a vertex absent
-// from its parent map; a backward map is a distinct parent map), which
-// internal/core/derived_test.go checks on every child it grows.
+// changes no count. Add, the Stage II insert, can meet one canonical
+// map twice: growth applies a descriptor at every twin position, and a
+// child subgraph is reached from several parent subgraphs when the new
+// vertex has twins. So on a subgraph hit Add compares the map with the
+// maps stored on that subgraph, chained through a column the Set
+// allocates only when some subgraph first holds two stored maps, and
+// drops a repeat. Insert never walks a chain, which would be quadratic
+// in the maps per subgraph of an enumeration.
 //
 // MaxEmbeddings caps stored maps; Support() and GraphSupport() stay
 // exact past the cap because the subgraph index (holding the first map
 // of each subgraph first seen past the cap) and the GID set are
-// maintained on every insert, while MNI and further growth work from the
+// maintained on every insert, while further growth works from the
 // stored sample. internal/support/reference_test.go keeps the byte-keyed
 // set this design replaced as the reference the Set is diffed against,
-// untagged and with parent tags (set_reference_test.go).
+// untagged and with parent tags (set_reference_test.go), and
+// mine_reference_test.go diffs whole mines' sets against every
+// enumerated map made canonical under brute-force twin classes.
 //
 // # Concurrency and ownership
 //

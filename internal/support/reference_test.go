@@ -127,39 +127,19 @@ func (s *RefSet) GraphSupport() int { return len(s.gidSet) }
 func (s *RefSet) Len() int          { return s.n }
 func (s *RefSet) Truncated() bool   { return s.truncated }
 
-func (s *RefSet) MNI() int {
-	if s.n == 0 {
-		return 0
-	}
-	minImg := -1
-	seen := make(map[graph.V]struct{}, s.n)
-	for i := 0; i < s.stride; i++ {
-		clear(seen)
-		for j := 0; j < s.n; j++ {
-			seen[s.vals[j*s.stride+i]] = struct{}{}
-		}
-		if minImg < 0 || len(seen) < minImg {
-			minImg = len(seen)
-		}
-	}
-	return minImg
-}
-
 func (s *RefSet) At(i int) Embedding {
 	lo, hi := i*s.stride, (i+1)*s.stride
 	return Embedding{GID: s.gids[i], Map: s.vals[lo:hi:hi]}
 }
 
 // DiffCounts describes the first count on which s and ref disagree —
-// Support, GraphSupport, MNI or Truncated — or returns "".
+// Support, GraphSupport or Truncated — or returns "".
 func DiffCounts(s *Set, ref *RefSet) string {
 	switch {
 	case s.Support() != ref.Support():
 		return fmt.Sprintf("Support %d, reference %d", s.Support(), ref.Support())
 	case s.GraphSupport() != ref.GraphSupport():
 		return fmt.Sprintf("GraphSupport %d, reference %d", s.GraphSupport(), ref.GraphSupport())
-	case s.MNI() != ref.MNI():
-		return fmt.Sprintf("MNI %d, reference %d", s.MNI(), ref.MNI())
 	case s.Truncated() != ref.Truncated():
 		return fmt.Sprintf("Truncated %v, reference %v", s.Truncated(), ref.Truncated())
 	}

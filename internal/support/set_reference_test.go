@@ -102,14 +102,16 @@ func distinctMaps(stream []Embedding) []Embedding {
 
 // TestSetMatchesReference diffs the hash-identity Set against the
 // byte-keyed RefSet on randomized embedding streams, capped and
-// uncapped, their exact repeats dropped (the precondition of every
-// insert): through Insert (hash from scratch) and through untagged add
-// with the subgraph hash computed from scratch,
-// derived incrementally as a parent hash plus the last edge's term, or
-// held constant — the last forces every insert after the first through
-// exact verification. TestTaggedSetMatchesReference covers tagged
-// inserts. The set is reused across trials through Reset,
-// and its Clone must match too and keep matching under further adds.
+// uncapped: through Insert (hash from scratch) and through untagged
+// add with the subgraph hash computed from scratch, derived
+// incrementally as a parent hash plus the last edge's term, or held
+// constant — the last forces every insert after the first through
+// exact verification. Insert and add without its exact check get the
+// stream with its exact repeats dropped, their precondition; add with
+// the exact check, Add's mode, gets the repeats too and must drop them
+// as the RefSet does. TestTaggedSetMatchesReference covers tagged
+// inserts. The set is reused across trials through Reset, and its
+// Clone must match too and keep matching under further adds.
 func TestSetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	hashes := map[string]func(pes []graph.Edge, e Embedding) uint64{
@@ -142,26 +144,32 @@ func TestSetMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d, Insert, limit %d: %s", trial, limit, d)
 		}
 
-		split := len(distinct) / 2
 		for _, name := range names {
-			hash := hashes[name]
-			s.Reset(pes, limit)
-			ref := NewRefSet(pes, limit)
-			for _, e := range distinct[:split] {
-				s.add(e, hash(pes, e), noTag)
-				ref.Add(e)
-			}
-			c := s.Clone()
-			for _, e := range distinct[split:] {
-				s.add(e, hash(pes, e), noTag)
-				c.add(e, hash(pes, e), noTag)
-				ref.Add(e)
-			}
-			if d := diffRef(s, ref); d != "" {
-				t.Fatalf("trial %d, %s hash, limit %d: %s", trial, name, limit, d)
-			}
-			if d := diffRef(c, ref); d != "" {
-				t.Fatalf("trial %d, %s hash, limit %d, clone: %s", trial, name, limit, d)
+			for _, exact := range []bool{false, true} {
+				hash := hashes[name]
+				maps := distinct
+				if exact {
+					maps = stream
+				}
+				split := len(maps) / 2
+				s.Reset(pes, limit)
+				ref := NewRefSet(pes, limit)
+				for _, e := range maps[:split] {
+					s.add(e, hash(pes, e), noTag, exact)
+					ref.Add(e)
+				}
+				c := s.Clone()
+				for _, e := range maps[split:] {
+					s.add(e, hash(pes, e), noTag, exact)
+					c.add(e, hash(pes, e), noTag, exact)
+					ref.Add(e)
+				}
+				if d := diffRef(s, ref); d != "" {
+					t.Fatalf("trial %d, %s hash, exact %v, limit %d: %s", trial, name, exact, limit, d)
+				}
+				if d := diffRef(c, ref); d != "" {
+					t.Fatalf("trial %d, %s hash, exact %v, limit %d, clone: %s", trial, name, exact, limit, d)
+				}
 			}
 		}
 	}
@@ -225,9 +233,10 @@ type derived struct {
 }
 
 // deriveMaps grows every stored map of parent by step, onto every data
-// vertex of [0, universe) outside the map for a forward step, and
-// returns the child maps shuffled, so maps of different parents
-// interleave. The maps are pairwise distinct, as extension makes them.
+// vertex of [0, universe) outside the map for a forward step, repeats
+// about one child map in four, as extension at twin positions does,
+// and returns the child maps shuffled, so maps of different parents
+// interleave.
 func deriveMaps(rng *rand.Rand, parent *Set, step growStep, universe int) []derived {
 	var out []derived
 	for i := 0; i < parent.Len(); i++ {
@@ -242,6 +251,10 @@ func deriveMaps(rng *rand.Rand, parent *Set, step growStep, universe int) []deri
 				out = append(out, derived{c, i, e.Map[step.src], w})
 			}
 		}
+	}
+	for n := len(out) / 4; n > 0; n-- {
+		d := out[rng.Intn(len(out))]
+		out = append(out, derived{d.e.Clone(), d.parent, d.u, d.w})
 	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
@@ -276,9 +289,12 @@ func checkSids(s *Set) string {
 // with its own edge (one subgraph, decided by the tags), of its own
 // parent subgraph with another edge (a new subgraph, decided by the
 // tags) and of other parent subgraphs (decided by sameImage); the test
-// requires all three. The grandchild grows from a Clone of the
-// child taken halfway, so Clone must carry the subgraph-id column, and
-// the sets are reused through Reset, which must empty it.
+// requires all three. Repeated maps must be dropped, as the RefSet
+// drops them, whichever map of their subgraph they repeat. The
+// grandchild grows from a Clone of the child taken halfway, so Clone
+// must carry the subgraph-id column and the chains of maps per
+// subgraph, and the sets are reused through Reset, which must empty
+// them.
 func TestTaggedSetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	parent, child, grand := NewSet(nil, 0), NewSet(nil, 0), NewSet(nil, 0)
@@ -300,7 +316,7 @@ func TestTaggedSetMatchesReference(t *testing.T) {
 		for _, constant := range []bool{false, true} {
 			add := func(s, from *Set, d derived) {
 				if constant {
-					s.add(d.e, 42, tag{parent: from.sids[d.parent], edge: edgeKey(d.u, d.w)})
+					s.add(d.e, 42, tag{parent: from.sids[d.parent], edge: edgeKey(d.u, d.w)}, true)
 				} else {
 					s.Add(d.e, from, d.parent, d.u, d.w)
 				}

@@ -92,10 +92,12 @@ func edgeKey(u, w graph.V) uint64 {
 }
 
 // Set accumulates embeddings of one pattern. Support counts distinct
-// subgraphs, but storage keeps every distinct isomorphism *map*: pattern
+// subgraphs, and storage keeps distinct isomorphism *maps*: pattern
 // automorphisms (e.g. a palindromic diameter) make several maps occupy
-// one subgraph, and extension must proceed from all of them or patterns
-// grown on the "other side" of a symmetry lose embeddings.
+// one subgraph. Stage II stores only each pattern's twin-canonical
+// maps, one per class of maps that differ by swapping twin vertices;
+// internal/core canonicalizes a map before it reaches the Set, which
+// knows nothing of twins.
 //
 // Storage is columnar: one flat []graph.V holding all stored maps back
 // to back with a fixed stride (the pattern's vertex count) plus
@@ -116,8 +118,13 @@ type Set struct {
 	vals         []graph.V // flat columnar storage, n*stride values
 	hashes       []uint64  // per stored embedding: its subgraph hash
 	sids         []int32   // per stored embedding: its subgraph id
-	subs         []subSlot // index of distinct subgraphs, len 0 or a power of two
-	nsubs        int       // distinct subgraphs recorded: the support
+	// next chains the stored maps of one subgraph, for Add's exact
+	// check: next[i] names the stored map after map i on its subgraph
+	// as ref i+1, or is 0 at the end. Empty until Add stores a second
+	// map on some subgraph, then one entry per stored map.
+	next  []int32
+	subs  []subSlot // index of distinct subgraphs, len 0 or a power of two
+	nsubs int       // distinct subgraphs recorded: the support
 	// The first map of each subgraph first seen past the storage cap,
 	// kept so later maps of it still verify exactly.
 	overGIDs []int32
@@ -157,9 +164,8 @@ var noTag = tag{parent: -1}
 // limit caps the number of *stored* embeddings (0 = unlimited). The
 // Support and GraphSupport counts stay exact past the cap — the
 // subgraph index and GID set are maintained on every insert — but
-// extension and MNI then work from the stored sample, which mirrors
-// practical miners under blow-up. The set keeps its own copy of the
-// edges.
+// extension then works from the stored sample, which mirrors practical
+// miners under blow-up. The set keeps its own copy of the edges.
 func NewSet(patternEdges []graph.Edge, limit int) *Set {
 	s := &Set{}
 	s.Reset(patternEdges, limit)
@@ -182,6 +188,7 @@ func (s *Set) Reset(patternEdges []graph.Edge, limit int) {
 		vals:         s.vals[:0],
 		hashes:       s.hashes[:0],
 		sids:         s.sids[:0],
+		next:         s.next[:0],
 		subs:         subs,
 		overGIDs:     s.overGIDs[:0],
 		overVals:     s.overVals[:0],
@@ -192,17 +199,25 @@ func (s *Set) Reset(patternEdges []graph.Edge, limit int) {
 
 // Clone returns a copy of s with storage sized to its contents, for a
 // set built in a reused scratch Set that must outlive the next Reset.
+// One allocation holds its int32 columns, each capped at its length.
 func (s *Set) Clone() *Set {
+	buf := make([]int32, 0, len(s.gids)+len(s.vals)+len(s.sids)+len(s.next)+len(s.overGIDs)+len(s.overVals))
+	carve := func(col []int32) []int32 {
+		lo := len(buf)
+		buf = append(buf, col...)
+		return buf[lo:len(buf):len(buf)]
+	}
 	c := &Set{
 		patternEdges: slices.Clone(s.patternEdges),
 		stride:       s.stride,
 		n:            s.n,
-		gids:         slices.Clone(s.gids),
-		vals:         slices.Clone(s.vals),
+		gids:         carve(s.gids),
+		vals:         carve(s.vals),
 		hashes:       slices.Clone(s.hashes),
-		sids:         slices.Clone(s.sids),
-		overGIDs:     slices.Clone(s.overGIDs),
-		overVals:     slices.Clone(s.overVals),
+		sids:         carve(s.sids),
+		next:         carve(s.next),
+		overGIDs:     carve(s.overGIDs),
+		overVals:     carve(s.overVals),
 		gid0:         s.gid0,
 		limit:        s.limit,
 		trunc:        s.trunc,
@@ -221,21 +236,51 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
+// Reserve makes room in an empty set for n maps of the given stride
+// and their subgraphs, so that recording them allocates nothing: a set
+// whose size is known up front, like a seed's, is built without
+// growing. Columns are sized to at most the storage cap.
+func (s *Set) Reserve(n, stride int) {
+	stored := n
+	if s.limit > 0 {
+		stored = min(n, s.limit)
+	}
+	// One allocation holds the three int32 columns, each capped at its
+	// share so that growing one past it moves that column alone.
+	buf := make([]int32, stored*(stride+2))
+	s.gids = buf[:0:stored]
+	s.sids = buf[stored : stored : 2*stored]
+	s.vals = buf[2*stored : 2*stored : len(buf)]
+	s.hashes = make([]uint64, 0, stored)
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	if len(s.subs) < size {
+		s.subs = make([]subSlot, size)
+	}
+}
+
 // Add records the map e grown from stored map i of parent by the data
 // edge (u, w): its subgraph hash is the parent map's plus EdgeTerm of
 // the edge, and it carries the parent map's subgraph id and the edge as
-// its tag. Extension derives distinct maps by construction, and no
-// map index is kept. The map is copied into the columnar store unless
-// the cap is reached. Its subgraph and graph count toward Support and
+// its tag. A map equal to one already stored is dropped: extension
+// reaches a twin-canonical child map once from each parent map it
+// extends, and maps grown from different parent subgraphs can meet.
+// Only a subgraph hit is checked, against that subgraph's chain of
+// stored maps. The map is copied into the columnar store unless the cap
+// is reached. Its subgraph and graph count toward Support and
 // GraphSupport either way (storage may be capped; counting never is).
 // e.Map may alias a caller scratch buffer.
 func (s *Set) Add(e Embedding, parent *Set, i int, u, w graph.V) {
-	s.add(e, parent.hashes[i]+EdgeTerm(e.GID, u, w), tag{parent: parent.sids[i], edge: edgeKey(u, w)})
+	s.add(e, parent.hashes[i]+EdgeTerm(e.GID, u, w), tag{parent: parent.sids[i], edge: edgeKey(u, w)}, true)
 }
 
-// add records a map that differs from every map in the set, with h the
-// hash of the subgraph it occupies and t its tag.
-func (s *Set) add(e Embedding, h uint64, t tag) {
+// add records a map with h the hash of the subgraph it occupies and t
+// its tag. With exact set, a map equal to one stored on its subgraph is
+// dropped, and every stored map joins its subgraph's chain; otherwise
+// the map must differ from every map in the set, and nothing is chained.
+func (s *Set) add(e Embedding, h uint64, t tag, exact bool) {
 	if s.nsubs == 0 {
 		s.stride = len(e.Map)
 		s.gid0 = e.GID
@@ -247,7 +292,11 @@ func (s *Set) add(e Embedding, h uint64, t tag) {
 	if !stored {
 		ref = -int32(len(s.overGIDs)) - 1
 	}
-	sid, isNew := s.insertSubgraph(e, subSlot{h: h, ref: ref, tag: t})
+	slot, isNew := s.insertSubgraph(e, subSlot{h: h, ref: ref, tag: t})
+	first := s.subs[slot].ref
+	if !isNew && exact && s.holds(first, e) {
+		return
+	}
 	if isNew && !stored {
 		s.overGIDs = append(s.overGIDs, e.GID)
 		s.overVals = append(s.overVals, e.Map...)
@@ -261,11 +310,43 @@ func (s *Set) add(e Embedding, h uint64, t tag) {
 		s.trunc = true
 		return
 	}
+	sid := int32(s.nsubs - 1)
+	if !isNew {
+		sid = s.sids[first-1]
+	}
+	if link := !isNew && exact; link || len(s.next) > 0 {
+		if len(s.next) == 0 {
+			s.next = slices.Grow(s.next[:0], cap(s.gids)+1)[:s.n]
+			clear(s.next)
+		}
+		var after int32
+		if link {
+			after, s.next[first-1] = s.next[first-1], ref
+		}
+		s.next = append(grow(s.next, 1), after)
+	}
 	s.gids = append(grow(s.gids, 1), e.GID)
 	s.vals = append(grow(s.vals, len(e.Map)), e.Map...)
 	s.hashes = append(grow(s.hashes, 1), h)
 	s.sids = append(grow(s.sids, 1), sid)
 	s.n++
+}
+
+// holds reports whether e equals a stored map of the chain that starts
+// at index reference ref. A subgraph first recorded past the cap has no
+// stored maps.
+func (s *Set) holds(ref int32, e Embedding) bool {
+	for ref > 0 {
+		i := int(ref - 1)
+		if s.gids[i] == e.GID && slices.Equal(s.vals[i*s.stride:(i+1)*s.stride], e.Map) {
+			return true
+		}
+		if i >= len(s.next) {
+			return false
+		}
+		ref = s.next[i]
+	}
+	return false
 }
 
 // grow returns s with room for n more elements, at least doubling its
@@ -281,24 +362,23 @@ func grow[T any](s []T, n int) []T {
 
 // Insert records a map where a pattern's embeddings are first built
 // (seed paths, enumeration, baseline miners), computing its subgraph
-// hash itself. The map carries no tag. Like Add it keeps no map index:
-// Stage I rows are distinct and graph.EnumerateEmbeddings yields each
-// map once, and a map inserted twice (gSpan, which reads only Support
-// and MNI, may) is stored twice on a subgraph counted once, which
-// changes neither count.
+// hash itself. The map carries no tag, and unlike Add, Insert neither
+// looks for an equal stored map nor chains it: Stage I rows are
+// distinct and graph.EnumerateEmbeddings yields each map once, and a
+// map inserted twice (gSpan, which reads only Support, may) is stored
+// twice on a subgraph counted once, which changes no count.
 func (s *Set) Insert(e Embedding) {
-	s.add(e, SubgraphHash(s.patternEdges, e), noTag)
+	s.add(e, SubgraphHash(s.patternEdges, e), noTag, false)
 }
 
 // insertSubgraph records the subgraph e occupies, under the index entry
-// sl naming the map that will represent it, and returns its subgraph id
-// and whether it was new. On equal hashes, equal parent tags prove one
-// subgraph and one parent with different edges proves two; only other
-// pairs are verified exactly. Unequal subgraphs whose hashes collide
-// simply occupy further slots of the probe sequence. The id of a
-// subgraph first recorded by an overflow map is never stored, so it is
-// not looked up.
-func (s *Set) insertSubgraph(e Embedding, sl subSlot) (int32, bool) {
+// sl naming the map that will represent it, and returns the index slot
+// that holds the subgraph and whether it was new. On equal hashes,
+// equal parent tags prove one subgraph and one parent with different
+// edges proves two; only other pairs are verified exactly. Unequal
+// subgraphs whose hashes collide simply occupy further slots of the
+// probe sequence.
+func (s *Set) insertSubgraph(e Embedding, sl subSlot) (int, bool) {
 	if 2*(s.nsubs+1) > len(s.subs) {
 		s.growIndex()
 	}
@@ -308,14 +388,14 @@ func (s *Set) insertSubgraph(e Embedding, sl subSlot) (int32, bool) {
 		if old.ref == 0 {
 			*old = sl
 			s.nsubs++
-			return int32(s.nsubs - 1), true
+			return int(i), true
 		}
 		if old.h != sl.h {
 			continue
 		}
 		if sl.tag.parent >= 0 && old.tag.parent == sl.tag.parent {
 			if old.tag.edge == sl.tag.edge {
-				return s.sidOf(old.ref), false
+				return int(i), false
 			}
 			continue
 		}
@@ -326,18 +406,9 @@ func (s *Set) insertSubgraph(e Embedding, sl subSlot) (int32, bool) {
 		var same bool
 		s.scratchImg, same = sameImage(s.patternEdges, e.Map, m, s.scratchImg)
 		if same {
-			return s.sidOf(old.ref), false
+			return int(i), false
 		}
 	}
-}
-
-// sidOf returns the subgraph id of the map an index reference names, or
-// -1 for an overflow map.
-func (s *Set) sidOf(ref int32) int32 {
-	if ref < 0 {
-		return -1
-	}
-	return s.sids[ref-1]
 }
 
 // growIndex doubles the subgraph index (minimum 8 slots) and reinserts
@@ -392,30 +463,6 @@ func (s *Set) GraphSupport() int {
 	return min(s.nsubs, 1)
 }
 
-// MNI returns the minimum-image-based support (Bringmann & Nijssen): the
-// minimum over pattern vertices of the number of distinct data vertices
-// it maps to. It is anti-monotone in the single-graph setting and
-// provided as an alternative support measure. When the storage cap
-// truncated the set, MNI is computed over the stored sample and is
-// therefore a lower bound on the exact value.
-func (s *Set) MNI() int {
-	if s.n == 0 {
-		return 0
-	}
-	minImg := -1
-	seen := make(map[graph.V]struct{}, s.n)
-	for i := 0; i < s.stride; i++ {
-		clear(seen)
-		for j := 0; j < s.n; j++ {
-			seen[s.vals[j*s.stride+i]] = struct{}{}
-		}
-		if minImg < 0 || len(seen) < minImg {
-			minImg = len(seen)
-		}
-	}
-	return minImg
-}
-
 // Len returns the number of stored embeddings.
 func (s *Set) Len() int { return s.n }
 
@@ -449,8 +496,6 @@ const (
 	EmbeddingCount Measure = iota
 	// GraphCount counts transaction graphs containing the pattern.
 	GraphCount
-	// MNICount uses minimum-image-based support.
-	MNICount
 )
 
 // Count returns the set's support under the given measure.
@@ -458,8 +503,6 @@ func (s *Set) Count(m Measure) int {
 	switch m {
 	case GraphCount:
 		return s.GraphSupport()
-	case MNICount:
-		return s.MNI()
 	default:
 		return s.Support()
 	}

@@ -85,24 +85,6 @@ func TestGraphSupportAndMeasures(t *testing.T) {
 	}
 }
 
-func TestMNI(t *testing.T) {
-	p := testutil.PathGraph(0, 1)
-	s := NewSet(p.Edges(), 0)
-	// Vertex 0 of the pattern maps to {0}, vertex 1 maps to {1,2}: MNI = 1.
-	s.Insert(Embedding{Map: []graph.V{0, 1}})
-	s.Insert(Embedding{Map: []graph.V{0, 2}})
-	if got := s.MNI(); got != 1 {
-		t.Errorf("MNI = %d, want 1", got)
-	}
-	if s.Count(MNICount) != 1 {
-		t.Error("Count(MNICount) wrong")
-	}
-	empty := NewSet(p.Edges(), 0)
-	if empty.MNI() != 0 {
-		t.Error("empty MNI should be 0")
-	}
-}
-
 func TestCountEmbeddingsSingleGraph(t *testing.T) {
 	// Path graph 0-0-0-0: pattern 0-0 has 3 distinct edge subgraphs.
 	g := testutil.PathGraph(0, 0, 0, 0)
@@ -152,27 +134,6 @@ func TestGraphSupportExactPastStorageCap(t *testing.T) {
 	}
 	if got := s.Support(); got != 4 {
 		t.Errorf("Support = %d, want 4 (exact past the cap)", got)
-	}
-}
-
-// TestMNISampleBasedPastStorageCap documents that MNI is computed over
-// the stored sample once the cap truncates, i.e. it is a lower bound.
-func TestMNISampleBasedPastStorageCap(t *testing.T) {
-	p := testutil.PathGraph(0, 1)
-	s := NewSet(p.Edges(), 2)
-	s.Insert(Embedding{Map: []graph.V{0, 1}})
-	s.Insert(Embedding{Map: []graph.V{0, 2}})
-	s.Insert(Embedding{Map: []graph.V{0, 3}}) // counted, not stored
-	if got := s.MNI(); got != 1 {
-		t.Errorf("MNI = %d, want 1 (vertex 0 maps only to {0})", got)
-	}
-	// The sample holds 2 of the 3 images of pattern vertex 1.
-	uncapped := NewSet(p.Edges(), 0)
-	uncapped.Insert(Embedding{Map: []graph.V{0, 1}})
-	uncapped.Insert(Embedding{Map: []graph.V{4, 1}})
-	uncapped.Insert(Embedding{Map: []graph.V{5, 1}})
-	if got := uncapped.MNI(); got != 1 {
-		t.Errorf("uncapped MNI = %d, want 1", got)
 	}
 }
 

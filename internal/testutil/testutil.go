@@ -70,14 +70,7 @@ func PermuteGraph(rng *rand.Rand, g *graph.Graph) (*graph.Graph, []graph.V) {
 
 // PathGraph builds a simple path with the given labels.
 func PathGraph(labels ...graph.Label) *graph.Graph {
-	g := graph.New(len(labels))
-	for _, l := range labels {
-		g.AddVertex(l)
-	}
-	for i := 1; i < len(labels); i++ {
-		g.MustAddEdge(graph.V(i-1), graph.V(i))
-	}
-	return g
+	return graph.NewPath(labels)
 }
 
 // CycleGraph builds a cycle with the given labels (length >= 3).

@@ -110,13 +110,17 @@ func TestGreedyWorkloadStatsPinned(t *testing.T) {
 // its canonical code, its constraint checks and the output check of
 // each emitted pattern in per-worker scratch and copies out only the
 // patterns it emits, so the count follows the 2,597 patterns, not the
-// 40,381 extensions tried: about 25 allocations each, most of them
-// building seeds and copying out emitted patterns. An allocation per
-// extension, per canonical-code traversal or per output check fails
-// it. The byte bound guards the scratch columns' growth by doubling:
-// grown by append's ~1.25× steps, they allocated a third more. Both
-// are bounds, not exact pins, because allocation moves with the Go
-// runtime.
+// 40,381 extensions tried: about 15 allocations each, most of them
+// building seeds at their size and copying out emitted patterns. An
+// allocation per extension, per canonical-code traversal or per output
+// check fails it; so does a seed set grown step by step. The byte
+// bound, 11.7 MB measured, guards the scratch columns' growth by
+// doubling and the one stored map per class of twin swaps: grown by
+// append's ~1.25× steps the columns allocated a third more, and storing
+// every twin swap took 27.3 MB. It leaves room for the race detector's
+// runtime, under which the same mine allocates about a fifth more.
+// Both are bounds, not exact pins, because allocation moves with the
+// Go runtime.
 func TestStage2AllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full greedy mines; run without -short")
@@ -141,10 +145,11 @@ func TestStage2AllocsPinned(t *testing.T) {
 	if patterns != 2597 {
 		t.Fatalf("the workload mined %d patterns; the bounds assume 2,597", patterns)
 	}
-	if limit := 40 * float64(patterns); allocs > limit {
-		t.Errorf("one greedy mine allocated %.0f times for %d patterns; want at most %.0f (40 per pattern)", allocs, patterns, limit)
+	t.Logf("one greedy mine: %.0f allocations, %.2f MB", allocs, mb)
+	if limit := 17 * float64(patterns); allocs > limit {
+		t.Errorf("one greedy mine allocated %.0f times for %d patterns; want at most %.0f (17 per pattern)", allocs, patterns, limit)
 	}
-	if mb > 34 {
-		t.Errorf("one greedy mine allocated %.2f MB; want at most 34 MB", mb)
+	if mb > 18 {
+		t.Errorf("one greedy mine allocated %.2f MB; want at most 18 MB", mb)
 	}
 }
