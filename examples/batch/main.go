@@ -55,9 +55,9 @@ func main() {
 	fmt.Printf("sharded index: %d graphs, σ=%d, %d shards\n",
 		ix.NumGraphs(), ix.Sigma(), ix.Shards())
 
-	// Warm one length, persist the sharded snapshot, and restore it —
-	// the daemon's `-index` path does exactly this.
-	if _, err := ix.Mine(skinnymine.Options{Support: 2, Length: 4, Delta: 1}); err != nil {
+	// Warm one length's Stage I levels, persist the sharded snapshot,
+	// and restore it — the daemon's `-index` path does exactly this.
+	if _, err := ix.MinimalBackbones(4); err != nil {
 		log.Fatal(err)
 	}
 	dir, err := os.MkdirTemp("", "skinnymine-batch-*")
@@ -83,7 +83,10 @@ func main() {
 	// Serve the restored index and fire a mixed batch: an unconstrained
 	// request three times over, a constrained request twice (once with
 	// frivolous whitespace — canonicalization still dedups it), and one
-	// invalid entry that must fail inline without voiding the rest.
+	// invalid entry that must fail inline without voiding the rest. The
+	// unconstrained request asks for the maximal patterns only: the
+	// full enumeration of this database encodes to about 100 MB, which
+	// the batch would repeat once per duplicate entry.
 	srv, err := server.New(server.Config{Index: restored})
 	if err != nil {
 		log.Fatal(err)
@@ -92,9 +95,9 @@ func main() {
 	defer ts.Close()
 
 	batch := `{"requests":[
-		{"length":4,"delta":1},
-		{"length":4,"delta":1},
-		{"length":4,"delta":1},
+		{"length":4,"delta":1,"maximal_only":true},
+		{"length":4,"delta":1,"maximal_only":true},
+		{"length":4,"delta":1,"maximal_only":true},
 		{"length":4,"delta":1,"where":"contains(label='8') && vertices<=12"},
 		{"length":4,"delta":1,"where":"contains(label='8')   &&   vertices<=12"},
 		{"length":0,"delta":1}]}`

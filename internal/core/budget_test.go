@@ -47,16 +47,16 @@ func TestBudgetNotLeakedOnDuplicateSeed(t *testing.T) {
 	m := newTestMiner([]*graph.Graph{g}, opt, 2)
 	sc := m.newGrowScratch()
 
-	if got := m.growSeed(seeds[0], 0, sc); len(got) != 1 {
+	if got := m.growSeed(nil, seeds[0], 0, sc); len(got) != 1 {
 		t.Fatalf("first grow emitted %d patterns, want 1", len(got))
 	}
-	if got := m.growSeed(seeds[0], 0, sc); got != nil {
+	if got := m.growSeed(nil, seeds[0], 0, sc); len(got) != 0 {
 		t.Fatalf("duplicate grow emitted %d patterns, want none", len(got))
 	}
 	if remaining := m.budget.Load(); remaining != 1 {
 		t.Fatalf("duplicate seed leaked a budget slot: %d remaining, want 1", remaining)
 	}
-	if got := m.growSeed(seeds[1], 0, sc); len(got) != 1 {
+	if got := m.growSeed(nil, seeds[1], 0, sc); len(got) != 1 {
 		t.Fatalf("second distinct seed got %d patterns, want 1 (slot should be free)", len(got))
 	}
 }
@@ -104,7 +104,7 @@ func TestLevelGrowDropsChildThatFailedToReserve(t *testing.T) {
 	}
 	// Budget of 1: the first child takes the slot, the second is
 	// generated but must be dropped, not returned.
-	kids := m.levelGrow(p0, 1, sc)
+	kids := m.levelGrow(nil, p0, 1, sc)
 	if len(kids) != 1 {
 		t.Fatalf("levelGrow returned %d children with a budget of 1, want exactly 1", len(kids))
 	}

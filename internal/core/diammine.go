@@ -17,11 +17,12 @@
 // materializes; Stage II reads its seeds straight from that cache. Each
 // step asks a Runner for the next level: the in-process joins run once
 // over all the engine's graphs and apply σ as they collect the
-// candidates. The shard assignment lives outside core: internal/shard
-// splits a level by graph ID for snapshot files and shard workers, and
-// its cross-shard recount rebuilds the level from the shards' shares,
-// both for snapshot restore and for the HTTP Runner, which asks one
-// worker per shard. Mine and MineDB build a request-private engine per
+// candidates. The shard assignment lives outside core: internal/indexio
+// writes each shard's share of a level, by graph ID, into snapshot
+// files and shard workers' posts, and the cross-shard recount of
+// internal/shard rebuilds the level from the shards' shares, both for
+// snapshot restore and for the HTTP Runner, which asks one worker per
+// shard. Mine and MineDB build a request-private engine per
 // call, which may prune inside its joins; a shared engine (the serving
 // index) never does.
 //
@@ -30,10 +31,14 @@
 // A level is stored as columns: each PathPattern holds its label
 // sequence, a graph-ID column and one flat vertex column of stride l+1,
 // and a level's patterns share level-wide backing arrays that hold no
-// pointers. The joins append candidate rows to per-worker columns,
-// bucketed by an id over a flat label arena, so nothing is allocated
-// per candidate or per bucket; collect keeps the frequent buckets and
-// scatters only their rows into the level's columns.
+// pointers. The joins read the previous level as a pool, its rows in
+// two flat columns (level 1 joins a pool of single vertices along the
+// edges). A candidate row is the pair of pool rows it joins, 12 bytes
+// with its bucket whatever the path's length, appended to per-worker
+// blocks and bucketed by an id over a flat label arena, so nothing is
+// allocated per candidate or per bucket. collect keeps the frequent
+// buckets and copies only their rows from the pool into the level's
+// columns, ordering them by pool row numbers (copyRows).
 //
 // The joins assemble every oriented path exactly once, from one pair of
 // shorter stored paths, and store both orientations. So candidates are
@@ -122,13 +127,14 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s, max(n, cap(s)))
 }
 
-// cands holds one worker's candidate rows of a level step as columns:
-// row i is an oriented path in graph gid[i] visiting
-// verts[i*s:(i+1)*s], a member of bucket bucket[i]. A bucket is one
-// candidate pattern: an id whose canonical label sequence is
-// labels[b*s:(b+1)*s], found through an open-addressed hash table, with
-// counts of its rows and of its canonical-forward rows. Nothing is
-// allocated per row or per bucket.
+// cands holds one worker's candidate rows of a level step. A row is a
+// pair (a, b) of rows of the step's pool: the path pool.row(a) ++
+// pool.row(b)[skip:], s vertices in graph pool.gid[a], in one bucket.
+// A bucket is one candidate pattern: an id whose canonical label
+// sequence is labels[b*s:(b+1)*s], found through an open-addressed hash
+// table, with counts of its rows and of its canonical-forward rows. A
+// row costs 12 bytes whatever its length, and nothing is allocated per
+// row or per bucket.
 type cands struct {
 	s      int
 	labels []graph.Label
@@ -136,9 +142,34 @@ type cands struct {
 	rows   []int32  // per bucket
 	fwd    []int32  // per bucket: rows that read canonically forward
 	table  []uint64 // per slot: the bucket hash's high half, then bucket id + 1; 0 when empty
-	bucket []int32  // per row
-	gid    []int32  // per row
-	verts  []graph.V
+	blocks [][]candRow
+}
+
+// candRow is one candidate row: the pool rows a and b it joins, and its
+// bucket.
+type candRow struct{ bucket, a, b int32 }
+
+// Candidate rows are appended to blocks that double from minBlock to
+// maxBlock rows and are never copied: a level step's rows outnumber
+// what it keeps several times over, so moving them as one growing
+// column would copy each about twice.
+const (
+	minBlock = 1 << 8
+	maxBlock = 1 << 16
+)
+
+// addRow appends a row, starting a block when the last one is full.
+func (c *cands) addRow(r candRow) {
+	n := len(c.blocks)
+	if n == 0 || len(c.blocks[n-1]) == cap(c.blocks[n-1]) {
+		size := minBlock
+		if n > 0 {
+			size = min(2*cap(c.blocks[n-1]), maxBlock)
+		}
+		c.blocks = append(c.blocks, make([]candRow, 0, size))
+		n++
+	}
+	c.blocks[n-1] = append(c.blocks[n-1], r)
 }
 
 func newCands(s int) *cands {
@@ -200,29 +231,18 @@ func (c *cands) rehash() {
 	}
 }
 
-// addRow appends a row to bucket b; its vertices are already the last
-// s of verts.
-func (c *cands) addRow(b, gid int32) {
-	c.bucket = append(grow(c.bucket, 1), b)
-	c.gid = append(grow(c.gid, 1), gid)
-	c.rows[b]++
-	if CanonicalForward(c.verts[len(c.verts)-c.s:]) {
-		c.fwd[b]++
-	}
-}
-
-// rowRef names row i of worker w's candidate columns.
-type rowRef struct{ w, i int32 }
-
 // collect turns the workers' candidate rows into a level. It folds the
 // workers' buckets by label sequence, keeps those with at least minSup
 // canonical-forward rows (the support: each path subgraph is one
-// canonical-forward row), and scatters only their rows into level-wide
-// columns: patterns ascend by label sequence, and each pattern's rows
-// by (graph ID, vertex sequence), sorted as row references, the
-// patterns spread over the worker budget. The joins apply the runner's
-// threshold here.
-func collect(ws []*cands, minSup, workers int) []*PathPattern {
+// canonical-forward row), and copies only their rows from the pool into
+// level-wide columns: patterns ascend by label sequence, and each
+// pattern's rows by (graph ID, vertex sequence), the patterns spread
+// over the worker budget. The joins apply the runner's threshold here.
+//
+// A pattern's rows are ordered as (a, b) integer pairs, and only where
+// their a rows lie in two pool patterns are pool rows compared
+// (copyRows).
+func collect(ws []*cands, pl *pool, skip, minSup, workers int) []*PathPattern {
 	if len(ws) == 0 {
 		return nil
 	}
@@ -260,36 +280,31 @@ func collect(ws []*cands, minSup, workers int) []*PathPattern {
 		pat[b] = int32(k)
 		off[k+1] = off[k] + int(g.rows[b])
 	}
-	refs := make([]rowRef, off[len(keep)])
+	pairs := make([]uint64, off[len(keep)])
 	next := slices.Clone(off[:len(keep)])
 	for w, c := range ws {
-		for i, b := range c.bucket {
-			if w > 0 {
-				b = remap[w][b]
-			}
-			if k := pat[b]; k >= 0 {
-				refs[next[k]] = rowRef{int32(w), int32(i)}
-				next[k]++
+		for _, blk := range c.blocks {
+			for _, r := range blk {
+				b := r.bucket
+				if w > 0 {
+					b = remap[w][b]
+				}
+				if k := pat[b]; k >= 0 {
+					pairs[next[k]] = uint64(r.a)<<32 | uint64(r.b)
+					next[k]++
+				}
 			}
 		}
 	}
-	row := func(r rowRef) []graph.V { return ws[r.w].verts[int(r.i)*s : int(r.i+1)*s] }
-	byRow := func(a, b rowRef) int {
-		return compareRows(ws[a.w].gid[a.i], row(a), ws[b.w].gid[b.i], row(b))
-	}
-	gids := make([]int32, len(refs))
-	verts := make([]graph.V, len(refs)*s)
+	gids := make([]int32, len(pairs))
+	verts := make([]graph.V, len(pairs)*s)
 	seqs := make([]graph.Label, len(keep)*s)
 	pats := make([]PathPattern, len(keep))
 	out := make([]*PathPattern, len(keep))
 	fanOut(len(keep), workers, 16, func(_, from, to int) {
 		for k := from; k < to; k++ {
 			b, lo, hi := keep[k], off[k], off[k+1]
-			slices.SortFunc(refs[lo:hi], byRow)
-			for j, r := range refs[lo:hi] {
-				gids[lo+j] = ws[r.w].gid[r.i]
-				copy(verts[(lo+j)*s:], row(r))
-			}
+			pl.copyRows(pairs[lo:hi], skip, gids[lo:hi], verts[lo*s:hi*s])
 			copy(seqs[k*s:], seqOf(b))
 			pats[k] = PathPattern{
 				Seq:     seqs[k*s : (k+1)*s : (k+1)*s],
@@ -301,6 +316,43 @@ func collect(ws []*cands, minSup, workers int) []*PathPattern {
 		}
 	})
 	return out
+}
+
+// copyRows writes one pattern's candidate rows, given as a<<32|b pairs
+// of its pool rows, into its graph-ID and vertex columns in (graph ID,
+// vertex sequence) order.
+//
+// A row reads its pattern's canonical sequence S forward or reversed,
+// and its a row's labels decide which (both readings are possible only
+// when S is a palindrome, and then they coincide). So the b rows joined
+// to one a row carry one label sequence, lie in one pool pattern and,
+// sharing a's graph and the joint vertices, ascend there by their
+// tails; distinct a rows of one pool pattern ascend as well. Hence rows
+// whose a rows lie in one pool pattern order as the pairs (a, b). The a
+// rows lie in at most two pool patterns, those of S's prefix and of
+// reverse(S)'s, and two rows whose a rows lie in different patterns
+// differ already in (graph ID, a row), so the two runs merge on pool
+// rows alone.
+func (pl *pool) copyRows(pairs []uint64, skip int, gids []int32, verts []graph.V) {
+	slices.Sort(pairs)
+	rowA := func(i int) int32 { return int32(pairs[i] >> 32) }
+	mid := 0
+	if len(pairs) > 0 {
+		mid, _ = slices.BinarySearch(pairs, uint64(pl.patternStart(rowA(len(pairs)-1)))<<32)
+	}
+	s := 2*pl.s - skip
+	i, j := 0, mid
+	for n := range pairs {
+		x := &j
+		if j == len(pairs) || i < mid && compareRows(pl.gid[rowA(i)], pl.row(rowA(i)), pl.gid[rowA(j)], pl.row(rowA(j))) < 0 {
+			x = &i
+		}
+		a, b := rowA(*x), int32(uint32(pairs[*x]))
+		*x++
+		gids[n] = pl.gid[a]
+		v := verts[n*s : (n+1)*s]
+		copy(v[copy(v, pl.row(a)):], pl.row(b)[skip:])
+	}
 }
 
 // fanOut runs body over [0, n) in chunks claimed from a shared counter
@@ -373,8 +425,8 @@ func NewJoinRunner(graphs []*graph.Graph) Runner {
 }
 
 // Edges implements Runner.
-func (r *localRunner) Edges(context.Context, int) ([]*PathPattern, error) {
-	return r.edges(), nil
+func (r *localRunner) Edges(_ context.Context, workers int) ([]*PathPattern, error) {
+	return r.edges(workers), nil
 }
 
 // Concat implements Runner.
@@ -390,27 +442,30 @@ func (r *localRunner) Merge(_ context.Context, pool []*PathPattern, l, m, worker
 // Close implements Runner; the in-process joins hold no resources.
 func (r *localRunner) Close() error { return nil }
 
-// edges buckets the length-1 paths of every graph, both orientations of
-// each edge, and applies the runner's threshold.
-func (r *localRunner) edges() []*PathPattern {
-	c := newCands(2)
-	sc := r.newJoinScratch()
-	for gid, g := range r.graphs {
-		for _, e := range g.Edges() {
-			r.add(c, sc, int32(gid), []graph.V{e.U, e.W}, nil)
-			r.add(c, sc, int32(gid), []graph.V{e.W, e.U}, nil)
+// edges joins the level-0 pool of single vertices along every edge,
+// both orientations, and applies the runner's threshold.
+func (r *localRunner) edges(workers int) []*PathPattern {
+	pl := r.vertexPool()
+	return r.joinRows(&pl, 0, workers, func(lo, hi int32, c *cands, sc *joinScratch) {
+		for a := lo; a < hi; a++ {
+			u := pl.verts[a]
+			for _, w := range r.graphs[pl.gid[a]].Neighbors(u) {
+				r.add(c, sc, &pl, 0, a, a-int32(u)+int32(w))
+			}
 		}
-	}
-	return collect([]*cands{c}, r.minSup, 1)
+	})
 }
 
 // pool is a level's rows gathered into two flat columns, the work list
 // and join index the joins read: row j lives in graph gid[j] and visits
-// verts[j*s:(j+1)*s].
+// verts[j*s:(j+1)*s]. Each pattern's rows are contiguous and ascend by
+// (graph ID, vertex sequence), and starts holds each pattern's first
+// row.
 type pool struct {
-	s     int
-	gid   []int32
-	verts []graph.V
+	s      int
+	gid    []int32
+	verts  []graph.V
+	starts []int32
 }
 
 func newPool(ps []*PathPattern) pool {
@@ -421,16 +476,44 @@ func newPool(ps []*PathPattern) pool {
 	for _, p := range ps {
 		n += len(p.GIDs)
 	}
-	pl := pool{s: len(ps[0].Seq), gid: make([]int32, 0, n), verts: make([]graph.V, 0, n*len(ps[0].Seq))}
-	for _, p := range ps {
+	pl := pool{s: len(ps[0].Seq), gid: make([]int32, 0, n), verts: make([]graph.V, 0, n*len(ps[0].Seq)), starts: make([]int32, len(ps))}
+	for i, p := range ps {
+		pl.starts[i] = int32(len(pl.gid))
 		pl.gid = append(pl.gid, p.GIDs...)
 		pl.verts = append(pl.verts, p.Verts...)
 	}
 	return pl
 }
 
-func (pl pool) row(j int32) graph.Path {
+// vertexPool is level 0: one row per vertex of every graph, in (graph
+// ID, vertex) order, as one pattern. So vertex v of graph gid is row
+// v plus the row of the graph's vertex 0.
+func (r *localRunner) vertexPool() pool {
+	n := 0
+	for _, g := range r.graphs {
+		n += g.N()
+	}
+	pl := pool{s: 1, gid: make([]int32, 0, n), verts: make([]graph.V, 0, n), starts: []int32{0}}
+	for gid, g := range r.graphs {
+		for v := range g.N() {
+			pl.gid = append(pl.gid, int32(gid))
+			pl.verts = append(pl.verts, graph.V(v))
+		}
+	}
+	return pl
+}
+
+func (pl *pool) row(j int32) graph.Path {
 	return pl.verts[int(j)*pl.s : int(j+1)*pl.s]
+}
+
+// patternStart returns the first row of the pattern holding row j.
+func (pl *pool) patternStart(j int32) int32 {
+	i, found := slices.BinarySearch(pl.starts, j)
+	if !found {
+		i--
+	}
+	return pl.starts[i]
 }
 
 // rowIndex chains a pool's rows by a 64-bit key: an open-addressed
@@ -475,24 +558,25 @@ func (x *rowIndex) first(k uint64) int32 {
 	return -1
 }
 
-// joinRows runs a join body over the pool rows [0, n), which appends
-// candidate rows of sequence length s, and collects them into the
-// level. With two or more workers, each fills private columns (with
-// private scratch) over contiguous chunks of rows. Each candidate lands
-// in exactly one worker's columns and collect sorts everything it
+// joinRows runs a join body over the pool's rows, which appends
+// candidate rows pool.row(a) ++ pool.row(b)[skip:], and collects them
+// into the level. With two or more workers, each fills private columns
+// (with private scratch) over contiguous chunks of rows. Each candidate
+// lands in exactly one worker's columns and collect sorts everything it
 // emits, so the level is identical to the sequential one regardless of
 // scheduling.
-func (r *localRunner) joinRows(n, workers, s int, run func(lo, hi int32, c *cands, sc *joinScratch)) []*PathPattern {
+func (r *localRunner) joinRows(pl *pool, skip, workers int, run func(lo, hi int32, c *cands, sc *joinScratch)) []*PathPattern {
+	n := len(pl.gid)
 	workers = max(min(workers, n), 1)
 	ws := make([]*cands, workers)
 	scs := make([]*joinScratch, workers)
 	fanOut(n, workers, max(n/(workers*8), 1), func(w, lo, hi int) {
 		if ws[w] == nil {
-			ws[w], scs[w] = newCands(s), r.newJoinScratch()
+			ws[w], scs[w] = newCands(2*pl.s-skip), r.newJoinScratch()
 		}
 		run(int32(lo), int32(hi), ws[w], scs[w])
 	})
-	return collect(slices.DeleteFunc(ws, func(c *cands) bool { return c == nil }), r.minSup, workers)
+	return collect(slices.DeleteFunc(ws, func(c *cands) bool { return c == nil }), pl, skip, r.minSup, workers)
 }
 
 // concat joins pairs of frequent paths of length L end-to-end into
@@ -510,7 +594,7 @@ func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
 		keys[j] = gidVertexKey(pl.gid[j], pl.verts[j*pl.s])
 	}
 	idx := newRowIndex(keys)
-	return r.joinRows(n, workers, 2*L+1, func(lo, hi int32, c *cands, sc *joinScratch) {
+	return r.joinRows(&pl, 1, workers, func(lo, hi int32, c *cands, sc *joinScratch) {
 		for j := lo; j < hi; j++ {
 			gid, a := pl.gid[j], pl.row(j)
 			first := idx.first(gidVertexKey(gid, a[L]))
@@ -522,8 +606,8 @@ func (r *localRunner) concat(prev []*PathPattern, workers int) []*PathPattern {
 				sc.inA.mark(v)
 			}
 			for b := first; b >= 0; b = idx.next[b] {
-				if bs := pl.row(b); disjointAfter(sc.inA, bs, 0) {
-					r.add(c, sc, gid, a, bs[1:])
+				if disjointAfter(sc.inA, pl.row(b), 0) {
+					r.add(c, sc, &pl, 1, j, b)
 				}
 			}
 		}
@@ -547,7 +631,7 @@ func (r *localRunner) merge(prev []*PathPattern, l, pm int, workers int) []*Path
 		keys[j] = hashGidSeq(pl.gid[j], pl.row(int32(j))[:o+1])
 	}
 	idx := newRowIndex(keys)
-	return r.joinRows(n, workers, l+1, func(lo, hi int32, c *cands, sc *joinScratch) {
+	return r.joinRows(&pl, o+1, workers, func(lo, hi int32, c *cands, sc *joinScratch) {
 		for j := lo; j < hi; j++ {
 			gid, a := pl.gid[j], pl.row(j)
 			suffix := a[len(a)-o-1:]
@@ -565,18 +649,19 @@ func (r *localRunner) merge(prev []*PathPattern, l, pm int, workers int) []*Path
 					continue // hash collision
 				}
 				if disjointAfter(sc.inA, bs, o) {
-					r.add(c, sc, gid, a, bs[o+1:])
+					r.add(c, sc, &pl, o+1, j, b)
 				}
 			}
 		}
 	})
 }
 
-// add appends the candidate path head+tail of graph gid to the bucket
-// of its canonical label sequence. Labels are gathered into the
-// worker's scratch buffer and hashed in canonical direction.
-func (r *localRunner) add(c *cands, sc *joinScratch, gid int32, head, tail graph.Path) {
-	g := r.graphs[gid]
+// add appends the candidate path pool.row(a) ++ pool.row(b)[skip:] to
+// the bucket of its canonical label sequence. Labels are gathered into
+// the worker's scratch buffer and hashed in canonical direction.
+func (r *localRunner) add(c *cands, sc *joinScratch, pl *pool, skip int, a, b int32) {
+	g := r.graphs[pl.gid[a]]
+	head, tail := pl.row(a), pl.row(b)[skip:]
 	sc.labels = sc.labels[:0]
 	for _, v := range head {
 		sc.labels = append(sc.labels, g.Label(v))
@@ -594,9 +679,14 @@ func (r *localRunner) add(c *cands, sc *joinScratch, gid int32, head, tail graph
 		return
 	}
 	fwd := canonLabelsForward(sc.labels)
-	b := c.find(sc.labels, fwd, hashLabelsDir(sc.labels, fwd))
-	c.verts = append(append(grow(c.verts, c.s), head...), tail...)
-	c.addRow(b, gid)
+	bk := c.find(sc.labels, fwd, hashLabelsDir(sc.labels, fwd))
+	c.addRow(candRow{bk, a, b})
+	c.rows[bk]++
+	// A simple path's end vertices differ, so they alone decide whether
+	// it reads canonically forward (CanonicalForward).
+	if head[0] < tail[len(tail)-1] {
+		c.fwd[bk]++
+	}
 }
 
 // compareRows orders embeddings by graph ID, then vertex sequence: the

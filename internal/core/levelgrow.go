@@ -68,6 +68,7 @@ type growScratch struct {
 	todo        []greedyDesc
 	found       []bool
 	code        dfscode.Scratch
+	grown       []*Pattern // the cluster growSeed grows
 }
 
 func (m *miner) newGrowScratch() *growScratch {
@@ -446,9 +447,9 @@ type greedyDesc struct {
 // order. The absorption sequence is that of recomputing the candidates
 // after every absorption; only the retries of Theorem 1–2 rejects are
 // saved.
-func (m *miner) greedyLevelGrow(p *Pattern, level int32, sc *growScratch) []*Pattern {
+func (m *miner) greedyLevelGrow(dst []*Pattern, p *Pattern, level int32, sc *growScratch) []*Pattern {
 	if m.budgetExhausted() {
-		return nil // don't grind a full greedy fixpoint just to drop it
+		return dst // don't grind a full greedy fixpoint just to drop it
 	}
 	todo := sc.todo[:0]
 	for _, d := range m.candidates(p, level, sc) {
@@ -507,17 +508,17 @@ func (m *miner) greedyLevelGrow(p *Pattern, level int32, sc *growScratch) []*Pat
 	}
 	sc.todo = todo
 	if cur == p {
-		return nil
+		return dst
 	}
 	m.stats.generated.Add(1)
 	if !m.dedup(cur, sc) {
 		m.stats.duplicates.Add(1)
-		return nil
+		return dst
 	}
 	if !m.consumeBudget() {
-		return nil // MaxPatterns budget exhausted; drop, don't emit
+		return dst // MaxPatterns budget exhausted; drop, don't emit
 	}
-	return []*Pattern{cur.clone()}
+	return append(dst, cur.clone())
 }
 
 // insertBackward inserts into the sorted worklist the backward
@@ -609,60 +610,61 @@ func (m *miner) countReject(r rejectReason) {
 	}
 }
 
-// levelGrow expands p with every valid non-empty set of level-i edges,
-// returning all distinct (by canonical code) valid frequent children,
-// transitively. Every returned pattern holds a reserved MaxPatterns
-// budget slot: the slot is taken only after the child passes dedup, and
-// a child that fails to reserve one is dropped, so the number of
-// patterns emitted across all workers never exceeds the budget.
-func (m *miner) levelGrow(p *Pattern, level int32, sc *growScratch) []*Pattern {
+// levelGrow expands p with every valid non-empty set of level-i edges
+// and appends to dst all distinct (by canonical code) valid frequent
+// children, transitively. Every appended pattern holds a reserved
+// MaxPatterns budget slot: the slot is taken only after the child
+// passes dedup, and a child that fails to reserve one is dropped, so
+// the number of patterns emitted across all workers never exceeds the
+// budget.
+func (m *miner) levelGrow(dst []*Pattern, p *Pattern, level int32, sc *growScratch) []*Pattern {
 	if m.opt.GreedyGrow {
-		return m.greedyLevelGrow(p, level, sc)
+		return m.greedyLevelGrow(dst, p, level, sc)
 	}
 	if m.budgetExhausted() {
-		return nil
+		return dst
 	}
-	var out []*Pattern
-	frontier := []*Pattern{p}
-	for len(frontier) > 0 {
-		var next []*Pattern
-		for _, cur := range frontier {
-			for _, d := range m.candidates(cur, level, sc) {
-				if cur.hasAnchor && compareDesc(d, cur.anchor) < 0 {
-					continue
-				}
-				m.stats.extensionsTried.Add(1)
-				child, reason := m.extend(cur, d, level, sc)
-				m.countReject(reason)
-				if child == nil {
-					if reason == passed {
-						m.stats.frequencyRejects.Add(1)
-					}
-					continue
-				}
-				// Constraint pushdown, before the (expensive) canonical
-				// code: an anti-monotone violation cuts the child and
-				// its whole subtree, exactly the patterns the output
-				// filter would have dropped one by one.
-				if m.rejectPushdown(child) {
-					m.stats.pushdownRejects.Add(1)
-					continue
-				}
-				m.stats.generated.Add(1)
-				if !m.dedup(child, sc) {
-					m.stats.duplicates.Add(1)
-					continue
-				}
-				if !m.consumeBudget() {
-					// Budget exhausted: the child could not reserve a
-					// slot, so it is NOT part of the result.
-					return append(out, next...)
-				}
-				next = append(next, child.clone())
+	// Breadth first: dst[next:] are the children appended and not yet
+	// expanded.
+	next := len(dst)
+	for cur := p; ; {
+		for _, d := range m.candidates(cur, level, sc) {
+			if cur.hasAnchor && compareDesc(d, cur.anchor) < 0 {
+				continue
 			}
+			m.stats.extensionsTried.Add(1)
+			child, reason := m.extend(cur, d, level, sc)
+			m.countReject(reason)
+			if child == nil {
+				if reason == passed {
+					m.stats.frequencyRejects.Add(1)
+				}
+				continue
+			}
+			// Constraint pushdown, before the (expensive) canonical
+			// code: an anti-monotone violation cuts the child and its
+			// whole subtree, exactly the patterns the output filter
+			// would have dropped one by one.
+			if m.rejectPushdown(child) {
+				m.stats.pushdownRejects.Add(1)
+				continue
+			}
+			m.stats.generated.Add(1)
+			if !m.dedup(child, sc) {
+				m.stats.duplicates.Add(1)
+				continue
+			}
+			if !m.consumeBudget() {
+				// Budget exhausted: the child could not reserve a
+				// slot, so it is NOT part of the result.
+				return dst
+			}
+			dst = append(dst, child.clone())
 		}
-		out = append(out, next...)
-		frontier = next
+		if next == len(dst) {
+			return dst
+		}
+		cur = dst[next]
+		next++
 	}
-	return out
 }

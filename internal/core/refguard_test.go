@@ -325,26 +325,43 @@ func assertSamePatterns(t *testing.T, label string, got, want []*PathPattern) {
 
 // TestHashBucketsMatchReference compares the hash-keyed Stage I against
 // the string-keyed reference across random graphs, every length that
-// exercises edges, doubling AND merging, and both support thresholds.
+// exercises edges, doubling AND merging, both support thresholds (σ=1
+// is the shard workers' threshold) and 1, 2 and 8 join workers. Every
+// level also passes ValidateLevel, so the joins' integer row order
+// (copyRows) is held to (graph ID, vertex sequence) order.
 func TestHashBucketsMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomConnectedGraph(rng, 24+rng.Intn(16), 12, 3)
 		for _, sigma := range []int{1, 2} {
-			dm, err := NewEngine([]*graph.Graph{g}, sigma)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dm.SetConcurrency(1)
 			ref := newRefMiner([]*graph.Graph{g}, sigma)
-			for l := 1; l <= 5; l++ { // l=3,5 exercise the merge join
-				got, err := dm.Level(context.Background(), l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSamePatterns(t, fmt.Sprintf("seed=%d σ=%d l=%d", seed, sigma, l), got, ref.mine(l))
+			for _, workers := range []int{1, 2, 8} {
+				assertLevelsMatchReference(t, fmt.Sprintf("seed=%d σ=%d workers=%d", seed, sigma, workers),
+					[]*graph.Graph{g}, sigma, workers, []int{1, 2, 3, 4, 5}, ref) // l=3,5 exercise the merge join
 			}
 		}
+	}
+}
+
+// assertLevelsMatchReference materializes the levels of an engine over
+// graphs with the given join workers and checks that each passes
+// ValidateLevel and equals the reference's.
+func assertLevelsMatchReference(t *testing.T, name string, graphs []*graph.Graph, sigma, workers int, levels []int, ref *refMiner) {
+	t.Helper()
+	dm, err := NewEngine(graphs, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm.SetConcurrency(workers)
+	for _, l := range levels {
+		got, err := dm.Level(context.Background(), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateLevel(graphs, l, got); err != nil {
+			t.Fatalf("%s l=%d: %v", name, l, err)
+		}
+		assertSamePatterns(t, fmt.Sprintf("%s l=%d", name, l), got, ref.mine(l))
 	}
 }
 
@@ -358,17 +375,9 @@ func TestHashBucketsMatchReferenceTransaction(t *testing.T) {
 		testutil.RandomConnectedGraph(rng, 25, 10, 2),
 		testutil.RandomConnectedGraph(rng, 15, 6, 2),
 	}
-	dm, err := NewEngine(db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := newRefMiner(db, 2)
-	for l := 1; l <= 4; l++ {
-		got, err := dm.Level(context.Background(), l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePatterns(t, fmt.Sprintf("db l=%d", l), got, ref.mine(l))
+	for _, workers := range []int{1, 2, 8} {
+		assertLevelsMatchReference(t, fmt.Sprintf("db workers=%d", workers), db, 2, workers, []int{1, 2, 3, 4, 6}, ref)
 	}
 }
 

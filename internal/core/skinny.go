@@ -451,15 +451,25 @@ func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
 	if maxDelta < 0 {
 		maxDelta = maxLevels
 	}
-	perSeed := make([][]*Pattern, len(seeds))
+	// Each worker appends its seeds' patterns to its own slice; spans
+	// records where each seed's landed, so they are gathered in seed
+	// order with one copy.
+	type span struct{ w, lo, hi int }
+	spans := make([]span, len(seeds))
 	workers := opt.Concurrency
 	if workers > len(seeds) {
 		workers = len(seeds)
 	}
+	grown := make([][]*Pattern, max(workers, 1))
+	growAt := func(w, i int, sc *growScratch) {
+		lo := len(grown[w])
+		grown[w] = m.growSeed(grown[w], seeds[i], maxDelta, sc)
+		spans[i] = span{w, lo, len(grown[w])}
+	}
 	if workers < 2 {
 		sc := m.newGrowScratch()
-		for i, pp := range seeds {
-			perSeed[i] = m.growSeed(pp, maxDelta, sc)
+		for i := range seeds {
+			growAt(0, i, sc)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -474,15 +484,19 @@ func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
 					if i >= len(seeds) {
 						return
 					}
-					perSeed[i] = m.growSeed(seeds[i], maxDelta, sc)
+					growAt(w, i, sc)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	var out []*Pattern
-	for _, ps := range perSeed {
-		out = append(out, ps...)
+	n := 0
+	for _, ps := range grown {
+		n += len(ps)
+	}
+	out := make([]*Pattern, 0, n)
+	for _, sp := range spans {
+		out = append(out, grown[sp.w][sp.lo:sp.hi]...)
 	}
 	// Canonical output order: seeds race only through the shared dedup
 	// set, so the merged set is scheduling-independent; sorting by
@@ -507,13 +521,13 @@ func (e *Engine) mine(ctx context.Context, opt Options) (*Result, error) {
 }
 
 // growSeed grows one canonical diameter's cluster to completion (or
-// until the shared MaxPatterns budget runs dry) and returns the
-// patterns that pass validateOutput. Budget slots are reserved only
-// after dedup succeeds — a duplicate seed must not leak a slot — and a
-// seed that cannot reserve one is dropped.
-func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Pattern {
+// until the shared MaxPatterns budget runs dry) in the worker's scratch
+// and appends to dst the patterns that pass validateOutput. Budget
+// slots are reserved only after dedup succeeds — a duplicate seed must
+// not leak a slot — and a seed that cannot reserve one is dropped.
+func (m *miner) growSeed(dst []*Pattern, pp *PathPattern, maxDelta int, sc *growScratch) []*Pattern {
 	if m.budgetExhausted() {
-		return nil
+		return dst
 	}
 	p0 := newPatternFromPath(pp, m.graphs, m.opt.MaxEmbeddings)
 	// Stage I keeps a path when its distinct subgraphs reach σ, the
@@ -522,36 +536,37 @@ func (m *miner) growSeed(pp *PathPattern, maxDelta int, sc *growScratch) []*Patt
 	// everything grown from it, is infrequent.
 	if p0.Embs.Count(m.opt.Measure) < m.opt.Support {
 		m.stats.frequencyRejects.Add(1)
-		return nil
+		return dst
 	}
 	// Support-dependent pushdown conjuncts could not run at seed
 	// selection (path support measures differ from pattern support);
 	// they cut the seed — and its whole cluster — here instead.
 	if m.rejectPushdown(p0) {
 		m.stats.pushdownRejects.Add(1)
-		return nil
+		return dst
 	}
 	if !m.dedup(p0, sc) {
-		return nil
+		return dst
 	}
 	if !m.consumeBudget() {
-		return nil
+		return dst
 	}
-	out := []*Pattern{p0}
-	frontier := []*Pattern{p0}
-	for level := int32(1); level <= int32(maxDelta); level++ {
-		var next []*Pattern
-		for _, p := range frontier {
+	// The cluster grows in sc.grown, level by level: out[lo:hi] is the
+	// frontier, the patterns the previous level added.
+	out := append(sc.grown[:0], p0)
+	for level, lo := int32(1), 0; level <= int32(maxDelta); level++ {
+		hi := len(out)
+		for _, p := range out[lo:hi] {
 			p.hasAnchor = false // Panchor ordering restarts per level
-			next = append(next, m.levelGrow(p, level, sc)...)
+			out = m.levelGrow(out, p, level, sc)
 		}
-		if len(next) == 0 {
+		if len(out) == hi {
 			break
 		}
-		out = append(out, next...)
-		frontier = next
+		lo = hi
 	}
-	return m.validateOutput(out, sc)
+	sc.grown = out
+	return m.validateOutput(dst, out, sc)
 }
 
 // dedup registers the pattern's canonical code, reporting true when new.
@@ -611,16 +626,15 @@ func (m *miner) filterOutput(ps []*Pattern) []*Pattern {
 // also what makes a band mine exactly the union of its per-length mines
 // (the partition SeedLengths and the serving layer's shared-plan
 // forking rely on).
-func (m *miner) validateOutput(ps []*Pattern, sc *growScratch) []*Pattern {
-	out := ps[:0]
+func (m *miner) validateOutput(dst, ps []*Pattern, sc *growScratch) []*Pattern {
 	for _, p := range ps {
 		if checkClaim(p.G, p.DiamLen, sc) != passed {
 			m.stats.outputInvalid.Add(1)
 			continue
 		}
-		out = append(out, p)
+		dst = append(dst, p)
 	}
-	return out
+	return dst
 }
 
 // closedOnly keeps patterns with no strict super-pattern of equal

@@ -2,7 +2,8 @@
 // core.Engine materialized, the pre-computed side of the paper's direct
 // mining deployment (Figure 2) — so a serving process can skip Stage I
 // entirely on restart. A one-part index is one v1 stream; a sharded
-// index is one v1 stream per shard under a manifest (manifest.go).
+// index is one v1 stream per shard under a manifest (manifest.go),
+// each written straight from the database's levels (share.go).
 //
 // The format is a versioned binary stream:
 //
@@ -83,7 +84,13 @@ func allocHint(n int) int {
 
 // Save writes a snapshot of the index and its label table to w.
 func Save(w io.Writer, st core.IndexState, lt *graph.LabelTable) error {
-	if len(st.Graphs) == 0 {
+	return save(w, st, lt, share{})
+}
+
+// save writes the snapshot of the share sh of st.
+func save(w io.Writer, st core.IndexState, lt *graph.LabelTable, sh share) error {
+	graphs := sh.graphs(st.Graphs)
+	if len(graphs) == 0 {
 		return fmt.Errorf("indexio: refusing to save an index with no graphs")
 	}
 	crc := crc32.NewIEEE()
@@ -98,8 +105,8 @@ func Save(w io.Writer, st core.IndexState, lt *graph.LabelTable) error {
 		writeUvarint(bw, uint64(len(name)))
 		bw.WriteString(name)
 	}
-	writeUvarint(bw, uint64(len(st.Graphs)))
-	for _, g := range st.Graphs {
+	writeUvarint(bw, uint64(len(graphs)))
+	for _, g := range graphs {
 		writeUvarint(bw, uint64(g.N()))
 		for _, lab := range g.Labels() {
 			writeUvarint(bw, uint64(lab))
@@ -119,10 +126,12 @@ func Save(w io.Writer, st core.IndexState, lt *graph.LabelTable) error {
 	sort.Ints(lengths)
 	writeUvarint(bw, uint64(len(lengths)))
 	for _, l := range lengths {
-		writeUvarint(bw, uint64(l))
-		if err := writePatterns(bw, st.Levels[l], l+1); err != nil {
+		n, err := sh.patterns(st.Levels[l], l+1)
+		if err != nil {
 			return err
 		}
+		writeUvarint(bw, uint64(l))
+		writePatterns(bw, st.Levels[l], l+1, n, sh)
 	}
 	// Flush the payload into the CRC before sealing it; the checksum
 	// itself bypasses the hash.
@@ -160,29 +169,28 @@ func writeRow(bw *bufio.Writer, v uint64, row []graph.V) {
 	bw.Write(b)
 }
 
-// writePatterns writes one level's pattern records, every label and
-// vertex sequence seqLen long: the layout the snapshot and the level
-// stream share. A sequence of another length is an error, because the
-// reader could not frame it.
-func writePatterns(bw *bufio.Writer, ps []*core.PathPattern, seqLen int) error {
-	writeUvarint(bw, uint64(len(ps)))
-	for i, p := range ps {
-		if len(p.Seq) != seqLen {
-			return fmt.Errorf("indexio: pattern %d has %d labels, want %d", i, len(p.Seq), seqLen)
+// writePatterns writes the records of the n patterns of a level that
+// the share sh holds, every label and vertex sequence seqLen long: the
+// layout the snapshot and the level stream share. sh.patterns has
+// checked the level and counted n.
+func writePatterns(bw *bufio.Writer, ps []*core.PathPattern, seqLen, n int, sh share) {
+	writeUvarint(bw, uint64(n))
+	for _, p := range ps {
+		if !sh.holds(p) {
+			continue
 		}
-		if len(p.Verts) != len(p.GIDs)*seqLen {
-			return fmt.Errorf("indexio: pattern %d has %d vertices for %d embeddings, want %d each", i, len(p.Verts), len(p.GIDs), seqLen)
-		}
+		rows, support := sh.rows(p, seqLen)
 		for _, lab := range p.Seq {
 			writeUvarint(bw, uint64(lab))
 		}
-		writeUvarint(bw, uint64(p.Support))
-		writeUvarint(bw, uint64(len(p.GIDs)))
+		writeUvarint(bw, uint64(support))
+		writeUvarint(bw, uint64(rows))
 		for j, gid := range p.GIDs {
-			writeRow(bw, uint64(gid), p.Verts[j*seqLen:(j+1)*seqLen])
+			if local, ok := sh.local(gid); ok {
+				writeRow(bw, uint64(local), p.Verts[j*seqLen:(j+1)*seqLen])
+			}
 		}
 	}
-	return nil
 }
 
 // Load reads a snapshot from r and rebuilds the index state and label

@@ -29,7 +29,8 @@ import (
 //	crc      4 bytes  little-endian IEEE CRC-32 of everything above
 //
 // The pattern records are those of a v1 snapshot level, written and
-// read by the same code (writePatterns, readPatterns).
+// read by the same code (writePatterns, readPatterns). A coordinator
+// posts each shard its share of a level (SaveLevelShare).
 //
 // Pattern, embedding and vertex order are preserved exactly — the
 // coordinator's cross-shard merge is order-sensitive, and the
@@ -46,26 +47,37 @@ const levelVersion = 1
 // it. Graph IDs are written as-is — the two endpoints agree on whether
 // they are global or shard-local.
 func SaveLevel(w io.Writer, ps []*core.PathPattern) error {
+	return saveLevel(w, ps, share{})
+}
+
+// saveLevel writes the share sh of a level in the level-set wire
+// format; an empty share has sequence length 0.
+func saveLevel(w io.Writer, ps []*core.PathPattern, sh share) error {
+	seqLen := 0
+	if len(ps) > 0 {
+		seqLen = len(ps[0].Seq)
+	}
+	n, err := sh.patterns(ps, seqLen)
+	if err != nil {
+		return err
+	}
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 	if _, err := bw.WriteString(LevelMagic); err != nil {
 		return err
 	}
 	writeUvarint(bw, levelVersion)
-	seqLen := 0
-	if len(ps) > 0 {
-		seqLen = len(ps[0].Seq)
+	if n == 0 {
+		seqLen = 0
 	}
 	writeUvarint(bw, uint64(seqLen))
-	if err := writePatterns(bw, ps, seqLen); err != nil {
-		return err
-	}
+	writePatterns(bw, ps, seqLen, n, sh)
 	if err := bw.Flush(); err != nil {
 		return err
 	}
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
+	_, err = w.Write(tail[:])
 	return err
 }
 

@@ -5,124 +5,13 @@ import (
 
 	"skinnymine/internal/core"
 	"skinnymine/internal/graph"
+	"skinnymine/internal/indexio"
 )
 
-// layout maps graph IDs between a database and its shards: shard s
-// holds the database graphs parts[s], ascending, so a database graph
-// gid is graph local[gid] of shard shardOf[gid], and local graph i of
-// shard s is database graph parts[s][i]. The split and the join share
-// it; since each shard's IDs ascend, translating keeps every pattern's
-// rows in (graph ID, vertex sequence) order both ways.
-type layout struct {
-	parts   [][]int32
-	shardOf []int32 // per database graph
-	local   []int32 // per database graph
-}
-
-// newLayout indexes an assignment that partitions [0, n) into shards of
-// ascending graph IDs, as Partition builds and indexio.LoadManifest
-// checks one.
-func newLayout(parts [][]int32) *layout {
-	n := 0
-	for _, gids := range parts {
-		n += len(gids)
-	}
-	lay := &layout{parts: parts, shardOf: make([]int32, n), local: make([]int32, n)}
-	for s, gids := range parts {
-		for i, gid := range gids {
-			lay.shardOf[gid], lay.local[gid] = int32(s), int32(i)
-		}
-	}
-	return lay
-}
-
-// Split returns each shard's state, shard s holding the database graphs
-// parts[s]: its graphs and its share of every level of st, with graph
-// IDs its own. It is the inverse of Join. Several shards' levels are
-// copied, once per shard and level.
-func Split(st core.IndexState, parts [][]int32) []core.IndexState {
-	lay := newLayout(parts)
-	out := make([]core.IndexState, len(parts))
-	for s, gids := range parts {
-		graphs := make([]*graph.Graph, len(gids))
-		for i, gid := range gids {
-			graphs[i] = st.Graphs[gid]
-		}
-		out[s] = core.IndexState{Graphs: graphs, Sigma: st.Sigma, Levels: make(map[int][]*core.PathPattern, len(st.Levels))}
-	}
-	for l, level := range st.Levels {
-		for s, share := range lay.split(level) {
-			out[s].Levels[l] = share
-		}
-	}
-	return out
-}
-
-// split builds every shard's share of a level in one pass: each
-// pattern's rows in the shard's graphs, graph IDs shard-local, support
-// recounted from the share's canonical-forward rows, leaving out the
-// patterns with no row there. One shard's share is the level itself.
-func (lay *layout) split(level []*core.PathPattern) [][]*core.PathPattern {
-	if len(lay.parts) == 1 {
-		return [][]*core.PathPattern{level}
-	}
-	n := len(lay.parts)
-	rows := make([]int, n)
-	for _, p := range level {
-		for _, gid := range p.GIDs {
-			rows[lay.shardOf[gid]]++
-		}
-	}
-	s := 0
-	if len(level) > 0 {
-		s = len(level[0].Seq)
-	}
-	gids := make([][]int32, n)
-	verts := make([][]graph.V, n)
-	pats := make([][]core.PathPattern, n)
-	for sh := range gids {
-		gids[sh] = make([]int32, 0, rows[sh])
-		verts[sh] = make([]graph.V, 0, rows[sh]*s)
-	}
-	last := make([]int, n) // per shard: the last pattern with a row there, + 1
-	lo := make([]int, n)   // per shard: where that pattern's rows begin
-	fwd := make([]int, n)  // per shard: its canonical-forward rows
-	var touched []int32
-	for k, p := range level {
-		touched = touched[:0]
-		for i, gid := range p.GIDs {
-			sh := lay.shardOf[gid]
-			if last[sh] != k+1 {
-				last[sh], lo[sh], fwd[sh] = k+1, len(gids[sh]), 0
-				touched = append(touched, sh)
-			}
-			gids[sh] = append(gids[sh], lay.local[gid])
-			verts[sh] = append(verts[sh], p.Emb(i)...)
-			if core.CanonicalForward(p.Emb(i)) {
-				fwd[sh]++
-			}
-		}
-		for _, sh := range touched {
-			a, b := lo[sh], len(gids[sh])
-			pats[sh] = append(pats[sh], core.PathPattern{
-				Seq: p.Seq, GIDs: gids[sh][a:b:b], Verts: verts[sh][a*s : b*s : b*s], Support: fwd[sh],
-			})
-		}
-	}
-	out := make([][]*core.PathPattern, n)
-	for sh, ps := range pats {
-		out[sh] = make([]*core.PathPattern, len(ps))
-		for i := range ps {
-			out[sh][i] = &ps[i]
-		}
-	}
-	return out
-}
-
-// Join reassembles the database's state from its shards' states, the
-// inverse of Split: shard s holds the database graphs parts[s], which
-// Partition or indexio.LoadManifest has checked to partition the
-// database in ascending order. Every shard must have been built with σ
+// Join reassembles the database's state from its shards' states, as
+// indexio.SaveShare writes them: shard s holds the database graphs
+// parts[s], which Partition or indexio.LoadManifest has checked to
+// partition the database in ascending order. Every shard must have been built with σ
 // and hold the same levels, and each level is the cross-shard recount
 // of the shards' shares (join), where a pattern below σ is corruption.
 // Join checks only what it indexes by, column sizes and shard-local
@@ -165,14 +54,14 @@ func Join(states []core.IndexState, parts [][]int32, sigma int) (core.IndexState
 			graphs[gid] = states[s].Graphs[i]
 		}
 	}
-	lay := newLayout(parts)
+	lay := indexio.NewLayout(parts)
 	levels := make(map[int][]*core.PathPattern, len(states[0].Levels))
 	shares := make([][]*core.PathPattern, len(states))
 	for l := range states[0].Levels {
 		for s, st := range states {
 			shares[s] = st.Levels[l]
 		}
-		level, below := lay.join(shares, sigma)
+		level, below := join(lay, shares, sigma)
 		if below >= 0 {
 			return core.IndexState{}, fmt.Errorf("shard: shard %d level %d holds a pattern below the σ=%d threshold: snapshot is corrupted", below, l, sigma)
 		}
@@ -192,7 +81,7 @@ func Join(states []core.IndexState, parts [][]int32, sigma int) (core.IndexState
 // candidates fall below σ, a restored share must not. The result is
 // byte-identical to the level the in-process joins materialize (pinned
 // by the sharding refguards).
-func (lay *layout) join(shares [][]*core.PathPattern, sigma int) ([]*core.PathPattern, int) {
+func join(lay *indexio.Layout, shares [][]*core.PathPattern, sigma int) ([]*core.PathPattern, int) {
 	// First pass: group the shares' patterns by label sequence, keeping
 	// the frequent groups' members, and their shards, in order.
 	next := make([]int, len(shares)) // per shard: its next pattern
@@ -251,7 +140,7 @@ func (lay *layout) join(shares [][]*core.PathPattern, sigma int) ([]*core.PathPa
 			m, gm := -1, int32(0)
 			for j, p := range group {
 				if cur[j] < len(p.GIDs) {
-					if g := lay.parts[from[lo+j]][p.GIDs[cur[j]]]; m < 0 || g < gm {
+					if g := lay.Parts[from[lo+j]][p.GIDs[cur[j]]]; m < 0 || g < gm {
 						m, gm = j, g
 					}
 				}

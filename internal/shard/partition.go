@@ -1,11 +1,12 @@
 // Package shard holds the sharded side of SkinnyMine's Stage I: it
 // partitions a transaction database into P shards (hash-by-gid with a
-// size-balancing pass, Partition), splits the levels into the shards'
-// shares and joins them back by the cross-shard recount (Split and
-// Join, which a sharded snapshot's files go through), serves one
-// shard's Stage I candidates over HTTP (Worker and its wire protocol),
-// and implements the HTTP core.Runner a coordinator drives those
-// workers with (RestoreRemote). The engine itself — the doubling
+// size-balancing pass, Partition), joins the shards' shares of the
+// levels back by the cross-shard recount (Join, which a sharded
+// snapshot's files go through; indexio.SaveShare writes each share
+// straight from the database's levels), serves one shard's Stage I
+// candidates over HTTP (Worker and its wire protocol), and implements
+// the HTTP core.Runner a coordinator drives those workers with
+// (RestoreRemote). The engine itself — the doubling
 // schedule, the level cache and Stage II — is core.Engine over the
 // whole database, the same one that mines unsharded, so output is
 // byte-identical at every shard count and over every transport:
@@ -25,9 +26,9 @@
 // summing their canonical-forward counts and applying the global σ —
 // reproduces the unsharded level byte for byte. Each shard's input to
 // the next step is its share of the recounted level, so pruning power
-// at the global threshold is never lost. The split and the recount
-// share one graph-ID layout; each shard's IDs ascend, so translating
-// them keeps every pattern's rows in order. Both directions of the
+// at the global threshold is never lost. The share writers and the
+// recount share one graph-ID layout (indexio.Layout); each shard's IDs
+// ascend, so translating them keeps every pattern's rows in order. Both directions of the
 // wire are checked by core.ValidateLevel: a worker validates the level
 // it is posted, and the coordinator the level each worker replies
 // with, so a malformed level is a permanent error and never reaches a

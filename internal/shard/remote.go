@@ -151,18 +151,18 @@ func WorkerStats(e *core.Engine) []WorkerRPCStats {
 }
 
 // remoteRunner implements core.Runner over one HTTP worker per shard.
-// Each step splits its input level into the shards' shares, graph IDs
-// shard-local, runs the op on every shard's worker at threshold 1, and
-// recounts the replies into the level at σ (layout.join), so embedding
-// order, which the byte-identical recount depends on, survives the
-// round trip. Every reply is validated against the shard's graphs
-// before the recount reads it.
+// Each step posts every shard its share of the input level, graph IDs
+// shard-local (indexio.SaveLevelShare), runs the op on the shard's
+// worker at threshold 1, and recounts the replies into the level at σ
+// (join), so embedding order, which the byte-identical recount depends
+// on, survives the round trip. Every reply is validated against the
+// shard's graphs before the recount reads it.
 type remoteRunner struct {
 	cfg       RemoteConfig
 	client    *http.Client
 	numLabels int
 	sigma     int
-	lay       *layout
+	lay       *indexio.Layout
 	workers   []*remoteWorker
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -207,7 +207,7 @@ func newRemoteRunner(st core.IndexState, assign [][]int32, crcs []uint32, numLab
 		client:    &http.Client{},
 		numLabels: numLabels,
 		sigma:     st.Sigma,
-		lay:       newLayout(assign),
+		lay:       indexio.NewLayout(assign),
 		workers:   make([]*remoteWorker, len(assign)),
 		stop:      make(chan struct{}),
 	}
@@ -365,9 +365,11 @@ func (r *remoteRunner) Merge(ctx context.Context, pool []*core.PathPattern, l, m
 // the coordinator-side cost a distributed deployment cannot shard away.
 func (r *remoteRunner) step(ctx context.Context, op string, l, m int, in []*core.PathPattern, workers int) ([]*core.PathPattern, error) {
 	n := len(r.workers)
-	shares := make([][]*core.PathPattern, n)
-	if op != "edges" {
-		shares = r.lay.split(in)
+	asked := make([]bool, n) // per shard: whether its share of in has a row
+	for _, p := range in {
+		for _, gid := range p.GIDs {
+			asked[r.lay.Of[gid]] = true
+		}
 	}
 	per, extra := workers/n, workers%n
 	if per < 1 {
@@ -378,7 +380,7 @@ func (r *remoteRunner) step(ctx context.Context, op string, l, m int, in []*core
 	inFlight := make(chan struct{}, max(workers, 1))
 	var wg sync.WaitGroup
 	for s := range r.workers {
-		if op != "edges" && len(shares[s]) == 0 {
+		if op != "edges" && !asked[s] {
 			continue
 		}
 		w := per
@@ -390,7 +392,7 @@ func (r *remoteRunner) step(ctx context.Context, op string, l, m int, in []*core
 		go func(s, w int) {
 			defer wg.Done()
 			defer func() { <-inFlight }()
-			replies[s], errs[s] = r.call(ctx, s, op, l, m, w, shares[s])
+			replies[s], errs[s] = r.call(ctx, s, op, l, m, w, in)
 		}(s, w)
 	}
 	wg.Wait()
@@ -402,7 +404,7 @@ func (r *remoteRunner) step(ctx context.Context, op string, l, m int, in []*core
 		candidates += len(replies[s])
 	}
 	rs := obs.FromContext(ctx).Start("stage1.recount").TagInt("level", int64(l)).TagInt("candidates", int64(candidates))
-	level, _ := r.lay.join(replies, r.sigma)
+	level, _ := join(r.lay, replies, r.sigma)
 	rs.TagInt("patterns", int64(len(level))).End()
 	return level, nil
 }
@@ -410,7 +412,7 @@ func (r *remoteRunner) step(ctx context.Context, op string, l, m int, in []*core
 // call runs one candidate op against shard s's worker with the full
 // reliability stack: per-attempt timeout, bounded retries with
 // exponential backoff, and straggler hedging. The request body, the
-// shard's share in, is encoded once and reused across attempts; the
+// shard's share of in, is encoded once and reused across attempts; the
 // reply, level l's candidates with shard-local graph IDs, is decoded
 // and validated. One span covers the whole logical call, tagged with
 // its attempt/retry/hedge counts and outcome — observation only, the
@@ -439,7 +441,7 @@ func (r *remoteRunner) call(ctx context.Context, s int, op string, l, m, workers
 	var body []byte
 	if in != nil {
 		var buf bytes.Buffer
-		if err := indexio.SaveLevel(&buf, in); err != nil {
+		if err := indexio.SaveLevelShare(&buf, in, r.lay, s); err != nil {
 			return nil, fmt.Errorf("shard: encoding level for shard %d: %w", s, err)
 		}
 		body = buf.Bytes()

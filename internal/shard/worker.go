@@ -28,8 +28,8 @@ import (
 //	      workers=N                     join fan-out inside the shard
 //
 // Candidate sets travel both ways as indexio level-set streams
-// (LevelMagic) with SHARD-LOCAL graph IDs — the coordinator's split and
-// recount translate them, which preserves embedding order because each
+// (LevelMagic) with SHARD-LOCAL graph IDs — the coordinator's share
+// writer and recount translate them, which preserves embedding order because each
 // shard's global IDs ascend. Every candidate request must carry the
 // coordinator's idea of this worker's shard file CRC in the
 // ShardCRCHeader; a mismatch is answered 409 so a miswired fleet fails

@@ -45,7 +45,8 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 // mid-write never clobbers an existing good snapshot.
 //
 // An unsharded index writes one v1 snapshot stream at path. A sharded
-// index streams one v1 stream per shard next to path — named
+// index streams one v1 stream per shard next to path, each written
+// straight from the index's levels (indexio.SaveShare) — named
 // "<base>.shard<i>-<crc32>", so a new snapshot generation never
 // overwrites the files a previous manifest references — and then the
 // CRC'd manifest at path itself, LAST, so path always names either the
@@ -66,17 +67,17 @@ func (ix *Index) WriteSnapshotFile(path string) error {
 		sweepShardFiles(filepath.Dir(path), filepath.Base(path), nil)
 		return nil
 	}
-	states := shard.Split(ix.eng.State(), ix.parts)
+	st, lay := ix.eng.State(), indexio.NewLayout(ix.parts)
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	m := indexio.Manifest{
 		Sigma:     ix.eng.Sigma(),
 		NumGraphs: ix.eng.NumGraphs(),
-		Shards:    make([]indexio.ShardRef, len(states)),
+		Shards:    make([]indexio.ShardRef, len(ix.parts)),
 	}
-	live := make(map[string]bool, len(states))
-	for s, st := range states {
+	live := make(map[string]bool, len(ix.parts))
+	for s := range ix.parts {
 		ref, err := writeShardFile(dir, base, s, func(w io.Writer) error {
-			return indexio.Save(w, st, ix.lt)
+			return indexio.SaveShare(w, st, ix.lt, lay, s)
 		})
 		if err != nil {
 			return err

@@ -110,10 +110,12 @@ func TestGreedyWorkloadStatsPinned(t *testing.T) {
 // its canonical code, its constraint checks and the output check of
 // each emitted pattern in per-worker scratch and copies out only the
 // patterns it emits, so the count follows the 2,597 patterns, not the
-// 40,381 extensions tried: about 15 allocations each, most of them
-// building seeds at their size and copying out emitted patterns. An
-// allocation per extension, per canonical-code traversal or per output
-// check fails it; so does a seed set grown step by step. The byte
+// 40,381 extensions tried: about 13 allocations each (12.8, and 12.9
+// under -race), most of them building seeds at their size and copying
+// out emitted patterns; the bound is that plus 10%. An allocation per
+// extension, per canonical-code traversal or per output check fails
+// it; so do a seed set grown step by step and pattern slices allocated
+// per seed or per level. The byte
 // bound, 11.7 MB measured, guards the scratch columns' growth by
 // doubling and the one stored map per class of twin swaps: grown by
 // append's ~1.25× steps the columns allocated a third more, and storing
@@ -146,8 +148,8 @@ func TestStage2AllocsPinned(t *testing.T) {
 		t.Fatalf("the workload mined %d patterns; the bounds assume 2,597", patterns)
 	}
 	t.Logf("one greedy mine: %.0f allocations, %.2f MB", allocs, mb)
-	if limit := 17 * float64(patterns); allocs > limit {
-		t.Errorf("one greedy mine allocated %.0f times for %d patterns; want at most %.0f (17 per pattern)", allocs, patterns, limit)
+	if limit := 14.2 * float64(patterns); allocs > limit {
+		t.Errorf("one greedy mine allocated %.0f times for %d patterns; want at most %.0f (14.2 per pattern)", allocs, patterns, limit)
 	}
 	if mb > 18 {
 		t.Errorf("one greedy mine allocated %.2f MB; want at most 18 MB", mb)
